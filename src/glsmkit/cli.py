@@ -18,7 +18,7 @@ import click
 from . import ENGINE_VERSION
 from .cache import cache_get, cache_put, job_key
 from .latexout import render_latex
-from .model import GLSMModel, InputError, InternalError, parse_model, parse_monomial_expression
+from .model import GLSMModel, InputError, InternalError, model_to_dict, parse_model, parse_monomial_expression
 from .multipoly import Monomial
 from .rationallp import LPInternalError
 from .rings import RingMismatchError
@@ -84,13 +84,17 @@ def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
         item = item.strip()
         if not item:
             continue
-        if item.startswith("rho"):
-            idx = int(item[3:]) - 1
-            if not 0 <= idx < model.r:
-                raise InputError(f"rho index out of range in {item!r}")
-            out.append(model.column(idx))
-        else:
-            out.append(tuple(int(x) for x in item.split(",")))
+        try:
+            if item.startswith("rho"):
+                idx = int(item[3:]) - 1
+            else:
+                out.append(tuple(int(x) for x in item.split(",")))
+                continue
+        except ValueError:
+            raise InputError(f"--rho expects rhoI or comma-separated integers, got {item!r}") from None
+        if not 0 <= idx < model.r:
+            raise InputError(f"rho index out of range in {item!r}")
+        out.append(model.column(idx))
     for vec in out:
         if len(vec) != model.k:
             raise InputError("character vectors must have length k")
@@ -124,6 +128,27 @@ def _parse_insertions(model: GLSMModel, specs: tuple[str, ...]):
             mapped[mk] = mapped.get(mk, Fraction(0)) + coeff
         insertions.append(Insertion.from_terms(name, mapped))
     return tuple(etas), tuple(insertions)
+
+
+def _parse_map(text: str) -> dict[str, str]:
+    """--map old=new,old2=new2 as a rename dict."""
+    rename = {}
+    for pair in text.split(","):
+        old, sep, new = pair.partition("=")
+        if not sep:
+            raise InputError(f"--map expects old=new pairs, got {pair!r}")
+        rename[old] = new
+    return rename
+
+
+def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, insert, **extras) -> str:
+    """Cache key of a series job; extras beyond the --insert specs are keyed too."""
+    return job_key(
+        model,
+        command,
+        {"q_bound": format_rational(q_bound), "t_order": torder},
+        {"insertions": [list(spec) for spec in insert], **extras},
+    )
 
 
 def _series_output(series: GradedSeries, fmt: str) -> str:
@@ -223,12 +248,7 @@ def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache)
     model = parse_model(_read_file(file))
     etas, insertions = _parse_insertions(model, insert)
     q_bound = parse_rational(qbound)
-    key = job_key(
-        model,
-        mode,
-        {"q_bound": format_rational(q_bound), "t_order": torder},
-        {"insertions": [list(spec) for spec in insert]},
-    )
+    key = _series_key(model, mode, q_bound, torder, insert)
     if not no_cache:
         hit = cache_get(key)
         if hit is not None:
@@ -284,12 +304,7 @@ def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
     etas, insertions = _parse_insertions(model, insert)
     q_bound = parse_rational(qbound)
     rho_list = _parse_rho_list(model, rho)
-    base_key = job_key(
-        model,
-        "ifun",
-        {"q_bound": format_rational(q_bound), "t_order": torder},
-        {"insertions": [list(spec) for spec in insert]},
-    )
+    base_key = _series_key(model, "ifun", q_bound, torder, insert)
     series = None
     if not no_cache:
         hit = cache_get(base_key)
@@ -300,12 +315,7 @@ def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
         if not no_cache:
             cache_put(base_key, series_to_json(series))
     result = z_partial(series, rho_list, method)
-    key = job_key(
-        model,
-        "dz",
-        {"q_bound": format_rational(q_bound), "t_order": torder},
-        {"insertions": [list(spec) for spec in insert], "rho": [list(r) for r in rho_list], "method": method},
-    )
+    key = _series_key(model, "dz", q_bound, torder, insert, rho=[list(r) for r in rho_list], method=method)
     text = series_to_json(result)
     if not no_cache:
         cache_put(key, text)
@@ -337,8 +347,6 @@ def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
     """Build a family model, its direct series, and the engine cross-check."""
     spec = specialization_from_model_file(_read_file(file))
     q_bound = parse_rational(qbound)
-    from .model import model_to_dict
-
     if kind == "fjrw":
         model = fjrw_build(spec)
         series = fjrw_direct_series(spec, q_bound, torder)
@@ -376,7 +384,7 @@ def compare(series_a, series_b, subst, out, fmt):
     b = series_from_json(_read_file(series_b))
     variable_map = None
     if subst:
-        variable_map = {"rename_insertions": dict(pair.split("=", 1) for pair in subst.split(","))}
+        variable_map = {"rename_insertions": _parse_map(subst)}
     diff = series_compare(a, b, variable_map)
     if fmt == "text":
         _emit(("equal on common truncation\n" if not diff else f"{len(diff)} differences\n"), out)

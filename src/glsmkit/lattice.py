@@ -22,10 +22,6 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -121,38 +117,24 @@ def invariant_factors(mat: list[list[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
-def rational_rank(mat) -> int:
-    """Rank over Q (works for Fraction or int entries)."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    col = 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def rref(mat, rhs=None) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
 
-
-def solve_rational_system(mat, rhs) -> list[Fraction] | None:
-    """One exact solution of mat*x = rhs over Q, or None if inconsistent."""
+    Returns (rows, pivots): pivots[i] is the column of row i's leading one.
+    With rhs given, it is carried as an extra last column that is never
+    chosen as a pivot.
+    """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
-    pivots = []
-    rank = 0
+    a = [[Fraction(x) for x in row] for row in mat]
+    if rhs is not None:
+        for row, b in zip(a, rhs):
+            row.append(Fraction(b))
+    pivots: list[int] = []
     for col in range(cols):
+        rank = len(pivots)
+        if rank == rows:
+            break
         piv = next((i for i in range(rank, rows) if a[i][col] != 0), None)
         if piv is None:
             continue
@@ -164,15 +146,23 @@ def solve_rational_system(mat, rhs) -> list[Fraction] | None:
                 c = a[i][col]
                 a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
         pivots.append(col)
-        rank += 1
-        if rank == rows:
-            break
-    for i in range(rank, rows):
-        if a[i][cols] != 0:
-            return None
+    return a, pivots
+
+
+def rational_rank(mat) -> int:
+    """Rank over Q (works for Fraction or int entries)."""
+    return len(rref(mat)[1])
+
+
+def solve_rational_system(mat, rhs) -> list[Fraction] | None:
+    """One exact solution of mat*x = rhs over Q, or None if inconsistent."""
+    a, pivots = rref(mat, rhs)
+    cols = len(mat[0]) if mat else 0
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, col in enumerate(pivots):
-        x[col] = a[i][cols]
+    for row, col in zip(a, pivots):
+        x[col] = row[cols]
     return x
 
 
@@ -219,14 +209,3 @@ def congruence_kernel(mat: list[list[int]]) -> list[tuple[Fraction, ...]]:
         )
         out.append(x)
     return sorted(set(out))
-
-
-def preimage_lattice_basis(mat: list[list[int]]) -> list[list[Fraction]]:
-    """Basis of {x in Q^n : mat*x in Z^m} for mat of full column rank n."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    d, _, v = smith_normal_form(mat)
-    diag = [d[i][i] for i in range(min(m, n))]
-    if len(diag) < n or any(di == 0 for di in diag):
-        raise ValueError("preimage is not a lattice (matrix not of full column rank)")
-    return [[Fraction(v[i][j], diag[j]) for i in range(n)] for j in range(n)]

@@ -22,10 +22,6 @@ def grevlex_key(mono: Monomial):
     return (sum(mono), tuple(-mono[i] for i in range(len(mono) - 1, -1, -1)))
 
 
-def poly_zero() -> Poly:
-    return {}
-
-
 def poly_const(nvars: int, c) -> Poly:
     if scalar_is_zero(c):
         return {}

@@ -155,10 +155,6 @@ def class_from_character(ring: SectorRing, xi) -> CohClass:
     return ring.from_poly(linear_form(xi, ring.ngens))
 
 
-def normal_form_class(c: CohClass) -> CohClass:
-    return c.ring.from_poly(c.poly)
-
-
 def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
     """Is `a` in the principal ideal generated by the product of factors?
 

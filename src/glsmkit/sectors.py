@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import congruence_kernel, rational_rank, solve_rational_system
+from .lattice import congruence_kernel, rational_rank, rref, solve_rational_system
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
 from .scalars import frac_mod1
@@ -177,29 +177,14 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
 
 def _kernel_ray(mat, k: int) -> list[Fraction]:
     # a nonzero rational vector in the kernel of the support pairing map
-    rows = [[Fraction(x) for x in row] for row in mat]
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in range(k):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-        pivots[col] = rank
-        rank += 1
+    rows, pivots = rref(mat)
     free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         raise InternalError("kernel ray requested for a full-rank matrix")
     v = [Fraction(0)] * k
     v[free] = Fraction(1)
-    for col, rowi in pivots.items():
-        v[col] = -rows[rowi][free]
+    for row, col in zip(rows, pivots):
+        v[col] = -row[free]
     return v
 
 

@@ -12,11 +12,9 @@ sector ring attached to the term's degree.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, factorial, floor, lcm
+from math import ceil, factorial, lcm
 
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
 from .rings import (
@@ -31,8 +29,6 @@ from .rings import (
 from .scalars import Cyclo, Scalar, format_rational, parse_rational
 from .sectors import Degree, effective_degrees, pairing, sector_of_degree, theta_degree
 from .validate import invariants_trivial
-
-THREADS_ENV = "GLSMKIT_THREADS"
 
 
 class HypothesisError(ValueError):
@@ -213,30 +209,17 @@ class GradedSeries:
         )
 
 
-def _ring_cache_for(m: GLSMModel, degrees) -> dict:
-    cache: dict = {}
-    for d in degrees:
-        g = sector_of_degree(m, d)
-        if g.lam not in cache:
-            cache[g.lam] = build_ring(m, g)
-    return cache
-
-
-def _int_range(lo: Fraction, hi: Fraction, include_lo: bool, include_hi: bool):
-    a = ceil(lo) if include_lo or lo.denominator > 1 else floor(lo) + 1
-    b = floor(hi) if include_hi or hi.denominator > 1 else ceil(hi) - 1
-    return range(a, b + 1)
-
-
 def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> LaurentZ:
     """Per-degree hypergeometric factor in the sector ring of d.
 
-    mode "ambient": coordinate i with <d,rho_i> < 0 contributes numerator
-    factors over integers nu in [<d,rho_i>, 0), and <d,rho_i> > 0 contributes
-    inverted factors over nu in [0, <d,rho_i>).  mode "glsm": coordinates with
-    nonzero R-charge instead use [<d,rho_i>, 0] when <d,rho_i> <= 0 and
-    (0, <d,rho_i>) when positive; R-charge-zero coordinates keep the ambient
-    ranges.  Factors are (class(rho_i) + (<d,rho_i>-nu) z).
+    With x = <d,rho_i>, coordinate i contributes one factor
+    (class(rho_i) + (x-nu) z) per integer nu, taken in ascending order.
+    mode "ambient": numerator factors over nu in range(ceil(x), 0) when
+    x < 0, inverted factors over nu in range(0, ceil(x)) when x > 0, and
+    none when x = 0.  mode "glsm": coordinates with nonzero R-charge instead
+    take numerator factors over range(ceil(x), 1) when x <= 0 and inverted
+    factors over range(1, ceil(x)) when x > 0; R-charge-zero coordinates keep
+    the ambient ranges.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -244,23 +227,13 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     for i in range(m.r):
         x = pairing(d, m.column(i))
         cls = class_from_character(ring, m.column(i))
-        glsm_ranges = mode == "glsm" and m.r_charges[i] != 0
-        if glsm_ranges:
-            if x <= 0:
-                nus = _int_range(x, Fraction(0), True, True)
-                inverted = False
-            else:
-                nus = _int_range(Fraction(0), x, False, False)
-                inverted = True
+        inverted = x > 0
+        if mode == "glsm" and m.r_charges[i] != 0:
+            nus = range(1, ceil(x)) if inverted else range(ceil(x), 1)
+        elif x == 0:
+            continue
         else:
-            if x < 0:
-                nus = _int_range(x, Fraction(0), True, False)
-                inverted = False
-            elif x > 0:
-                nus = _int_range(Fraction(0), x, True, False)
-                inverted = True
-            else:
-                continue
+            nus = range(0, ceil(x)) if inverted else range(ceil(x), 0)
         for nu in nus:
             a = x - nu
             if inverted:
@@ -323,25 +296,11 @@ def exp_factor(
     return out
 
 
-def _series_terms_for_degree(m, d, etas, insertions, t_order, mode, ring):
-    hyper = hyper_factor(m, d, mode, ring)
-    terms = {}
-    vanished = []
-    if hyper.is_zero():
-        for alpha in _alphas(len(insertions), t_order):
-            vanished.append((d, alpha))
-        return terms, vanished
-    exps = exp_factor(m, d, etas, insertions, t_order, ring)
-    for alpha, coeff in sorted(exps.items()):
-        value = coeff.mul(hyper)
-        if value.is_zero():
-            vanished.append((d, alpha))
-        else:
-            terms[(d, alpha)] = value
-    return terms, vanished
+def t_exponents(nvars: int, t_order: int) -> list[tuple[int, ...]]:
+    """All t-multi-exponents of nvars variables with total order <= t_order.
 
-
-def _alphas(nvars: int, t_order: int):
+    Lexicographic order: the first variable's exponent varies slowest.
+    """
     if nvars == 0:
         return [()]
     out = []
@@ -359,59 +318,40 @@ def _alphas(nvars: int, t_order: int):
     return out
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _assemble(m, etas, insertions, q_bound, t_order, mode, threads) -> GradedSeries:
-    q_bound = Fraction(q_bound)
-    etas = tuple(tuple(e) for e in etas)
-    insertions = tuple(insertions)
-    degrees = effective_degrees(m, q_bound)
-    rings = _ring_cache_for(m, degrees)
-    n = _thread_count(threads)
-
-    def work(d):
-        ring = rings[sector_of_degree(m, d).lam]
-        return _series_terms_for_degree(m, d, etas, insertions, t_order, mode, ring)
-
-    if n == 1:
-        results = [work(d) for d in degrees]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(work, degrees))
-
-    terms: dict[TermKey, LaurentZ] = {}
-    vanished: list[TermKey] = []
-    for t, v in results:
-        terms.update(t)
-        vanished.extend(v)
-    state = "glsm" if mode == "glsm" else "ambient"
-    return GradedSeries(
+def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
+    series = GradedSeries(
         model=m,
-        state=state,
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
+        state="glsm" if mode == "glsm" else "ambient",
+        etas=tuple(tuple(e) for e in etas),
+        insertions=tuple(insertions),
+        q_bound=Fraction(q_bound),
         t_order=t_order,
-        terms=terms,
-        vanished=tuple(sorted(vanished)),
-        rings=rings,
+        terms={},
     )
+    vanished: list[TermKey] = []
+    for d in effective_degrees(m, series.q_bound):
+        ring = series.ring_for(d)
+        hyper = hyper_factor(m, d, mode, ring)
+        if hyper.is_zero():
+            vanished.extend((d, alpha) for alpha in t_exponents(len(series.insertions), t_order))
+            continue
+        exps = exp_factor(m, d, series.etas, series.insertions, t_order, ring)
+        for alpha, coeff in sorted(exps.items()):
+            value = coeff.mul(hyper)
+            if value.is_zero():
+                vanished.append((d, alpha))
+            else:
+                series.terms[(d, alpha)] = value
+    series.vanished = tuple(sorted(vanished))
+    return series
 
 
-def big_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t_order=0, threads=None) -> GradedSeries:
+def big_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t_order=0) -> GradedSeries:
     """Truncated big I-function of the GIT quotient (ambient state space)."""
-    return _assemble(m, etas, insertions, q_bound, t_order, "ambient", threads)
+    return _assemble(m, etas, insertions, q_bound, t_order, "ambient")
 
 
-def glsm_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t_order=0, threads=None) -> GradedSeries:
+def glsm_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t_order=0) -> GradedSeries:
     """Truncated I-function of the model with potential (glsm state space).
 
     Requires the invariant-triviality hypothesis on the R-charge-zero
@@ -421,7 +361,7 @@ def glsm_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t
     res = invariants_trivial(m, keep, include_r_charge=False)
     if not res.trivial:
         raise HypothesisError(res.certificate)
-    return _assemble(m, etas, insertions, q_bound, t_order, "glsm", threads)
+    return _assemble(m, etas, insertions, q_bound, t_order, "glsm")
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +414,7 @@ def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> G
             mono[p] += 1
         aux = Insertion.from_terms("_aux", {tuple(mono): Fraction(1)})
         bigger = _assemble(
-            s.model, etas, tuple(s.insertions) + (aux,), s.q_bound, s.t_order + 1, "ambient", None
+            s.model, etas, tuple(s.insertions) + (aux,), s.q_bound, s.t_order + 1, "ambient"
         )
         terms = {}
         for (d, alpha), value in bigger.terms.items():

@@ -11,23 +11,25 @@ exercise two genuinely independent paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, factorial, floor, lcm
 
 from .model import GLSMModel, InputError, InternalError, PotentialPolynomial, parse_monomial_expression
-from .rings import build_ring, class_from_character, divides_ideal
+from .rings import class_from_character, divides_ideal
 from .scalars import format_rational, half_turn, parse_rational
-from .sectors import Degree, age, pairing, sector_of_degree
+from .sectors import Degree, age, effective_degrees, pairing, sector_of_degree
 from .series import (
     GradedSeries,
     LaurentZ,
+    exp_factor,
     glsm_i_function,
     invert_linear_z_factor,
     linear_z_factor,
     scale_sectorwise,
     series_compare,
     single_character_insertion,
+    t_exponents,
     twist_novikov,
 )
 
@@ -152,8 +154,9 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     model = fjrw_build(spec)
     etas, insertions = fjrw_insertions(spec)
     orders = [order for order, _ in spec.group_data]
-    terms = {}
-    rings: dict = {}
+    series = GradedSeries(
+        model=model, state="glsm", etas=etas, insertions=insertions, q_bound=q_bound, t_order=t_order, terms={}
+    )
     for tup in _fjrw_degree_tuples(spec, q_bound):
         d_eng: Degree = tuple(F(-tup[j], orders[j]) for j in range(len(orders)))
         rotations = [
@@ -162,10 +165,7 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
         ]
         if any(a.denominator == 1 for a in rotations):
             continue
-        g = sector_of_degree(model, d_eng)
-        if g.lam not in rings:
-            rings[g.lam] = build_ring(model, g)
-        ring = rings[g.lam]
+        ring = series.ring_for(d_eng)
         coeff = F(1)
         zshift = 0
         for a in rotations:
@@ -182,18 +182,8 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
         for m_exp in range(t_order + 1):
             value = base.scale(F(d1**m_exp, factorial(m_exp)))
             if not value.is_zero():
-                terms[(d_eng, (m_exp,))] = value
-    return GradedSeries(
-        model=model,
-        state="glsm",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms=terms,
-        vanished=(),
-        rings=rings,
-    )
+                series.terms[(d_eng, (m_exp,))] = value
+    return series
 
 
 def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
@@ -262,19 +252,23 @@ class HybridSpec:
             raise InputError("dimension mismatch: one section per p-coordinate")
 
 
+def _sections_potential(sections, x_count: int) -> PotentialPolynomial | None:
+    """The potential sum_j p_j * s_j(x) of sections over x1..x{x_count}, or None."""
+    if sections is None:
+        return None
+    full: dict[tuple[int, ...], Fraction] = {}
+    for j, section in enumerate(sections):
+        terms = parse_monomial_expression(section, [f"x{i + 1}" for i in range(x_count)])
+        for exps, coeff in terms.items():
+            key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(len(sections)))
+            full[key] = full.get(key, F(0)) + coeff
+    return PotentialPolynomial.from_dict(full)
+
+
 def hybrid_build(spec: HybridSpec) -> GLSMModel:
     m_count = len(spec.x_weights)
     n_count = len(spec.p_weights)
     names = tuple(f"x{i + 1}" for i in range(m_count)) + tuple(f"p{j + 1}" for j in range(n_count))
-    potential = None
-    if spec.sections is not None:
-        full: dict[tuple[int, ...], Fraction] = {}
-        for j, section in enumerate(spec.sections):
-            terms = parse_monomial_expression(section, [f"x{i + 1}" for i in range(m_count)])
-            for exps, coeff in terms.items():
-                key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(n_count))
-                full[key] = full.get(key, F(0)) + coeff
-        potential = PotentialPolynomial.from_dict(full)
     return GLSMModel(
         r=m_count + n_count,
         k=1,
@@ -282,7 +276,7 @@ def hybrid_build(spec: HybridSpec) -> GLSMModel:
         r_charges=(0,) * m_count + (1,) * n_count,
         d_w=1,
         theta=(F(-1),),
-        potential=potential,
+        potential=_sections_potential(spec.sections, m_count),
         assert_critical_proper=True,
         variables=names,
     )
@@ -308,15 +302,13 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
     model = hybrid_build(spec)
     etas, insertions = hybrid_insertions(spec)
     d_lcm = lcm(*spec.p_weights)
-    terms = {}
-    rings: dict = {}
+    series = GradedSeries(
+        model=model, state="glsm", etas=etas, insertions=insertions, q_bound=q_bound, t_order=t_order, terms={}
+    )
     k = 0
     while F(k, d_lcm) <= q_bound:
         d_eng: Degree = (F(-k, d_lcm),)
-        g = sector_of_degree(model, d_eng)
-        if g.lam not in rings:
-            rings[g.lam] = build_ring(model, g)
-        ring = rings[g.lam]
+        ring = series.ring_for(d_eng)
         h = class_from_character(ring, (-1,))
         hyper = LaurentZ.one(ring)
         for w in spec.x_weights:
@@ -338,7 +330,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
             exp_vals.append(
                 LaurentZ.from_dict(ring, {-1: h.scale(F(dj)), 0: ring.one().scale(F(dj * k, d_lcm))})
             )
-        for alpha in _alphas_total(len(spec.p_weights), t_order):
+        for alpha in t_exponents(len(spec.p_weights), t_order):
             factor = LaurentZ.one(ring)
             for j, e in enumerate(alpha):
                 for _ in range(e):
@@ -346,19 +338,9 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                 factor = factor.scale(F(1, factorial(e)))
             value = factor.mul(hyper)
             if not value.is_zero():
-                terms[(d_eng, alpha)] = value
+                series.terms[(d_eng, alpha)] = value
         k += 1
-    return GradedSeries(
-        model=model,
-        state="glsm",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms=terms,
-        vanished=(),
-        rings=rings,
-    )
+    return series
 
 
 def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
@@ -395,24 +377,6 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
     }
 
 
-def _alphas_total(nvars: int, t_order: int):
-    if nvars == 0:
-        return [()]
-    out = []
-
-    def rec(pos, remaining, cur):
-        if pos == nvars:
-            out.append(tuple(cur))
-            return
-        for e in range(remaining + 1):
-            cur.append(e)
-            rec(pos + 1, remaining - e, cur)
-            cur.pop()
-
-    rec(0, t_order, [])
-    return out
-
-
 # --------------------------------------------------------------------------
 # complete intersections
 # --------------------------------------------------------------------------
@@ -447,15 +411,6 @@ def ci_build(spec: CiSpec) -> GLSMModel:
         tuple(spec.ambient_weights[a]) + tuple(-tau[a] for tau in spec.taus) for a in range(spec.k)
     )
     names = tuple(f"x{i + 1}" for i in range(spec.ambient_r)) + tuple(f"p{j + 1}" for j in range(n))
-    potential = None
-    if spec.sections is not None:
-        full: dict[tuple[int, ...], Fraction] = {}
-        for j, section in enumerate(spec.sections):
-            terms = parse_monomial_expression(section, [f"x{i + 1}" for i in range(spec.ambient_r)])
-            for exps, coeff in terms.items():
-                key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(n))
-                full[key] = full.get(key, F(0)) + coeff
-        potential = PotentialPolynomial.from_dict(full)
     return GLSMModel(
         r=spec.ambient_r + n,
         k=spec.k,
@@ -463,7 +418,7 @@ def ci_build(spec: CiSpec) -> GLSMModel:
         r_charges=(0,) * spec.ambient_r + (1,) * n,
         d_w=1,
         theta=tuple(spec.theta),
-        potential=potential,
+        potential=_sections_potential(spec.sections, spec.ambient_r),
         assert_critical_proper=True,
         variables=names,
     )
@@ -476,19 +431,19 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     prod_j prod_{0 <= nu < <d,tau_j>} (class(tau_j) + (<d,tau_j> - nu) z),
     assembled in the inertia rings shared with the built model.
     """
-    from .sectors import effective_degrees
-
     q_bound = F(q_bound)
     model = ci_build(spec)
-    etas = tuple(tuple(e) for e in etas)
-    insertions = tuple(insertions)
-    terms = {}
-    rings: dict = {}
+    series = GradedSeries(
+        model=model,
+        state="ambient",
+        etas=tuple(tuple(e) for e in etas),
+        insertions=tuple(insertions),
+        q_bound=q_bound,
+        t_order=t_order,
+        terms={},
+    )
     for d in effective_degrees(model, q_bound):
-        g = sector_of_degree(model, d)
-        if g.lam not in rings:
-            rings[g.lam] = build_ring(model, g)
-        ring = rings[g.lam]
+        ring = series.ring_for(d)
         value = LaurentZ.one(ring)
         for i in range(spec.ambient_r):
             col = model.column(i)
@@ -509,27 +464,15 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue
-        if insertions:
-            from .series import exp_factor
-
-            exps = exp_factor(model, d, etas, insertions, t_order, ring)
+        if series.insertions:
+            exps = exp_factor(model, d, series.etas, series.insertions, t_order, ring)
             for alpha, coeff in exps.items():
                 term = coeff.mul(value)
                 if not term.is_zero():
-                    terms[(d, alpha)] = term
+                    series.terms[(d, alpha)] = term
         else:
-            terms[(d, ())] = value
-    return GradedSeries(
-        model=model,
-        state="ambient",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms=terms,
-        vanished=(),
-        rings=rings,
-    )
+            series.terms[(d, ())] = value
+    return series
 
 
 def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) -> dict:
@@ -541,10 +484,7 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
     Divisibility of every engine term by those Euler classes is checked and
     raises an engine-bug error on failure.
     """
-    q_bound = F(q_bound)
     model = ci_build(spec)
-    etas = tuple(tuple(e) for e in etas)
-    insertions = tuple(insertions)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
 
     # Euler-class divisibility of every stored coefficient
@@ -580,18 +520,7 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
                 value = value.scale_class(class_from_character(ring, tau).scale(F(-1)))
         if not value.is_zero():
             rhs_terms[(d, alpha)] = value
-    rhs = GradedSeries(
-        model=model,
-        state="ambient",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms=rhs_terms,
-        vanished=(),
-        rings=rhs.rings,
-    )
-    diff = series_compare(normalized, rhs)
+    diff = series_compare(normalized, replace(rhs, terms=rhs_terms))
     return {
         "family": "ci",
         "diff": diff,

@@ -118,6 +118,17 @@ def test_compare_equal_and_restricted(run, model_file, tmp_path):
     assert "equal on common truncation" in out
 
 
+def test_malformed_map_and_rho_name_the_flag(run, model_file, tmp_path):
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "1", "--out", str(a))
+    code, _out, err = run("compare", str(a), str(a), "--map", "t1")
+    assert code == 2
+    assert err == "error: --map expects old=new pairs, got 't1'\n"
+    code, _out, err = run("dz", model_file(P1), "--rho", "rhoX", "--qbound", "1")
+    assert code == 2
+    assert err == "error: --rho expects rhoI or comma-separated integers, got 'rhoX'\n"
+
+
 def test_compare_detects_difference(run, model_file, tmp_path):
     a = tmp_path / "a.series"
     b = tmp_path / "b.series"
@@ -200,11 +211,10 @@ def test_specialize_ci(run, tmp_path):
     assert json.loads(out)["crosscheck"]["equal"]
 
 
-def test_thread_env_determinism(run, model_file, monkeypatch):
+def test_thread_env_determinism(run, model_file):
     path = model_file(QUINTIC)
     outputs = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("GLSMKIT_THREADS", threads)
+    for _ in range(3):
         code, out, _ = run("glsm-ifun", path, "--qbound", "2", "--no-cache")
         assert code == 0
         outputs.append(out)

@@ -1,0 +1,48 @@
+"""Static hygiene of the library sources, using only the stdlib `ast` module.
+
+Fails on a module-level import that the module never uses, and on a
+module-level private function that its own module never references.  The
+package `__init__` is exempt from the import check: it exists to re-export.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "glsmkit"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parsed():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        yield path.name, tree, used
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for name, tree, used in _parsed():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused, unused
+
+
+def test_no_unreferenced_private_functions():
+    dead = [
+        f"{name}: {node.name}"
+        for name, tree, used in _parsed()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not dead, dead

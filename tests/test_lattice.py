@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,12 +9,12 @@ from glsmkit.lattice import (
     congruence_kernel,
     invariant_factors,
     mat_mul,
-    preimage_lattice_basis,
     rational_rank,
     smith_normal_form,
     solve_congruences,
     solve_rational_system,
 )
+from glsmkit.sectors import _kernel_ray
 
 
 def det(mat):
@@ -141,11 +142,36 @@ def test_congruence_kernel_infinite():
         congruence_kernel([[1, 1]])
 
 
-def test_preimage_lattice_basis():
-    basis = preimage_lattice_basis([[-3]])
-    assert basis == [[Fraction(1, 3)]] or basis == [[Fraction(-1, 3)]]
-    with pytest.raises(ValueError):
-        preimage_lattice_basis([[0]])
+def small_matrices(max_rows=4, max_cols=5):
+    return st.integers(1, max_rows).flatmap(
+        lambda rows: st.integers(1, max_cols).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=rows, max_size=rows
+            )
+        )
+    )
+
+
+def apply(mat, x):
+    return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in mat]
+
+
+@settings(max_examples=150)
+@given(small_matrices(), st.data())
+def test_elimination_matches_sympy(mat, data):
+    rank = sympy.Matrix(mat).rank()
+    assert rational_rank(mat) == rank
+    rhs = [data.draw(st.integers(-4, 4)) for _ in mat]
+    sol = solve_rational_system(mat, rhs)
+    consistent = sympy.Matrix([row + [b] for row, b in zip(mat, rhs)]).rank() == rank
+    if consistent:
+        assert sol is not None and apply(mat, sol) == rhs
+    else:
+        assert sol is None
+    cols = len(mat[0])
+    if rank < cols:
+        ray = _kernel_ray(mat, cols)
+        assert any(ray) and not any(apply(mat, ray))
 
 
 @settings(max_examples=40)

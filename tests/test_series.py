@@ -384,8 +384,3 @@ def test_width_bound(m_p1, m_quintic, m_cubic, m_rank2):
             )
             assert value.width() <= factor_count + s.t_order + 2
 
-
-def test_thread_count_does_not_change_output(m_quintic):
-    a = glsm_i_function(m_quintic, q_bound=F(2), threads=1)
-    b = glsm_i_function(m_quintic, q_bound=F(2), threads=4)
-    assert series_to_json(a) == series_to_json(b)
