@@ -156,7 +156,7 @@ def apply(mat, x):
     return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in mat]
 
 
-@settings(max_examples=150)
+@settings(max_examples=150, deadline=None)
 @given(small_matrices(), st.data())
 def test_elimination_matches_sympy(mat, data):
     rank = sympy.Matrix(mat).rank()
