@@ -141,13 +141,13 @@ def _parse_map(text: str) -> dict[str, str]:
     return rename
 
 
-def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, insert, **extras) -> str:
-    """Cache key of a series job; extras beyond the --insert specs are keyed too."""
+def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, insert) -> str:
+    """Cache key of a series job from its truncation and --insert specs."""
     return job_key(
         model,
         command,
         {"q_bound": format_rational(q_bound), "t_order": torder},
-        {"insertions": [list(spec) for spec in insert], **extras},
+        {"insertions": [list(spec) for spec in insert]},
     )
 
 
@@ -315,11 +315,7 @@ def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
         if not no_cache:
             cache_put(base_key, series_to_json(series))
     result = z_partial(series, rho_list, method)
-    key = _series_key(model, "dz", q_bound, torder, insert, rho=[list(r) for r in rho_list], method=method)
-    text = series_to_json(result)
-    if not no_cache:
-        cache_put(key, text)
-    _emit(text if fmt == "json" else _series_output(result, fmt), out)
+    _emit(_series_output(result, fmt), out)
 
 
 @cli.command("check-ct")
@@ -382,10 +378,7 @@ def compare(series_a, series_b, subst, out, fmt):
     """Exact comparison of two stored series; exit 1 when they differ."""
     a = series_from_json(_read_file(series_a))
     b = series_from_json(_read_file(series_b))
-    variable_map = None
-    if subst:
-        variable_map = {"rename_insertions": _parse_map(subst)}
-    diff = series_compare(a, b, variable_map)
+    diff = series_compare(a, b, _parse_map(subst) if subst else None)
     if fmt == "text":
         _emit(("equal on common truncation\n" if not diff else f"{len(diff)} differences\n"), out)
     else:

@@ -10,7 +10,7 @@ nonnegative integer vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class LPInternalError(RuntimeError):
@@ -149,8 +149,6 @@ def scale_to_integers(vec: list[Fraction]) -> list[int]:
     """Clear denominators and divide by the content."""
     denom = lcm(*[v.denominator for v in vec]) if vec else 1
     ints = [int(v * denom) for v in vec]
-    from math import gcd
-
     g = 0
     for v in ints:
         g = gcd(g, v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Union
 
 Scalar = Union[Fraction, "Cyclo"]
@@ -79,6 +79,15 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _euler_phi(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
+
+
+@lru_cache(maxsize=None)
+def _mean_trace(order: int, power: int) -> Fraction:
+    # Tr(zeta_order^power)/phi(order): zeta_order^power is a primitive m-th
+    # root, and the primitive m-th roots sum to minus the second-highest
+    # coefficient of the monic Phi_m.
+    m = order // gcd(order, power)
+    return Fraction(-cyclotomic_polynomial(m)[-2], _euler_phi(m))
 
 
 def _reduce_vector(order: int, coeffs) -> tuple[Fraction, ...]:
@@ -210,10 +219,9 @@ class Cyclo:
         return NotImplemented
 
     def __hash__(self):
-        r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        return hash((self.order, self.coeffs))
+        # Tr(x)/phi(order) is rational and the same in every Q(zeta_N) holding
+        # x, so values equal across orders hash equal (and rationals as Fraction).
+        return hash(sum((c * _mean_trace(self.order, i) for i, c in enumerate(self.coeffs) if c), Fraction(0)))
 
     def __repr__(self):
         terms = " + ".join(

@@ -208,6 +208,18 @@ class GradedSeries:
             vanished=tuple(k for k in self.vanished if keep(k)),
         )
 
+    def map_terms(self, fn) -> "GradedSeries":
+        """Replace each term by fn(d, alpha, value); zero results join the sorted vanished keys."""
+        terms: dict[TermKey, LaurentZ] = {}
+        vanished = list(self.vanished)
+        for (d, alpha), value in self.terms.items():
+            out = fn(d, alpha, value)
+            if out.is_zero():
+                vanished.append((d, alpha))
+            else:
+                terms[(d, alpha)] = out
+        return replace(self, terms=terms, vanished=tuple(sorted(vanished)))
+
 
 def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> LaurentZ:
     """Per-degree hypergeometric factor in the sector ring of d.
@@ -281,18 +293,12 @@ def exp_factor(
         powers.append(row)
 
     out: dict[tuple[int, ...], LaurentZ] = {}
-
-    def rec(pos: int, remaining: int, alpha: list[int], acc: LaurentZ):
-        if pos == len(insertions):
-            out[tuple(alpha)] = acc
-            return
-        for e in range(remaining + 1):
-            alpha.append(e)
-            nxt = acc.mul(powers[pos][e]).scale(Fraction(1, factorial(e)))
-            rec(pos + 1, remaining - e, alpha, nxt)
-            alpha.pop()
-
-    rec(0, t_order, [], LaurentZ.one(ring))
+    for alpha in t_exponents(len(insertions), t_order):
+        acc = LaurentZ.one(ring)
+        for pos, e in enumerate(alpha):
+            if e:
+                acc = acc.mul(powers[pos][e]).scale(Fraction(1, factorial(e)))
+        out[alpha] = acc
     return out
 
 
@@ -389,19 +395,14 @@ def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> G
             raise InternalError(f"z_partial methods disagree at {len(diff)} positions")
         return a
     if method == "by_multiplication":
-        terms: dict[TermKey, LaurentZ] = {}
-        vanished = list(s.vanished)
-        for (d, alpha), value in s.terms.items():
+        def multiply(d, _alpha, value):
             ring = value.ring
             mult = LaurentZ.one(ring)
             for rho in rho_list:
                 mult = mult.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
-            out = value.mul(mult)
-            if out.is_zero():
-                vanished.append((d, alpha))
-            else:
-                terms[(d, alpha)] = out
-        return replace(s, terms=terms, vanished=tuple(sorted(vanished)))
+            return value.mul(mult)
+
+        return s.map_terms(multiply)
     if method == "by_insertion":
         etas = list(s.etas)
         positions = []
@@ -444,20 +445,9 @@ def twist_novikov(s: GradedSeries, tau_list) -> GradedSeries:
         if d not in exponents:
             exponents[d] = sum((pairing(d, tau) for tau in tau_list), Fraction(0))
     order = 2 * lcm(*[e.denominator for e in exponents.values()]) if exponents else 2
-    terms = {}
-    for (d, alpha), value in s.terms.items():
-        power = exponents[d] * order // 2
-        scalar = Cyclo.root_of_unity(order, int(power))
-        terms[(d, alpha)] = value.scale(scalar)
-    return replace(s, terms=terms)
-
-
-def scale_sectorwise(s: GradedSeries, factor_of_degree) -> GradedSeries:
-    """Scale every term by a per-degree scalar (used by the comparison chains)."""
-    terms = {}
-    for (d, alpha), value in s.terms.items():
-        terms[(d, alpha)] = value.scale(factor_of_degree(d))
-    return replace(s, terms=terms)
+    return s.map_terms(
+        lambda d, _alpha, value: value.scale(Cyclo.root_of_unity(order, int(exponents[d] * order // 2)))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +510,7 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     """
     if a.model_key != b.model_key:
         raise ValueError("series belong to different models")
-    rename = (variable_map or {}).get("rename_insertions", variable_map or {})
+    rename = variable_map or {}
     names_a = [ins.name for ins in a.insertions]
     names_b = [rename.get(ins.name, ins.name) for ins in b.insertions]
     if sorted(names_a) != sorted(names_b):

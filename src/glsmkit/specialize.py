@@ -11,7 +11,7 @@ exercise two genuinely independent paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, lcm
 
@@ -22,11 +22,9 @@ from .sectors import Degree, age, effective_degrees, pairing, sector_of_degree
 from .series import (
     GradedSeries,
     LaurentZ,
-    exp_factor,
     glsm_i_function,
     invert_linear_z_factor,
     linear_z_factor,
-    scale_sectorwise,
     series_compare,
     single_character_insertion,
     t_exponents,
@@ -186,6 +184,16 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     return series
 
 
+def _diff_positions(diff: list[dict]) -> list[dict]:
+    """The distinct (degree, t_exponent) positions of series_compare records, in order."""
+    positions = []
+    for record in diff:
+        position = {"degree": record["degree"], "t_exponent": record["t_exponent"]}
+        if not positions or positions[-1] != position:
+            positions.append(position)
+    return positions
+
+
 def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
     """Exact cross-multiplied comparison of the engine series vs the display.
 
@@ -199,34 +207,21 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
     etas, insertions = fjrw_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
     direct = fjrw_direct_series(spec, q_bound, t_order)
-    eta = etas[0]
-    charged = model.r_charged_indices()
+    charged = [model.column(i) for i in model.r_charged_indices()]
 
-    diffs = []
-    keys = set(engine.terms) | set(direct.terms)
-    for key in sorted(keys):
-        d = key[0]
-        ring = engine.ring_for(d)
-        lhs = engine.terms.get(key)
-        lhs = (lhs or LaurentZ.from_dict(ring, {})).mul(
-            linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta))
-        )
-        rhs = direct.terms.get(key)
-        rhs = rhs or LaurentZ.from_dict(ring, {})
-        for i in charged:
-            rhs = rhs.mul(
-                linear_z_factor(ring, class_from_character(ring, model.column(i)), pairing(d, model.column(i)))
-            )
-        if lhs != rhs:
-            diffs.append(
-                {
-                    "degree": [format_rational(x) for x in d],
-                    "t_exponent": list(key[1]),
-                }
-            )
+    def times(characters):
+        def fn(d, _alpha, value):
+            ring = value.ring
+            for rho in characters:
+                value = value.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
+            return value
+
+        return fn
+
+    diffs = _diff_positions(series_compare(engine.map_terms(times(etas)), direct.map_terms(times(charged))))
     return {
         "family": "fjrw",
-        "degrees_compared": len({k[0] for k in keys}),
+        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
         "diff": diffs,
         "equal": not diffs,
     }
@@ -355,23 +350,18 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
     etas, insertions = hybrid_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
     direct = hybrid_direct_series(spec, q_bound, t_order)
-    charged = model.r_charged_indices()
+    charged = [model.column(i) for i in model.r_charged_indices()]
 
-    diffs = []
-    keys = set(engine.terms) | set(direct.terms)
-    for key in sorted(keys):
-        d = key[0]
-        ring = engine.ring_for(d)
-        lhs = engine.terms.get(key) or LaurentZ.from_dict(ring, {})
-        rhs = direct.terms.get(key) or LaurentZ.from_dict(ring, {})
-        for i in charged:
-            if pairing(d, model.column(i)) == 0:
-                rhs = rhs.scale_class(class_from_character(ring, model.column(i)))
-        if lhs != rhs:
-            diffs.append({"degree": [format_rational(x) for x in d], "t_exponent": list(key[1])})
+    def with_endpoints(d, _alpha, value):
+        for rho in charged:
+            if pairing(d, rho) == 0:
+                value = value.scale_class(class_from_character(value.ring, rho))
+        return value
+
+    diffs = _diff_positions(series_compare(engine, direct.map_terms(with_endpoints)))
     return {
         "family": "hybrid",
-        "degrees_compared": len({k[0] for k in keys}),
+        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
         "diff": diffs,
         "equal": not diffs,
     }
@@ -429,7 +419,9 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
 
     Per degree: the plain ambient factor over the x-coordinates times
     prod_j prod_{0 <= nu < <d,tau_j>} (class(tau_j) + (<d,tau_j> - nu) z),
-    assembled in the inertia rings shared with the built model.
+    assembled in the inertia rings shared with the built model, times the
+    exponential insertion factor prod_j (z^{-1} p_j(eta + <d, eta> z))^{alpha_j} / alpha_j!
+    for each t-exponent alpha.
     """
     q_bound = F(q_bound)
     model = ci_build(spec)
@@ -464,22 +456,36 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue
-        if series.insertions:
-            exps = exp_factor(model, d, series.etas, series.insertions, t_order, ring)
-            for alpha, coeff in exps.items():
-                term = coeff.mul(value)
-                if not term.is_zero():
-                    series.terms[(d, alpha)] = term
-        else:
-            series.terms[(d, ())] = value
+        evals = [
+            LaurentZ.from_dict(ring, {0: class_from_character(ring, eta), 1: ring.one().scale(pairing(d, eta))})
+            for eta in series.etas
+        ]
+        shifted = []
+        for ins in series.insertions:
+            acc = LaurentZ.from_dict(ring, {})
+            for mono, coeff in ins.poly:
+                term = LaurentZ.one(ring)
+                for pos, e in enumerate(mono):
+                    for _ in range(e):
+                        term = term.mul(evals[pos])
+                acc = acc.add(term.scale(coeff))
+            shifted.append(acc.shift(-1))
+        for alpha in t_exponents(len(shifted), t_order):
+            term = value
+            for j, e in enumerate(alpha):
+                for _ in range(e):
+                    term = term.mul(shifted[j])
+                term = term.scale(F(1, factorial(e)))
+            if not term.is_zero():
+                series.terms[(d, alpha)] = term
     return series
 
 
 def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) -> dict:
     """Verify the sign-twisted comparison chain at the ambient level.
 
-    Chain: engine series -> Novikov twist by the section characters ->
-    per-sector half-turn age phase; compared against ci_ambient_series
+    Chain: engine series -> per-sector half-turn age phase -> Novikov twist
+    by the section characters; compared against ci_ambient_series
     multiplied by the sector Euler classes prod_{age 0} (-class(tau_j)).
     Divisibility of every engine term by those Euler classes is checked and
     raises an engine-bug error on failure.
@@ -487,40 +493,27 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
     model = ci_build(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
 
-    # Euler-class divisibility of every stored coefficient
-    for (d, alpha), value in sorted(engine.terms.items()):
+    def euler_classes(g, ring):
+        return [class_from_character(ring, tau) for tau in spec.taus if age(model, g, tau) == 0]
+
+    def checked_phase(d, _alpha, value):
         g = sector_of_degree(model, d)
-        ring = value.ring
-        factors = [class_from_character(ring, tau) for tau in spec.taus if age(model, g, tau) == 0]
-        if not factors:
-            continue
-        for _z, cls in value.coeffs:
-            if not divides_ideal(cls, factors):
-                raise InternalError(
-                    "engine term not divisible by its sector Euler factor at degree "
-                    + str([format_rational(x) for x in d])
-                )
+        factors = euler_classes(g, value.ring)
+        if factors and not all(divides_ideal(cls, factors) for _z, cls in value.coeffs):
+            raise InternalError(
+                "engine term not divisible by its sector Euler factor at degree "
+                + str([format_rational(x) for x in d])
+            )
+        return value.scale(half_turn(sum((age(model, g, tau) for tau in spec.taus), F(0))))
 
-    twisted = twist_novikov(engine, list(spec.taus))
+    def with_euler_classes(d, _alpha, value):
+        for cls in euler_classes(sector_of_degree(model, d), value.ring):
+            value = value.scale_class(cls.scale(F(-1)))
+        return value
 
-    def phase(d: Degree):
-        g = sector_of_degree(model, d)
-        total = sum((age(model, g, tau) for tau in spec.taus), F(0))
-        return half_turn(total)
-
-    normalized = scale_sectorwise(twisted, phase)
-
+    normalized = twist_novikov(engine.map_terms(checked_phase), list(spec.taus))
     rhs = ci_ambient_series(spec, q_bound, t_order, etas, insertions)
-    rhs_terms = {}
-    for (d, alpha), value in rhs.terms.items():
-        g = sector_of_degree(model, d)
-        ring = value.ring
-        for tau in spec.taus:
-            if age(model, g, tau) == 0:
-                value = value.scale_class(class_from_character(ring, tau).scale(F(-1)))
-        if not value.is_zero():
-            rhs_terms[(d, alpha)] = value
-    diff = series_compare(normalized, replace(rhs, terms=rhs_terms))
+    diff = series_compare(normalized, rhs.map_terms(with_euler_classes))
     return {
         "family": "ci",
         "diff": diff,

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .lattice import (
     congruence_kernel,
@@ -90,8 +90,6 @@ def r_torus_intersection_order(m: GLSMModel) -> int | None:
     the matrix-group order is [P : K] where K = (1/gcd(c_i)) Z/Z is the
     kernel of s -> diag(e^(2 pi i s c_i)).
     """
-    from math import gcd
-
     if all(c == 0 for c in m.r_charges):
         return 1
     rows = [list(row) for row in m.weights]

@@ -97,6 +97,17 @@ def test_dz_verify(run, model_file):
     assert payload["state"] == "ambient"
 
 
+def test_dz_caches_only_the_base_series(run, model_file, tmp_path):
+    code, _out, _err = run("dz", model_file(P1), "--rho", "rho1", "--qbound", "2")
+    assert code == 0
+    entries = list((tmp_path / "cache").glob("*.json"))
+    assert len(entries) == 1
+    code, ifun_out, _err = run("ifun", model_file(P1), "--qbound", "2")
+    assert code == 0
+    assert entries[0].read_text(encoding="utf-8") == ifun_out
+    assert list((tmp_path / "cache").glob("*.json")) == entries
+
+
 def test_cache_byte_identity(run, model_file, tmp_path):
     path = model_file(QUINTIC)
     code1, out1, _ = run("glsm-ifun", path, "--qbound", "2")

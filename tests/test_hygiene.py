@@ -1,8 +1,10 @@
 """Static hygiene of the library sources, using only the stdlib `ast` module.
 
-Fails on a module-level import that the module never uses, and on a
-module-level private function that its own module never references.  The
-package `__init__` is exempt from the import check: it exists to re-export.
+Fails on a module-level import that the module never uses, on a
+module-level private function that its own module never references, on an
+import inside a function, and on `specialize` importing the engine's factor
+routines (its direct series must stay independent of them).  The package
+`__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
 import ast
@@ -46,3 +48,26 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, dead
+
+
+def test_no_function_local_imports():
+    local = [
+        f"{name}:{inner.lineno}"
+        for name, tree, _used in _parsed()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not local, local
+
+
+def test_specialize_does_not_import_engine_factors():
+    tree = ast.parse((SRC / "specialize.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name.split(".")[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"hyper_factor", "exp_factor"}, imported

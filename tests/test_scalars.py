@@ -156,3 +156,18 @@ def test_scalar_json_roundtrip():
     for v in vals:
         back = scalar_from_json(scalar_to_json(v))
         assert back == v
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(2, 24),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(0, 23)), min_size=1, max_size=5),
+    st.integers(1, 5),
+)
+def test_equal_across_orders_hash_equal(order, parts, multiple):
+    x = sum((Fraction(num, den) * Cyclo.root_of_unity(order, power) for num, den, power in parts), Fraction(0))
+    if not isinstance(x, Cyclo):
+        x = Cyclo(order, (Fraction(x),) + (Fraction(0),) * (len(cyclotomic_polynomial(order)) - 2))
+    y = x.promote(order * multiple)
+    assert x == y
+    assert hash(x) == hash(y)

@@ -348,6 +348,24 @@ def test_series_compare_self(m_p1):
     assert series_compare(s, s) == []
 
 
+def test_series_compare_flat_rename(m_p1):
+    etas, _ = t_insertion()
+    a = big_i_function(m_p1, etas, (Insertion.from_terms("t1", {(1,): F(1)}),), F(2), 2)
+    b = big_i_function(m_p1, etas, (Insertion.from_terms("s1", {(1,): F(1)}),), F(2), 2)
+    with pytest.raises(ValueError, match="insertion variables"):
+        series_compare(a, b)
+    assert series_compare(a, b, {"s1": "t1"}) == []
+
+
+def test_map_terms_moves_zero_results_to_vanished(m_p1):
+    s = big_i_function(m_p1, q_bound=F(3))
+    dropped = sorted(s.terms)[1]
+    out = s.map_terms(lambda d, alpha, value: value.scale(F(0)) if (d, alpha) == dropped else value.scale(F(3)))
+    assert dropped not in out.terms
+    assert out.vanished == tuple(sorted(s.vanished + (dropped,)))
+    assert {k: v.scale(F(3)) for k, v in s.terms.items() if k != dropped} == out.terms
+
+
 def test_truncation_coherence(m_p1, m_cubic, m_quintic):
     for m in (m_p1, m_cubic, m_quintic):
         etas, insertions = t_insertion((1,) * m.k)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from glsmkit import specialize
 from glsmkit.model import InputError
 from glsmkit.rings import class_from_character
+from glsmkit.scalars import format_rational
 from glsmkit.series import LaurentZ, invert_linear_z_factor, linear_z_factor
 from glsmkit.specialize import (
     CiSpec,
@@ -273,3 +275,51 @@ def test_specialization_from_dict_roundtrip():
     assert ci == QUINTIC_CI
     with pytest.raises(InputError):
         specialization_from_dict({"kind": "nope"})
+
+
+# --- cross-check failures -----------------------------------------------------
+
+
+def _double_one_term(monkeypatch, name: str, index: int) -> list:
+    """Patch specialize.<name> to double its index-th term; returns [that key]."""
+    original = getattr(specialize, name)
+    chosen = []
+
+    def patched(*args, **kwargs):
+        s = original(*args, **kwargs)
+        key = sorted(s.terms)[index]
+        s.terms[key] = s.terms[key].scale(F(2))
+        chosen.append(key)
+        return s
+
+    monkeypatch.setattr(specialize, name, patched)
+    return chosen
+
+
+def _position(key) -> dict:
+    return {"degree": [format_rational(x) for x in key[0]], "t_exponent": list(key[1])}
+
+
+def test_fjrw_crosscheck_reports_the_doubled_term(monkeypatch):
+    chosen = _double_one_term(monkeypatch, "fjrw_direct_series", 2)
+    report = fjrw_crosscheck(CUBIC_SPEC, F(4), t_order=1)
+    assert report["equal"] is False
+    assert report["diff"] == [_position(chosen[0])]
+
+
+def test_hybrid_crosscheck_reports_the_doubled_term(monkeypatch):
+    chosen = _double_one_term(monkeypatch, "hybrid_direct_series", 1)
+    report = hybrid_crosscheck(HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(3), t_order=1)
+    assert report["equal"] is False
+    assert report["diff"] == [_position(chosen[0])]
+
+
+def test_ci_compare_reports_the_doubled_term(monkeypatch):
+    chosen = _double_one_term(monkeypatch, "ci_ambient_series", 2)
+    report = ci_compare(QUINTIC_CI, F(3))
+    assert report["equal"] is False
+    position = _position(chosen[0])
+    assert report["diff"]
+    assert all({"degree": r["degree"], "t_exponent": r["t_exponent"]} == position for r in report["diff"])
+    assert len({r["z"] for r in report["diff"]}) == len(report["diff"])
+    assert all(r["left"] is not None and r["right"] is not None for r in report["diff"])
