@@ -1,10 +1,11 @@
 """Exact rational linear-programming feasibility with Farkas certificates.
 
 A small phase-1 simplex over ``fractions.Fraction`` (Bland's rule, so it
-terminates) covering the two query shapes the toolkit needs: membership of a
-vector in a finitely generated cone, and feasibility of strict-positivity
+terminates) covering two query shapes: feasibility of strict-positivity
 systems <l, c_i> >= 1 whose infeasibility certificates are Gordan-dual
-nonnegative integer vectors.
+nonnegative integer vectors (the invariant-monomial test), and cone
+membership (``cone_contains``, an independent oracle: the semistable-support
+search decides membership by one exact linear solve instead).
 """
 
 from __future__ import annotations

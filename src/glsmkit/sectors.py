@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .lattice import congruence_kernel, rational_rank, rref, solve_rational_system
+from .lattice import congruence_kernel, rref, solve_rational_system, transpose
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
-from .scalars import frac_mod1
+from .scalars import format_rational, frac_mod1
 
 
 class DegenerateStabilityError(RuntimeError):
@@ -65,17 +65,19 @@ def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
     """All inclusion-minimal coordinate sets whose cone contains theta.
 
     Minimal supports are linearly independent (Caratheodory), so subsets of
-    size <= k suffice; results are sorted for determinism.
+    size <= k suffice.  Tried by increasing size past supersets of supports
+    already found, a subset is a minimal support iff the particular solution
+    of sum(lam_i * rho_i) = theta exists and is >= 0: a nonnegative solution
+    on fewer columns would lie in a smaller support.  Results are sorted.
     """
-    cols = m.columns()
-    theta = list(m.theta)
     found: list[frozenset[int]] = []
     for size in range(1, m.k + 1):
         for subset in combinations(range(m.r), size):
             s = frozenset(subset)
             if any(prev <= s for prev in found):
                 continue
-            if cone_contains(theta, [cols[i] for i in subset]):
+            lam = solve_rational_system(transpose(_support_matrix(m, s)), m.theta)
+            if lam is not None and all(x >= 0 for x in lam):
                 found.append(s)
     return sorted(found, key=sorted)
 
@@ -98,7 +100,7 @@ def inertia_sectors(m: GLSMModel) -> list[SectorLabel]:
         try:
             kernel = congruence_kernel(mat)
         except ValueError:
-            raise InternalError(
+            raise DegenerateStabilityError(
                 f"infinite sector family over support {sorted(i + 1 for i in support)}; "
                 "the model violates the genericity axiom"
             ) from None
@@ -136,18 +138,20 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     bound = Fraction(bound)
     if bound < 0:
         return []
-    cols = m.columns()
+    if not any(m.theta):
+        raise DegenerateStabilityError("unbounded effectivity region: theta = 0 pairs to zero with every degree")
     found: set[Degree] = set()
     for support in semistable_supports(m):
         idx = sorted(support)
         mat = _support_matrix(m, support)
-        if len(idx) < m.k or rational_rank(mat) < m.k:
-            ray = _kernel_ray(mat, m.k)
+        # theta != 0, so a minimal support of size k is a basis
+        if len(idx) < m.k:
+            ray = ", ".join(format_rational(x) for x in _kernel_ray(mat, m.k))
             raise DegenerateStabilityError(
                 f"unbounded effectivity region over support {[i + 1 for i in idx]}: "
-                f"ray {ray} pairs to zero with theta"
+                f"ray [{ray}] pairs to zero with theta"
             )
-        lam = nonneg_combination([cols[i] for i in idx], list(m.theta))
+        lam = solve_rational_system(transpose(mat), m.theta)
         if lam is None or any(x <= 0 for x in lam):
             raise InternalError(f"minimal support {[i + 1 for i in idx]} lost its positive certificate")
         # theta-degree of the candidate with pairing vector n is sum(lam_i n_i)

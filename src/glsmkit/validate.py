@@ -1,7 +1,8 @@
 """Axiom checks for a torus GLSM and the aggregate validation report.
 
 Everything here is exact: congruences through Smith normal form, cone
-membership and invariant-monomial triviality through rational LP.
+membership through the exact linear solves of the semistable-support search,
+and invariant-monomial triviality through rational LP.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .lattice import (
     transpose,
 )
 from .model import GLSMModel
-from .rationallp import nonneg_combination, positive_functional, scale_to_integers
+from .rationallp import positive_functional, scale_to_integers
 from .scalars import format_rational, frac_mod1
+from .sectors import semistable_supports
 
 
 class BudgetExceededError(RuntimeError):
@@ -135,21 +137,15 @@ def potential_check(m: GLSMModel) -> ValidationReport:
 def no_strict_semistable(m: GLSMModel, budget: int = 65536) -> bool:
     """Genericity of theta: it lies in no cone spanned by < k weight columns.
 
-    By Caratheodory a membership is always witnessed by a linearly
-    independent subset, so subsets of size <= k-1 suffice.
+    The empty cone holds only theta = 0; otherwise a cone of < k columns
+    holding theta contains a minimal semistable support of size < k.
     """
-    cols = m.columns()
     count = sum(1 for size in range(m.k) for _ in combinations(range(m.r), size))
     if count > budget:
         raise BudgetExceededError(
             f"genericity check needs {count} subsets (budget {budget}); assert genericity manually"
         )
-    target = list(m.theta)
-    for size in range(m.k):
-        for subset in combinations(range(m.r), size):
-            if nonneg_combination([cols[i] for i in subset], target) is not None:
-                return False
-    return True
+    return any(m.theta) and all(len(s) == m.k for s in semistable_supports(m))
 
 
 @dataclass

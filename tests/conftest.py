@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import strategies as st
 
-from glsmkit.model import parse_model
+from glsmkit.model import model_from_dict, parse_model
 
 QUINTIC = {
     "r": 6,
@@ -56,6 +57,18 @@ RANK2 = {
 }
 
 
+# theta = (1, 1) lies on the ray of the third column: a non-generic model
+WALL_MODEL = {
+    "r": 3,
+    "k": 2,
+    "weights": [[1, 0, 1], [0, 1, 1]],
+    "r_charges": [0, 0, 0],
+    "d_w": 1,
+    "theta": ["1", "1"],
+    "potential": None,
+}
+
+
 @pytest.fixture
 def m_quintic():
     return parse_model(json.dumps(QUINTIC))
@@ -78,3 +91,19 @@ def m_rank2():
 
 def corpus():
     return [parse_model(json.dumps(d)) for d in (P1, QUINTIC, CUBIC, RANK2)]
+
+
+@st.composite
+def small_torus_models(draw):
+    """Random torus models: k in 1..3, r <= 6, weights in [-2, 2].
+
+    Theta entries come from a set holding 0 and fractions, so theta = 0 and
+    non-generic theta both come up.
+    """
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 6))
+    weights = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(k)]
+    theta = [draw(st.sampled_from(["0", "1", "-1", "2", "1/2", "-1/3", "3/2"])) for _ in range(k)]
+    return model_from_dict(
+        {"r": r, "k": k, "weights": weights, "r_charges": [0] * r, "d_w": 1, "theta": theta, "potential": None}
+    )

@@ -4,7 +4,7 @@ import pytest
 
 from glsmkit.cli import main
 
-from conftest import CUBIC, P1, QUINTIC
+from conftest import CUBIC, P1, QUINTIC, WALL_MODEL
 
 
 @pytest.fixture
@@ -253,3 +253,23 @@ def test_glsm_hypothesis_violation_exit1(run, model_file):
     code, _out, err = run("glsm-ifun", model_file(bad), "--qbound", "1")
     assert code == 1
     assert "invariant" in err
+
+
+THETA_ZERO = dict(P1, theta=["0"])
+
+
+@pytest.mark.parametrize(
+    "model, argv, message",
+    [
+        (THETA_ZERO, ["effective", "--qbound", "1"], "theta = 0"),
+        (THETA_ZERO, ["ifun", "--qbound", "1"], "theta = 0"),
+        (THETA_ZERO, ["glsm-ifun", "--qbound", "1"], "theta = 0"),
+        (THETA_ZERO, ["dz", "--rho", "rho1", "--qbound", "1"], "theta = 0"),
+        (WALL_MODEL, ["sectors"], "infinite sector family"),
+    ],
+    ids=["effective", "ifun", "glsm-ifun", "dz", "sectors-wall"],
+)
+def test_degenerate_stability_exits_1(run, model_file, model, argv, message):
+    code, _out, err = run(argv[0], model_file(model), *argv[1:])
+    assert code == 1, err
+    assert err.startswith("error: ") and message in err

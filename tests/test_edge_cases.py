@@ -5,34 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from glsmkit.model import InternalError, parse_model
+from glsmkit.model import parse_model
 from glsmkit.sectors import DegenerateStabilityError, effective_degrees, inertia_sectors
 from glsmkit.validate import j_membership, validate_model
 
-from conftest import corpus
+from conftest import WALL_MODEL, corpus
 
 F = Fraction
-
-WALL_MODEL = {
-    "r": 3,
-    "k": 2,
-    "weights": [[1, 0, 1], [0, 1, 1]],
-    "r_charges": [0, 0, 0],
-    "d_w": 1,
-    "theta": ["1", "1"],
-    "potential": None,
-}
 
 
 def test_degenerate_stability_effective_degrees():
     m = parse_model(json.dumps(WALL_MODEL))
-    with pytest.raises(DegenerateStabilityError, match="ray"):
+    with pytest.raises(DegenerateStabilityError) as info:
         effective_degrees(m, F(2))
+    assert str(info.value) == "unbounded effectivity region over support [3]: ray [-1, 1] pairs to zero with theta"
 
 
 def test_degenerate_stability_inertia():
     m = parse_model(json.dumps(WALL_MODEL))
-    with pytest.raises(InternalError, match="infinite sector family"):
+    with pytest.raises(DegenerateStabilityError, match="infinite sector family"):
         inertia_sectors(m)
 
 

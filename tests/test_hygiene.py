@@ -2,8 +2,11 @@
 
 Fails on a module-level import that the module never uses, on a
 module-level private function that its own module never references, on an
-import inside a function, and on `specialize` importing the engine's factor
-routines (its direct series must stay independent of them).  The package
+import inside a function, on `specialize` importing the engine's factor
+routines (its direct series must stay independent of them), and on
+`sectors` or `validate` naming the LP's `nonneg_combination` outside
+`cone_contains` (their support search is an exact linear solve; the LP
+stays as the tests' independent oracle).  The package
 `__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
@@ -71,3 +74,21 @@ def test_specialize_does_not_import_engine_factors():
         for alias in node.names
     }
     assert not imported & {"hyper_factor", "exp_factor"}, imported
+
+
+def test_lp_cone_membership_only_inside_cone_contains():
+    stray = []
+    for name in ("sectors.py", "validate.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "cone_contains"
+            for inner in ast.walk(node)
+        }
+        stray += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == "nonneg_combination" and id(node) not in allowed
+        ]
+    assert not stray, stray

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from glsmkit.sectors import (
     age,
@@ -14,6 +16,8 @@ from glsmkit.sectors import (
     theta_degree,
 )
 
+from conftest import small_torus_models
+
 F = Fraction
 
 
@@ -21,6 +25,21 @@ def test_cone_contains_examples():
     assert cone_contains((1,), [(1,), (1,)])
     assert not cone_contains((1, 1), [(1, 0)])
     assert not cone_contains((1,), [(-5,)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_torus_models())
+def test_semistable_supports_match_bruteforce_cones(m):
+    # every nonempty subset, of any size, tested by the LP oracle
+    cols = m.columns()
+    holding = [
+        frozenset(s)
+        for size in range(1, m.r + 1)
+        for s in combinations(range(m.r), size)
+        if cone_contains(m.theta, [cols[i] for i in s])
+    ]
+    minimal = [s for s in holding if not any(t < s for t in holding)]
+    assert semistable_supports(m) == sorted(minimal, key=sorted)
 
 
 def test_semistable_supports_p1(m_p1):

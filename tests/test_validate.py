@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from glsmkit.model import parse_model
+from glsmkit.rationallp import nonneg_combination
 from glsmkit.validate import (
     BudgetExceededError,
     invariants_trivial,
@@ -14,7 +17,7 @@ from glsmkit.validate import (
     validate_model,
 )
 
-from conftest import CUBIC
+from conftest import CUBIC, small_torus_models
 
 
 def model_from(**overrides):
@@ -124,6 +127,18 @@ def test_genericity_invariant_under_scaling(m_cubic):
         potential="p*x^3", variables=["x", "p"],
     )
     assert no_strict_semistable(m_cubic) == no_strict_semistable(scaled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_torus_models())
+def test_genericity_matches_lp_over_small_subsets(m):
+    cols = m.columns()
+    in_small_cone = any(
+        nonneg_combination([cols[i] for i in s], m.theta) is not None
+        for size in range(m.k)
+        for s in combinations(range(m.r), size)
+    )
+    assert no_strict_semistable(m) == (not in_small_cone)
 
 
 def test_genericity_budget():
