@@ -2,14 +2,15 @@
 
 Provides Smith normal form with unimodular transforms and the solvers built
 on it: rational solutions of congruence systems M*x = b (mod Z), enumeration
-of the finite kernel of a full-rank map (Q/Z)^k -> (Q/Z)^m, and plain
-rational Gaussian elimination.
+of the finite kernel of a full-rank map (Q/Z)^k -> (Q/Z)^m, plain rational
+Gaussian elimination, and the nonnegative lattice points under a hyperplane.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .scalars import frac_mod1
 
@@ -201,11 +202,25 @@ def congruence_kernel(mat: list[list[int]]) -> list[tuple[Fraction, ...]]:
     diag = [d[i][i] for i in range(min(m, n))]
     if len(diag) < n or any(di == 0 for di in diag):
         raise ValueError("congruence kernel is infinite (matrix not of full column rank)")
-    out = []
-    for combo in product(*[range(di) for di in diag]):
-        mu = [Fraction(c, di) for c, di in zip(combo, diag)]
-        x = tuple(
-            frac_mod1(sum(Fraction(v[i][j]) * mu[j] for j in range(n))) for i in range(n)
-        )
-        out.append(x)
-    return sorted(set(out))
+    # every d_j divides the last invariant factor, so each entry is an integer
+    # numerator over it
+    top = lcm(*diag)
+    scaled = [[v[i][j] * (top // dj) for j, dj in enumerate(diag)] for i in range(n)]
+    nums = {
+        tuple(sum(w * c for w, c in zip(row, combo)) % top for row in scaled)
+        for combo in product(*(range(dj) for dj in diag))
+    }
+    fracs = [Fraction(a, top) for a in range(top)]
+    return [tuple(fracs[a] for a in x) for x in sorted(nums)]
+
+
+def nonneg_vectors(weights, bound):
+    """Nonnegative integer vectors n with sum(w_i * n_i) <= bound, for positive
+    weights, in lexicographic order with the first entry slowest."""
+    if not weights:
+        if bound >= 0:
+            yield ()
+        return
+    for v in range(bound // weights[0] + 1):
+        for tail in nonneg_vectors(weights[1:], bound - weights[0] * v):
+            yield (v, *tail)

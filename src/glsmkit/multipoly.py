@@ -9,7 +9,7 @@ forms and reduced bases are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .scalars import Scalar, scalar_is_zero
 
@@ -177,29 +177,13 @@ def staircase_monomials(basis: list[Poly], nvars: int, cap: int = 10000) -> list
     terms (the quotient is then infinite-dimensional).
     """
     lms = [leading_monomial(g) for g in basis if g]
-    if nvars == 0:
-        return [()] if not lms else []
     bounds = []
     for v in range(nvars):
         pure = [lm[v] for lm in lms if all(lm[w] == 0 for w in range(nvars) if w != v)]
         if not pure:
             raise ValueError(f"quotient ring is infinite-dimensional along generator index {v}")
         bounds.append(min(pure))
-    out = []
-    mono = [0] * nvars
-
-    def rec(v: int):
-        if v == nvars:
-            m = tuple(mono)
-            if not any(_divides(lm, m) for lm in lms):
-                out.append(m)
-            return
-        for e in range(bounds[v]):
-            mono[v] = e
-            rec(v + 1)
-        mono[v] = 0
-
-    rec(0)
+    out = [m for m in product(*(range(b) for b in bounds)) if not any(_divides(lm, m) for lm in lms)]
     if len(out) > cap:
         raise ValueError("staircase exceeds cap")
     return sorted(out, key=grevlex_key)

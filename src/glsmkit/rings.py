@@ -40,7 +40,6 @@ class SectorRing:
     model_key: str
     sector: SectorLabel
     ngens: int
-    sr_polys: tuple
     groebner: tuple
     staircase: tuple
 
@@ -93,7 +92,6 @@ def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
         model_key=model_hash(m),
         sector=g,
         ngens=m.k,
-        sr_polys=tuple(tuple(sorted(p.items())) for p in gens),
         groebner=tuple(basis),
         staircase=tuple(stairs),
     )
@@ -166,9 +164,7 @@ def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
     prod: Poly = {(0,) * a.ring.ngens: Fraction(1)}
     for f in factors:
         prod = poly_mul(prod, f.poly)
-    gens = [dict(p) for p in a.ring.sr_polys]
-    gens.append(prod)
-    basis = groebner_basis(gens)
+    basis = groebner_basis([*a.ring.groebner, prod])
     return not normal_form(a.poly, basis)
 
 

@@ -7,9 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
-from .lattice import congruence_kernel, rref, solve_rational_system, transpose
+from .lattice import congruence_kernel, nonneg_vectors, rref, solve_rational_system, transpose
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
 from .scalars import format_rational, frac_mod1
@@ -61,6 +62,24 @@ def cone_contains(v, gens) -> bool:
     return nonneg_combination(list(gens), list(v)) is not None
 
 
+_SUPPORT_TABLES = 8  # a job's chain asks about one model; spares cover callers alternating a few
+
+
+@lru_cache(maxsize=_SUPPORT_TABLES)
+def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
+    # (support, lam) pairs sorted by support; lam solves sum(lam_i * rho_i) = theta
+    found = []
+    for size in range(1, m.k + 1):
+        for subset in combinations(range(m.r), size):
+            s = frozenset(subset)
+            if any(prev <= s for prev, _ in found):
+                continue
+            lam = solve_rational_system(transpose(_support_matrix(m, s)), m.theta)
+            if lam is not None and all(x >= 0 for x in lam):
+                found.append((s, tuple(lam)))
+    return tuple(sorted(found, key=lambda entry: sorted(entry[0])))
+
+
 def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
     """All inclusion-minimal coordinate sets whose cone contains theta.
 
@@ -68,18 +87,10 @@ def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
     size <= k suffice.  Tried by increasing size past supersets of supports
     already found, a subset is a minimal support iff the particular solution
     of sum(lam_i * rho_i) = theta exists and is >= 0: a nonnegative solution
-    on fewer columns would lie in a smaller support.  Results are sorted.
+    on fewer columns would lie in a smaller support.  The search runs once per
+    model; each call returns a fresh sorted list.
     """
-    found: list[frozenset[int]] = []
-    for size in range(1, m.k + 1):
-        for subset in combinations(range(m.r), size):
-            s = frozenset(subset)
-            if any(prev <= s for prev in found):
-                continue
-            lam = solve_rational_system(transpose(_support_matrix(m, s)), m.theta)
-            if lam is not None and all(x >= 0 for x in lam):
-                found.append(s)
-    return sorted(found, key=sorted)
+    return [s for s, _ in _support_table(m)]
 
 
 def _support_matrix(m: GLSMModel, support) -> list[list[int]]:
@@ -133,7 +144,8 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     integer for every i in S.  For a generic model every minimal support is a
     basis, so the candidates for one S are parameterized by the nonnegative
     integer vectors n = (<d, rho_i>)_{i in S}, and the theta-degree is a
-    positive combination of n; the enumeration is finite.
+    positive combination of n; the enumeration is finite.  Each support
+    matrix is inverted once and every candidate is read off as inverse * n.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -141,7 +153,7 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     if not any(m.theta):
         raise DegenerateStabilityError("unbounded effectivity region: theta = 0 pairs to zero with every degree")
     found: set[Degree] = set()
-    for support in semistable_supports(m):
+    for support, lam in _support_table(m):
         idx = sorted(support)
         mat = _support_matrix(m, support)
         # theta != 0, so a minimal support of size k is a basis
@@ -151,29 +163,16 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
                 f"unbounded effectivity region over support {[i + 1 for i in idx]}: "
                 f"ray [{ray}] pairs to zero with theta"
             )
-        lam = solve_rational_system(transpose(mat), m.theta)
-        if lam is None or any(x <= 0 for x in lam):
+        if any(x <= 0 for x in lam):
             raise InternalError(f"minimal support {[i + 1 for i in idx]} lost its positive certificate")
+        # row a of the inverse solves transpose(mat) * y = e_a
+        inverse = [solve_rational_system(transpose(mat), [int(i == a) for i in range(m.k)]) for a in range(m.k)]
+        if None in inverse:
+            raise InternalError("support matrix lost invertibility")
         # theta-degree of the candidate with pairing vector n is sum(lam_i n_i)
-        degrees_here: list[Degree] = []
-        n = [0] * m.k
-
-        def rec(pos: int, remaining: Fraction):
-            if pos == m.k:
-                if any(n):
-                    sol = solve_rational_system(mat, [Fraction(v) for v in n])
-                    if sol is None:
-                        raise InternalError("support matrix lost invertibility")
-                    degrees_here.append(tuple(sol))
-                return
-            cap = remaining / lam[pos]
-            for val in range(int(cap) + 1):
-                n[pos] = val
-                rec(pos + 1, remaining - lam[pos] * val)
-            n[pos] = 0
-
-        rec(0, bound)
-        found.update(degrees_here)
+        for n in nonneg_vectors(lam, bound):
+            if any(n):
+                found.add(tuple(sum(x * v for x, v in zip(row, n)) for row in inverse))
     found.add(tuple(Fraction(0) for _ in range(m.k)))
     ordered = sorted(found, key=lambda d: (theta_degree(m, d), d))
     return [d for d in ordered if theta_degree(m, d) <= bound]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, factorial, lcm
 
+from .lattice import nonneg_vectors
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
 from .rings import (
     CohClass,
@@ -307,21 +308,7 @@ def t_exponents(nvars: int, t_order: int) -> list[tuple[int, ...]]:
 
     Lexicographic order: the first variable's exponent varies slowest.
     """
-    if nvars == 0:
-        return [()]
-    out = []
-
-    def rec(pos, remaining, cur):
-        if pos == nvars:
-            out.append(tuple(cur))
-            return
-        for e in range(remaining + 1):
-            cur.append(e)
-            rec(pos + 1, remaining - e, cur)
-            cur.pop()
-
-    rec(0, t_order, [])
-    return out
+    return list(nonneg_vectors((1,) * nvars, t_order))
 
 
 def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:

@@ -9,6 +9,7 @@ from glsmkit.lattice import (
     congruence_kernel,
     invariant_factors,
     mat_mul,
+    nonneg_vectors,
     rational_rank,
     smith_normal_form,
     solve_congruences,
@@ -188,3 +189,9 @@ def test_congruence_kernel_matches_bruteforce(n, data):
             v = sum(Fraction(row[j]) * lam[j] for j in range(n))
             assert v.denominator == 1
     assert len(ker) == abs(det(mat))
+
+
+def test_nonneg_vectors_fraction_weights():
+    weights = (Fraction(1, 2), Fraction(2, 3))
+    assert list(nonneg_vectors(weights, Fraction(1))) == [(0, 0), (0, 1), (1, 0), (2, 0)]
+    assert list(nonneg_vectors(weights, Fraction(-1, 2))) == []

@@ -1,10 +1,14 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+import sympy
 from hypothesis import given, settings
 
+from glsmkit import sectors
+from glsmkit.rings import build_ring
 from glsmkit.sectors import (
+    DegenerateStabilityError,
     age,
     cone_contains,
     effective_degrees,
@@ -15,6 +19,8 @@ from glsmkit.sectors import (
     sr_generators,
     theta_degree,
 )
+from glsmkit.series import big_i_function
+from glsmkit.validate import validate_model
 
 from conftest import small_torus_models
 
@@ -52,6 +58,24 @@ def test_semistable_supports_quintic(m_quintic):
 
 def test_semistable_supports_cubic(m_cubic):
     assert semistable_supports(m_cubic) == [frozenset({1})]
+
+
+def test_semistable_supports_returns_a_fresh_list(m_rank2):
+    first = semistable_supports(m_rank2)
+    expected = list(first)
+    first.clear()
+    assert semistable_supports(m_rank2) == expected
+
+
+def test_support_search_runs_once_per_model_chain(m_quintic):
+    # the whole phase-scan chain of one model shares one support search
+    sectors._support_table.cache_clear()
+    validate_model(m_quintic)
+    for g in inertia_sectors(m_quintic):
+        build_ring(m_quintic, g)
+    effective_degrees(m_quintic, F(2))
+    big_i_function(m_quintic, q_bound=F(2))
+    assert sectors._support_table.cache_info().misses == 1
 
 
 def test_semistable_supports_minimality(m_rank2):
@@ -155,6 +179,40 @@ def test_effective_closure_under_addition(m_p1, m_cubic, m_rank2):
                 total = tuple(a + b for a, b in zip(d1, d2))
                 if theta_degree(m, total) <= 2 and is_effective(m, total):
                     assert total in dset
+
+
+def _sympy_effective_degrees(m, bound):
+    # independent construction: d = M^-1 n for each support matrix M (rows
+    # rho_i, i in the support) and every n in a box with sum(lam_i n_i) <= bound
+    if not any(m.theta):
+        raise DegenerateStabilityError("theta = 0")
+    found = {(F(0),) * m.k}
+    for support in semistable_supports(m):
+        if len(support) < m.k:
+            raise DegenerateStabilityError("rank-deficient support")
+        mat = sympy.Matrix([list(m.column(i)) for i in sorted(support)])
+        lam = mat.T.solve(sympy.Matrix([sympy.Rational(t.numerator, t.denominator) for t in m.theta]))
+        inv = mat.inv()
+        box = [range(int(sympy.floor(bound / x)) + 1) for x in lam]
+        for n in product(*box):
+            if sum(x * v for x, v in zip(lam, n)) <= bound:
+                d = inv * sympy.Matrix(n)
+                found.add(tuple(F(int(x.p), int(x.q)) for x in d))
+    return sorted(found, key=lambda d: (theta_degree(m, d), d))
+
+
+def _outcome(fn, m, bound):
+    try:
+        return fn(m, bound)
+    except DegenerateStabilityError:
+        return "degenerate"
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_torus_models())
+def test_effective_degrees_match_sympy_inverse(m):
+    for bound in (F(0), F(1), F(3, 2), F(2)):
+        assert _outcome(effective_degrees, m, bound) == _outcome(_sympy_effective_degrees, m, bound)
 
 
 def test_effective_degrees_rank2(m_rank2):

@@ -19,6 +19,7 @@ from glsmkit.series import (
     series_compare,
     series_from_json,
     series_to_json,
+    t_exponents,
     twist_novikov,
     z_partial,
 )
@@ -118,6 +119,12 @@ def test_mode_relation_corpus(m_p1, m_quintic, m_cubic, m_rank2):
 
 
 # --- exp_factor -------------------------------------------------------------
+
+
+def test_t_exponents_order():
+    assert t_exponents(2, 2) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert t_exponents(0, 3) == [()]
+    assert t_exponents(0, -1) == t_exponents(2, -1) == []
 
 
 def test_exp_factor_torder0(m_p1):
