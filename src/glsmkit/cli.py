@@ -265,7 +265,7 @@ def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache)
 @cli.command()
 @click.argument("file", type=click.Path())
 @click.option("--qbound", required=True)
-@click.option("--torder", type=int, default=0)
+@click.option("--torder", type=click.IntRange(min=0), default=0)
 @click.option("--insert", multiple=True, help="NAME=POLY with POLY over rho1..rhoR")
 @common_out
 @common_fmt
@@ -278,7 +278,7 @@ def ifun(file, qbound, torder, insert, out, fmt, no_cache):
 @cli.command("glsm-ifun")
 @click.argument("file", type=click.Path())
 @click.option("--qbound", required=True)
-@click.option("--torder", type=int, default=0)
+@click.option("--torder", type=click.IntRange(min=0), default=0)
 @click.option("--insert", multiple=True)
 @common_out
 @common_fmt
@@ -292,7 +292,7 @@ def glsm_ifun(file, qbound, torder, insert, out, fmt, no_cache):
 @click.argument("file", type=click.Path())
 @click.option("--rho", required=True, help="semicolon-separated characters: rhoI or comma-separated integers")
 @click.option("--qbound", required=True)
-@click.option("--torder", type=int, default=0)
+@click.option("--torder", type=click.IntRange(min=0), default=0)
 @click.option("--insert", multiple=True)
 @click.option("--method", type=click.Choice(["by_multiplication", "by_insertion", "verify"]), default="verify")
 @common_out
@@ -335,7 +335,7 @@ def check_ct(series_file, out, fmt):
 @click.argument("kind", type=click.Choice(["fjrw", "hybrid", "ci"]))
 @click.argument("file", type=click.Path())
 @click.option("--qbound", required=True)
-@click.option("--torder", type=int, default=0)
+@click.option("--torder", type=click.IntRange(min=0), default=0)
 @click.option("--crosscheck/--no-crosscheck", default=True)
 @common_out
 @common_fmt

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .scalars import frac_mod1
+from .scalars import Cyclo, frac_mod1
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -123,14 +123,14 @@ def rref(mat, rhs=None) -> tuple[list[list[Fraction]], list[int]]:
 
     Returns (rows, pivots): pivots[i] is the column of row i's leading one.
     With rhs given, it is carried as an extra last column that is never
-    chosen as a pivot.
+    chosen as a pivot, so its entries may be cyclotomic.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     a = [[Fraction(x) for x in row] for row in mat]
     if rhs is not None:
         for row, b in zip(a, rhs):
-            row.append(Fraction(b))
+            row.append(b if isinstance(b, Cyclo) else Fraction(b))
     pivots: list[int] = []
     for col in range(cols):
         rank = len(pivots)

@@ -1,16 +1,17 @@
-"""Presented sector cohomology rings with exact normal forms.
+"""Sector cohomology rings as linear algebra on the staircase basis.
 
-Each inertia sector gets the quotient of Q[H_1..H_k] by the ideal generated
-by the products of linear forms indexed by its Stanley-Reisner data.  The
-reduced Groebner basis (grevlex, H_1 > ... > H_k) makes normal forms unique,
-and the staircase gives a finite monomial basis.
+Each inertia sector gets Q[H_1..H_k] modulo the products of linear forms of
+its Stanley-Reisner data.  Its reduced grevlex Groebner basis (H_1 > ... > H_k)
+gives the staircase basis; reduction runs once per ring, into the table of
+normal forms of staircase products.  Membership in an ideal is a span test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .lattice import solve_rational_system
 from .model import GLSMModel, model_hash
 from .multipoly import (
     Poly,
@@ -42,6 +43,7 @@ class SectorRing:
     ngens: int
     groebner: tuple
     staircase: tuple
+    products: dict = field(repr=False)  # (s, t) -> normal form of s*t over staircase monomials
 
     def __eq__(self, other):
         if not isinstance(other, SectorRing):
@@ -60,9 +62,6 @@ class SectorRing:
 
     def one(self) -> "CohClass":
         return CohClass(self, {(0,) * self.ngens: Fraction(1)})
-
-    def from_poly(self, poly: Poly) -> "CohClass":
-        return CohClass(self, normal_form(poly, list(self.groebner)))
 
 
 def linear_form(xi, ngens: int) -> Poly:
@@ -88,12 +87,15 @@ def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
         stairs = staircase_monomials(basis, m.k)
     except ValueError as e:
         raise InfiniteRingError(str(e).replace("generator index", "generator H") + " (no pure power among leading terms)") from None
+    sums = {(s, t): tuple(a + b for a, b in zip(s, t)) for s in stairs for t in stairs}
+    reduced = {mono: normal_form({mono: Fraction(1)}, basis) for mono in set(sums.values())}
     return SectorRing(
         model_key=model_hash(m),
         sector=g,
         ngens=m.k,
         groebner=tuple(basis),
         staircase=tuple(stairs),
+        products={pair: reduced[mono] for pair, mono in sums.items()},
     )
 
 
@@ -125,7 +127,12 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._check(other)
-            return self.ring.from_poly(poly_mul(self.poly, other.poly))
+            out: Poly = {}
+            for m1, c1 in self.poly.items():
+                for m2, c2 in other.poly.items():
+                    for mono, c in self.ring.products[m1, m2].items():
+                        out[mono] = out.get(mono, 0) + c1 * c2 * c
+            return CohClass(self.ring, {m: c for m, c in out.items() if not scalar_is_zero(c)})
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -150,22 +157,20 @@ class CohClass:
 
 def class_from_character(ring: SectorRing, xi) -> CohClass:
     """Normal form of the divisor class sum_a xi_a H_a."""
-    return ring.from_poly(linear_form(xi, ring.ngens))
+    return CohClass(ring, normal_form(linear_form(xi, ring.ngens), list(ring.groebner)))
 
 
 def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
     """Is `a` in the principal ideal generated by the product of factors?
 
-    Decided by Groebner membership in (sector ideal) + (product).
+    One exact solve: is `a` in the span of p*s (p the product, s a staircase monomial)?
     """
+    p = a.ring.one()
     for f in factors:
-        if a.ring != f.ring:
-            raise RingMismatchError("classes live in different sector rings")
-    prod: Poly = {(0,) * a.ring.ngens: Fraction(1)}
-    for f in factors:
-        prod = poly_mul(prod, f.poly)
-    basis = groebner_basis([*a.ring.groebner, prod])
-    return not normal_form(a.poly, basis)
+        p = p * f
+    span = [(p * CohClass(a.ring, {s: Fraction(1)})).poly for s in a.ring.staircase]
+    rows = [[col.get(t, 0) for col in span] for t in a.ring.staircase]
+    return solve_rational_system(rows, [a.poly.get(t, 0) for t in a.ring.staircase]) is not None
 
 
 # --- serialization on the staircase basis ----------------------------------

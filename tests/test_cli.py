@@ -177,23 +177,21 @@ def test_latex_p1_shape(run, model_file):
     assert "z^{-2}" in out and "\\mathbb{1}_{(0)}" in out and "q^{1}" in out
 
 
+FJRW_SPEC = {
+    "specialize": {
+        "kind": "fjrw",
+        "n": 1,
+        "d_w": 3,
+        "r_charges": [1],
+        "group": [{"order": 3, "action": [1]}],
+        "potential": "x1^3",
+    }
+}
+
+
 def test_specialize_fjrw(run, tmp_path):
     spec_file = tmp_path / "fjrw.json"
-    spec_file.write_text(
-        json.dumps(
-            {
-                "specialize": {
-                    "kind": "fjrw",
-                    "n": 1,
-                    "d_w": 3,
-                    "r_charges": [1],
-                    "group": [{"order": 3, "action": [1]}],
-                    "potential": "x1^3",
-                }
-            }
-        ),
-        encoding="utf-8",
-    )
+    spec_file.write_text(json.dumps(FJRW_SPEC), encoding="utf-8")
     code, out, _ = run("specialize", "fjrw", str(spec_file), "--qbound", "2", "--torder", "1")
     assert code == 0
     payload = json.loads(out)
@@ -273,3 +271,20 @@ def test_degenerate_stability_exits_1(run, model_file, model, argv, message):
     code, _out, err = run(argv[0], model_file(model), *argv[1:])
     assert code == 1, err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (P1, ["ifun", "--qbound", "1"]),
+        (P1, ["glsm-ifun", "--qbound", "1"]),
+        (P1, ["dz", "--rho", "rho1", "--qbound", "1"]),
+        (FJRW_SPEC, ["specialize", "fjrw", "--qbound", "1"]),
+    ],
+    ids=["ifun", "glsm-ifun", "dz", "specialize"],
+)
+def test_negative_torder_exits_2(run, model_file, model, argv):
+    code, out, err = run(*argv, model_file(model), "--torder", "-1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "--torder" in err

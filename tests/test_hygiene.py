@@ -6,7 +6,11 @@ import inside a function, on `specialize` importing the engine's factor
 routines (its direct series must stay independent of them), and on
 `sectors` or `validate` naming the LP's `nonneg_combination` outside
 `cone_contains` (their support search is an exact linear solve; the LP
-stays as the tests' independent oracle).  The package
+stays as the tests' independent oracle), and on any module but `multipoly`
+naming `groebner_basis` outside `build_ring` or `normal_form` outside
+`build_ring` and `class_from_character` (a sector ring is reduced once, into
+its product table; class products and ideal membership are linear algebra
+on the staircase basis).  The package
 `__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
@@ -76,19 +80,33 @@ def test_specialize_does_not_import_engine_factors():
     assert not imported & {"hyper_factor", "exp_factor"}, imported
 
 
+def _named_outside(name, target, functions):
+    """Lines of module `name` that name `target` outside the given functions."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+        for inner in ast.walk(node)
+    }
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) == target and id(node) not in allowed
+    ]
+
+
 def test_lp_cone_membership_only_inside_cone_contains():
     stray = []
     for name in ("sectors.py", "validate.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-        allowed = {
-            id(inner)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == "cone_contains"
-            for inner in ast.walk(node)
-        }
-        stray += [
-            f"{name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if getattr(node, "id", getattr(node, "attr", None)) == "nonneg_combination" and id(node) not in allowed
-        ]
+        stray += _named_outside(name, "nonneg_combination", {"cone_contains"})
+    assert not stray, stray
+
+
+def test_groebner_reduction_only_while_building_rings():
+    stray = []
+    for path in MODULES:
+        if path.name != "multipoly.py":
+            stray += _named_outside(path.name, "groebner_basis", {"build_ring"})
+            stray += _named_outside(path.name, "normal_form", {"build_ring", "class_from_character"})
     assert not stray, stray

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -184,9 +185,12 @@ def test_congruence_kernel_matches_bruteforce(n, data):
         return
     ker = congruence_kernel(mat)
     # every member solves the congruence; group order equals |det|
+    # integer numerators over a common denominator: one Fraction per row
     for lam in ker:
+        den = lcm(*(x.denominator for x in lam))
+        nums = [x.numerator * (den // x.denominator) for x in lam]
         for row in mat:
-            v = sum(Fraction(row[j]) * lam[j] for j in range(n))
+            v = Fraction(sum(a * b for a, b in zip(row, nums)), den)
             assert v.denominator == 1
     assert len(ker) == abs(det(mat))
 

@@ -1,8 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.orderings import grevlex
 
+from glsmkit.model import model_from_dict
 from glsmkit.rings import (
     CohClass,
     InfiniteRingError,
@@ -13,7 +19,9 @@ from glsmkit.rings import (
     class_to_json,
     divides_ideal,
 )
-from glsmkit.sectors import sector_of_degree
+from glsmkit.sectors import DegenerateStabilityError, inertia_sectors, sector_of_degree, sr_generators
+
+from conftest import corpus, small_torus_models
 
 F = Fraction
 
@@ -187,3 +195,75 @@ def test_class_json_roundtrip(m_quintic):
     v = (h ** 3).scale(F(-7, 3)) + ring.one()
     data = class_to_json(v)
     assert class_from_json(ring, data) == v
+
+
+# --- sympy oracle for the ring layer -----------------------------------------
+
+
+def _toric(weights, theta):
+    r = len(weights[0])
+    return model_from_dict(
+        {"r": r, "k": len(weights), "weights": weights, "r_charges": [0] * r, "d_w": 1, "theta": theta, "potential": None}
+    )
+
+
+# multivariate staircases that the random models rarely reach: P1xP1, F_1, P2xP1, P1xP1xP1
+TORIC = [
+    _toric([[1, 1, 0, 0], [0, 0, 1, 1]], ["1", "1"]),
+    _toric([[1, 1, 1, 0], [0, 0, 1, 1]], ["2", "1"]),
+    _toric([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], ["1", "1"]),
+    _toric([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]], ["1", "1", "1"]),
+]
+
+
+def _expr(gens, poly):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(h**e for h, e in zip(gens, mono))) for mono, c in poly.items()),
+        sympy.Integer(0),
+    )
+
+
+def _poly(gens, expr):
+    return {mono: F(int(c.p), int(c.q)) for mono, c in sympy.Poly(expr, *gens).as_dict().items() if c}
+
+
+def _classes(data, ring, count):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return [CohClass(ring, {s: c for s in ring.staircase if (c := data.draw(coeff))}) for _ in range(count)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(corpus() + TORIC), small_torus_models()), st.data())
+def test_ring_layer_matches_sympy(m, data):
+    try:
+        sectors = inertia_sectors(m)
+        ring = build_ring(m, data.draw(st.sampled_from(sectors))) if sectors else None
+    except (DegenerateStabilityError, InfiniteRingError):
+        return
+    if ring is None:
+        return
+    gens = sympy.symbols(f"H1:{m.k + 1}")
+    linear = [sum(c * h for c, h in zip(m.column(i), gens)) for i in range(m.r)]
+    ideal = [sympy.Mul(*(linear[i] for i in sorted(t))) for t in sr_generators(m, ring.sector)]
+    basis = sympy.groebner(ideal, *gens, order="grevlex", domain="QQ")
+
+    # the reduced basis and the staircase
+    assert {frozenset(_poly(gens, g).items()) for g in basis.exprs} == {frozenset(g.items()) for g in ring.groebner}
+    leads = [sympy.Poly(g, *gens).monoms(order="grevlex")[0] for g in basis.exprs]
+    box = product(range(max(map(sum, leads)) + 1), repeat=m.k)
+    stairs = [s for s in box if not any(all(a <= b for a, b in zip(lm, s)) for lm in leads)]
+    assert ring.staircase == tuple(sorted(stairs, key=grevlex))
+
+    # class products against sympy's remainder of the plain product
+    a, b = _classes(data, ring, 2)
+    assert (a * b).poly == _poly(gens, basis.reduce(_expr(gens, a.poly) * _expr(gens, b.poly))[1])
+
+    # membership in (p) against a Groebner basis of I + (p)
+    chars = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m.k, max_size=m.k), min_size=1, max_size=2))
+    factors = [class_from_character(ring, xi) for xi in chars]
+    with_p = sympy.groebner([*ideal, sympy.Mul(*(sum(c * h for c, h in zip(xi, gens)) for xi in chars))], *gens, order="grevlex", domain="QQ")
+    multiple = b
+    for f in factors:
+        multiple = multiple * f
+    for cls in (a, multiple):
+        assert divides_ideal(cls, factors) == with_p.contains(_expr(gens, cls.poly))

@@ -4,6 +4,7 @@ import pytest
 
 from glsmkit.model import InternalError
 from glsmkit.rings import build_ring, class_from_character
+from glsmkit.scalars import Cyclo
 from glsmkit.sectors import effective_degrees, pairing, sector_of_degree
 from glsmkit.series import (
     HypothesisError,
@@ -23,6 +24,8 @@ from glsmkit.series import (
     twist_novikov,
     z_partial,
 )
+
+from conftest import corpus
 
 F = Fraction
 
@@ -409,3 +412,32 @@ def test_width_bound(m_p1, m_quintic, m_cubic, m_rank2):
             )
             assert value.width() <= factor_count + s.t_order + 2
 
+
+
+def _zeta6_times(s):
+    zeta6 = Cyclo.root_of_unity(6, 1)
+    return s.map_terms(lambda _d, _alpha, value: value.scale(zeta6))
+
+
+@pytest.mark.parametrize(
+    "model, make, phase, checked",
+    [
+        # the cubic's half-turn twist: genuine zeta_6 coefficients, on terms without endpoint factors
+        (2, glsm_i_function, lambda s: twist_novikov(s, [(1,)]), 0),
+        # a global zeta_6 reaches divides_ideal on every checked term
+        (1, glsm_i_function, _zeta6_times, 9),
+        (1, big_i_function, _zeta6_times, 9),
+    ],
+    ids=["cubic-twist", "quintic-glsm-zeta6", "quintic-ambient-zeta6"],
+)
+def test_compact_type_report_ignores_cyclotomic_phases(model, make, phase, checked):
+    # a nonzero scalar phase does not change ideal membership
+    m = corpus()[model]
+    s = make(m, q_bound=F(2))
+    phased = phase(s)
+    assert any(
+        isinstance(c, Cyclo) for value in phased.terms.values() for _z, cls in value.coeffs for c in cls.poly.values()
+    )
+    report = compact_type_report(phased, m)
+    assert report == compact_type_report(s, m)
+    assert report["divisibility_checked"] == checked
