@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import solve_rational_system
+from .lattice import rref
 from .model import GLSMModel, model_hash
 from .multipoly import (
     Poly,
@@ -160,17 +160,34 @@ def class_from_character(ring: SectorRing, xi) -> CohClass:
     return CohClass(ring, normal_form(linear_form(xi, ring.ngens), list(ring.groebner)))
 
 
-def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
-    """Is `a` in the principal ideal generated by the product of factors?
+def ideal_membership(ring: SectorRing, factors: list[CohClass]):
+    """Membership test for the principal ideal generated by the product p of factors.
 
-    One exact solve: is `a` in the span of p*s (p the product, s a staircase monomial)?
+    The span of p*s over the staircase monomials s is row-reduced once; the
+    returned predicate reduces a class of the ring against those rows, so a
+    cyclotomic class works too.
     """
-    p = a.ring.one()
+    p = ring.one()
     for f in factors:
         p = p * f
-    span = [(p * CohClass(a.ring, {s: Fraction(1)})).poly for s in a.ring.staircase]
-    rows = [[col.get(t, 0) for col in span] for t in a.ring.staircase]
-    return solve_rational_system(rows, [a.poly.get(t, 0) for t in a.ring.staircase]) is not None
+    span = [(p * CohClass(ring, {s: Fraction(1)})).poly for s in ring.staircase]
+    rows, pivots = rref([[v.get(t, 0) for t in ring.staircase] for v in span])
+
+    def contains(a: CohClass) -> bool:
+        a._check(p)
+        vec = [a.poly.get(t, 0) for t in ring.staircase]
+        for row, col in zip(rows, pivots):
+            c = vec[col]
+            if not scalar_is_zero(c):
+                vec = [x - c * y for x, y in zip(vec, row)]
+        return all(scalar_is_zero(x) for x in vec)
+
+    return contains
+
+
+def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
+    """Is `a` in the principal ideal generated by the product of factors?"""
+    return ideal_membership(a.ring, factors)(a)
 
 
 # --- serialization on the staircase basis ----------------------------------

@@ -25,7 +25,7 @@ from .rings import (
     class_from_character,
     class_from_json,
     class_to_json,
-    divides_ideal,
+    ideal_membership,
 )
 from .scalars import Cyclo, Scalar, format_rational, parse_rational
 from .sectors import Degree, effective_degrees, pairing, sector_of_degree, theta_degree
@@ -233,13 +233,25 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     take numerator factors over range(ceil(x), 1) when x <= 0 and inverted
     factors over range(1, ceil(x)) when x > 0; R-charge-zero coordinates keep
     the ambient ranges.
+
+    Each coordinate's factors are multiplied out in closed form.  Let c be
+    class(rho_i), N its nilpotency index (c^N = 0), D the denominator of x and
+    p_k = D*(x - nu_k) the integer numerators of the n a-values.  With
+    P(u) = prod_k (p_k + D u) mod u^N, an integer polynomial,
+        prod_k (c + a_k z)      = sum_{j<N} P_j D^-n c^j z^(n-j),
+        prod_k (c + a_k z)^-1   = sum_{j<N} G_j D^n / P_0^(j+1) c^j z^(-n-j),
+    where G_0 = 1 and G_j = -sum_{i=1..j} P_i G_(j-i) P_0^(i-1) are the
+    integer numerators of the truncated series 1/P(u).  Zero a-values in a
+    numerator only shift P.  Coordinates with equal columns and ranges share
+    one factor within the call.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
     out = LaurentZ.one(ring)
+    shared: dict[tuple, LaurentZ] = {}
     for i in range(m.r):
-        x = pairing(d, m.column(i))
-        cls = class_from_character(ring, m.column(i))
+        col = m.column(i)
+        x = pairing(d, col)
         inverted = x > 0
         if mode == "glsm" and m.r_charges[i] != 0:
             nus = range(1, ceil(x)) if inverted else range(ceil(x), 1)
@@ -247,15 +259,44 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
             continue
         else:
             nus = range(0, ceil(x)) if inverted else range(ceil(x), 0)
-        for nu in nus:
-            a = x - nu
-            if inverted:
-                out = out.mul(invert_linear_z_factor(ring, cls, a))
-            else:
-                out = out.mul(linear_z_factor(ring, cls, a))
+        if not nus:
+            continue
+        key = (col, nus)
+        if key not in shared:
+            shared[key] = _coordinate_factor(ring, class_from_character(ring, col), x, nus, inverted)
+        out = out.mul(shared[key])
         if out.is_zero():
             return out
     return out
+
+
+def _coordinate_factor(ring: SectorRing, c: CohClass, x: Fraction, nus: range, inverted: bool) -> LaurentZ:
+    """prod_{nu in nus} (c + (x - nu) z), or its inverse, by the closed form of hyper_factor."""
+    n, den = len(nus), x.denominator
+    limit = ring.dimension if inverted else min(n + 1, ring.dimension)  # c^dimension = 0: the ring is graded
+    powers = [ring.one()]  # c^j for j < N
+    while len(powers) < limit:
+        nxt = powers[-1] * c
+        if nxt.is_zero():
+            break
+        powers.append(nxt)
+    top = len(powers)
+    poly = [1] + [0] * (top - 1)
+    for nu in nus:
+        p = x.numerator - den * nu
+        poly = [p * poly[0]] + [p * poly[j] + den * poly[j - 1] for j in range(1, top)]
+    scale = den**n
+    if not inverted:
+        return LaurentZ.from_dict(ring, {n - j: powers[j].scale(Fraction(poly[j], scale)) for j in range(top)})
+    p0 = poly[0]
+    if p0 == 0:
+        raise InternalError("denominator factor with zero scalar part")
+    inv = [1]
+    for j in range(1, top):
+        inv.append(-sum(poly[i] * inv[j - i] * p0 ** (i - 1) for i in range(1, j + 1)))
+    return LaurentZ.from_dict(
+        ring, {-n - j: powers[j].scale(Fraction(inv[j] * scale, p0 ** (j + 1))) for j in range(top)}
+    )
 
 
 def exp_factor(
@@ -452,19 +493,22 @@ def compact_type_report(s: GradedSeries, m: GLSMModel) -> dict:
     hyp = invariants_trivial(m, keep, include_r_charge=False)
     violations = []
     checked = 0
+    ideals: dict = {}  # degree -> membership test of its endpoint ideal, eliminated once
     for (d, alpha), value in sorted(s.terms.items()):
-        g = sector_of_degree(m, d)
-        ring = value.ring
-        factors = [
-            class_from_character(ring, m.column(i))
-            for i in charged
-            if g.action[i] == 0 and pairing(d, m.column(i)) <= 0
-        ]
-        if not factors:
+        if d not in ideals:
+            g = sector_of_degree(m, d)
+            factors = [
+                class_from_character(value.ring, m.column(i))
+                for i in charged
+                if g.action[i] == 0 and pairing(d, m.column(i)) <= 0
+            ]
+            ideals[d] = ideal_membership(value.ring, factors) if factors else None
+        contains = ideals[d]
+        if contains is None:
             continue
         for zexp, cls in value.coeffs:
             checked += 1
-            if not divides_ideal(cls, factors):
+            if not contains(cls):
                 violations.append(
                     {
                         "degree": [format_rational(x) for x in d],

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .lattice import (
     congruence_kernel,
@@ -138,9 +137,10 @@ def no_strict_semistable(m: GLSMModel, budget: int = 65536) -> bool:
     """Genericity of theta: it lies in no cone spanned by < k weight columns.
 
     The empty cone holds only theta = 0; otherwise a cone of < k columns
-    holding theta contains a minimal semistable support of size < k.
+    holding theta contains a minimal semistable support of size < k.  The
+    budget bounds the subsets of sizes 1..k that the support search may visit.
     """
-    count = sum(1 for size in range(m.k) for _ in combinations(range(m.r), size))
+    count = sum(comb(m.r, size) for size in range(1, m.k + 1))
     if count > budget:
         raise BudgetExceededError(
             f"genericity check needs {count} subsets (budget {budget}); assert genericity manually"

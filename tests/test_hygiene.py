@@ -10,7 +10,11 @@ stays as the tests' independent oracle), and on any module but `multipoly`
 naming `groebner_basis` outside `build_ring` or `normal_form` outside
 `build_ring` and `class_from_character` (a sector ring is reduced once, into
 its product table; class products and ideal membership are linear algebra
-on the staircase basis).  The package
+on the staircase basis), and on the engine's `hyper_factor` (or its
+closed-form helper `_coordinate_factor`) naming `linear_z_factor` or
+`invert_linear_z_factor` (the engine multiplies each coordinate out in
+closed form, while the direct series keep the per-factor products, so the
+two sides of a cross-check compute factors by different algorithms).  The package
 `__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
@@ -78,6 +82,18 @@ def test_specialize_does_not_import_engine_factors():
         for alias in node.names
     }
     assert not imported & {"hyper_factor", "exp_factor"}, imported
+
+
+def test_hyper_factor_does_not_use_per_factor_products():
+    tree = ast.parse((SRC / "series.py").read_text(encoding="utf-8"))
+    named = {
+        f"{node.name}: {inner.id}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in {"hyper_factor", "_coordinate_factor"}
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Name) and inner.id in {"linear_z_factor", "invert_linear_z_factor"}
+    }
+    assert not named, named
 
 
 def _named_outside(name, target, functions):

@@ -1,11 +1,17 @@
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsmkit.model import InternalError
-from glsmkit.rings import build_ring, class_from_character
+from glsmkit.rings import InfiniteRingError, build_ring, class_from_character
 from glsmkit.scalars import Cyclo
-from glsmkit.sectors import effective_degrees, pairing, sector_of_degree
+from glsmkit.sectors import DegenerateStabilityError, effective_degrees, inertia_sectors, pairing, sector_of_degree
 from glsmkit.series import (
     HypothesisError,
     Insertion,
@@ -25,7 +31,7 @@ from glsmkit.series import (
     z_partial,
 )
 
-from conftest import corpus
+from conftest import corpus, small_torus_models
 
 F = Fraction
 
@@ -105,6 +111,40 @@ def test_hyper_factor_quintic_ambient_oracle(m_quintic):
     for _ in range(5):
         den = den.mul(invert_linear_z_factor(ring, h, F(1)))
     assert hyper_factor(m_quintic, d, "ambient", ring) == num.mul(den)
+
+
+def _per_factor_product(m, d, mode, ring):
+    """The documented product: one linear factor per nu, in ascending nu."""
+    out = LaurentZ.one(ring)
+    for i in range(m.r):
+        x = pairing(d, m.column(i))
+        cls = class_from_character(ring, m.column(i))
+        if mode == "glsm" and m.r_charges[i] != 0:
+            nus = range(1, ceil(x)) if x > 0 else range(ceil(x), 1)
+        else:
+            nus = range(0, ceil(x)) if x > 0 else range(ceil(x), 0)
+        for nu in nus:
+            factor = invert_linear_z_factor if x > 0 else linear_z_factor
+            out = out.mul(factor(ring, cls, x - nu))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from(corpus()), small_torus_models()), st.data())
+def test_hyper_factor_matches_per_factor_product(m, data):
+    # random a-ranges: any degree, fractional or integral, and random R-charges;
+    # an integral x <= 0 puts a zero a-value into a numerator
+    try:
+        sectors = inertia_sectors(m)
+        ring = build_ring(m, data.draw(st.sampled_from(sectors))) if sectors else None
+    except (DegenerateStabilityError, InfiniteRingError):
+        return
+    if ring is None:
+        return
+    m = replace(m, r_charges=tuple(data.draw(st.lists(st.integers(0, 2), min_size=m.r, max_size=m.r))))
+    d = tuple(data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=m.k, max_size=m.k)))
+    mode = data.draw(st.sampled_from(["ambient", "glsm"]))
+    assert hyper_factor(m, d, mode, ring) == _per_factor_product(m, d, mode, ring)
 
 
 def test_mode_relation_corpus(m_p1, m_quintic, m_cubic, m_rank2):
@@ -441,3 +481,30 @@ def test_compact_type_report_ignores_cyclotomic_phases(model, make, phase, check
     report = compact_type_report(phased, m)
     assert report == compact_type_report(s, m)
     assert report["divisibility_checked"] == checked
+
+
+@pytest.mark.parametrize(
+    "model, make, phase, etas, t_order, checked, digest",
+    [
+        (1, glsm_i_function, None, (), 0, 13, "aa48c0bb7595e2c7aaa30a540482647f8d71c2dac00e6fd44c60914c7e12623b"),
+        (1, big_i_function, None, (), 0, 13, "153ae3da1d1d0a3ff204ea3b2e7f769764e8b812c7517763041327d0a490a3ec"),
+        (1, glsm_i_function, None, ((1,),), 2, 51, "a25af98f8cc716a3f603adb43e24f02b3ffde11d5c9f279938682ceec5d39520"),
+        (1, big_i_function, None, ((1,),), 2, 51, "09e2af0ff0954deaf6251346b7a1c0f16fc0c5a1406c4fb516418f75dcac4467"),
+        (1, glsm_i_function, "zeta6", (), 0, 13, "aa48c0bb7595e2c7aaa30a540482647f8d71c2dac00e6fd44c60914c7e12623b"),
+        (1, big_i_function, "zeta6", (), 0, 13, "153ae3da1d1d0a3ff204ea3b2e7f769764e8b812c7517763041327d0a490a3ec"),
+        (1, big_i_function, "zeta6", ((1,),), 2, 51, "09e2af0ff0954deaf6251346b7a1c0f16fc0c5a1406c4fb516418f75dcac4467"),
+        (2, glsm_i_function, "twist", (), 0, 0, "88e428af1b9c40da317d3d0a99d2b324816e7f37956999afcb18653b08df7b92"),
+    ],
+)
+def test_compact_type_report_pinned(model, make, phase, etas, t_order, checked, digest):
+    # digests of the report recorded before the endpoint ideal was eliminated once per degree
+    m = corpus()[model]
+    insertions = tuple(Insertion.from_terms(f"t{j + 1}", {(1,): F(1)}) for j in range(len(etas)))
+    s = make(m, etas, insertions, q_bound=F(4) if etas else F(3), t_order=t_order)
+    if phase == "zeta6":
+        s = _zeta6_times(s)
+    elif phase == "twist":
+        s = twist_novikov(s, [(1,)])
+    report = compact_type_report(s, m)
+    assert report["divisibility_checked"] == checked
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from glsmkit import specialize
+from glsmkit import series, specialize
 from glsmkit.model import InputError
 from glsmkit.rings import class_from_character
 from glsmkit.scalars import format_rational
@@ -157,6 +157,16 @@ def test_fjrw_crosscheck_fermat_pair():
 def test_fjrw_crosscheck_rank2():
     report = fjrw_crosscheck(RANK2_SPEC, F(4, 3), t_order=0)
     assert report["equal"], report["diff"]
+
+
+def test_crosscheck_shares_the_engine_rings(monkeypatch):
+    # the direct series reuse the engine series' sector rings: 9 sectors, 9 builds
+    builds = []
+    build_ring = series.build_ring
+    monkeypatch.setattr(series, "build_ring", lambda m, g: builds.append(g.lam) or build_ring(m, g))
+    report = fjrw_crosscheck(RANK2_SPEC, F(4, 3), t_order=0)
+    assert report["equal"], report["diff"]
+    assert len(builds) == len(set(builds)) == 9
 
 
 # --- hybrid direct series ----------------------------------------------------

@@ -147,6 +147,14 @@ def test_genericity_budget():
         no_strict_semistable(m, budget=1)
 
 
+def test_genericity_budget_counts_what_the_search_visits():
+    # r = 40, k = 3: 821 subsets of size < k, 10,700 of sizes 1..k (what the support search enumerates)
+    weights = [[1 + (i + a) % 3 for i in range(40)] for a in range(3)]
+    m = model_from(r=40, k=3, weights=weights, r_charges=[0] * 40, theta=["1", "1", "1"])
+    with pytest.raises(BudgetExceededError, match="needs 10700 subsets"):
+        no_strict_semistable(m, budget=5000)
+
+
 # --- invariants_trivial -----------------------------------------------------
 
 
