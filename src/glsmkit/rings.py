@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .lattice import rref
 from .model import GLSMModel, model_hash
@@ -74,8 +75,15 @@ def linear_form(xi, ngens: int) -> Poly:
     return out
 
 
+_SECTOR_RINGS = 128  # one chain's rings: every sector of one model (66 at most in the phase-scan pool)
+
+
+@lru_cache(maxsize=_SECTOR_RINGS)
 def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
-    """Presentation of the sector's cohomology with exact rational Groebner data."""
+    """Presentation of the sector's cohomology with exact rational Groebner data.
+
+    The only ring memo: each (model, sector) ring is built once and shared.
+    """
     gens = []
     for t_set in sr_generators(m, g):
         prod: Poly = {(0,) * m.k: Fraction(1)}

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from .lattice import congruence_kernel, nonneg_vectors, rref, solve_rational_system, transpose
 from .model import GLSMModel, InternalError
@@ -28,8 +29,15 @@ Degree = tuple[Fraction, ...]
 
 
 def pairing(d: Degree, xi) -> Fraction:
-    """<d, xi> = sum_a d_a * xi_a for a character xi in Z^k (or Q^k)."""
-    return sum((Fraction(x) * y for x, y in zip(xi, d)), Fraction(0))
+    """<d, xi> = sum_a d_a * xi_a for a character xi in Z^k (or Q^k).
+
+    Summed as integer numerators over D * E, with D and E the lcm of the
+    denominators of d and of xi, so one Fraction is formed.
+    """
+    dd = lcm(*[x.denominator for x in d])
+    de = lcm(*[y.denominator for y in xi])
+    num = sum([x.numerator * (dd // x.denominator) * y.numerator * (de // y.denominator) for x, y in zip(d, xi)])
+    return Fraction(num, dd * de)
 
 
 @dataclass(frozen=True, order=True)
@@ -48,13 +56,11 @@ class SectorLabel:
 
 
 def sector_from_lambda(m: GLSMModel, lam) -> SectorLabel:
-    lam = tuple(frac_mod1(Fraction(x)) for x in lam)
-    action = tuple(frac_mod1(pairing_cols(m, i, lam)) for i in range(m.r))
-    return SectorLabel(lam, action)
-
-
-def pairing_cols(m: GLSMModel, i: int, lam) -> Fraction:
-    return sum((Fraction(m.weights[a][i]) * lam[a] for a in range(m.k)), Fraction(0))
+    # lam and the action <lam, rho_i> reduced mod 1 as integer numerators over one denominator
+    den = lcm(*[x.denominator for x in lam])
+    nums = [x.numerator * (den // x.denominator) % den for x in lam]
+    action = [sum([w * n for w, n in zip(col, nums)]) % den for col in zip(*m.weights)]
+    return SectorLabel(tuple(Fraction(n, den) for n in nums), tuple(Fraction(a, den) for a in action))
 
 
 def cone_contains(v, gens) -> bool:
@@ -145,14 +151,15 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     basis, so the candidates for one S are parameterized by the nonnegative
     integer vectors n = (<d, rho_i>)_{i in S}, and the theta-degree is a
     positive combination of n; the enumeration is finite.  Each support
-    matrix is inverted once and every candidate is read off as inverse * n.
+    matrix is inverted once, scaled to an integer matrix over one
+    denominator, and every candidate is read off as inverse * n.
     """
     bound = Fraction(bound)
     if bound < 0:
         return []
     if not any(m.theta):
         raise DegenerateStabilityError("unbounded effectivity region: theta = 0 pairs to zero with every degree")
-    found: set[Degree] = set()
+    found: dict[Degree, Fraction] = {}  # candidate -> theta-degree
     for support, lam in _support_table(m):
         idx = sorted(support)
         mat = _support_matrix(m, support)
@@ -169,13 +176,18 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
         inverse = [solve_rational_system(transpose(mat), [int(i == a) for i in range(m.k)]) for a in range(m.k)]
         if None in inverse:
             raise InternalError("support matrix lost invertibility")
-        # theta-degree of the candidate with pairing vector n is sum(lam_i n_i)
-        for n in nonneg_vectors(lam, bound):
+        den = lcm(*[x.denominator for row in inverse for x in row])
+        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in inverse]
+        # theta-degree of the candidate with pairing vector n is sum(lam_i n_i);
+        # times L = lcm of lam's denominators it is an integer, so the bound is floor(L * bound)
+        lam_den = lcm(*[x.denominator for x in lam])
+        weights = [x.numerator * (lam_den // x.denominator) for x in lam]
+        for n in nonneg_vectors(weights, bound.numerator * lam_den // bound.denominator):
             if any(n):
-                found.add(tuple(sum(x * v for x, v in zip(row, n)) for row in inverse))
-    found.add(tuple(Fraction(0) for _ in range(m.k)))
-    ordered = sorted(found, key=lambda d: (theta_degree(m, d), d))
-    return [d for d in ordered if theta_degree(m, d) <= bound]
+                d = tuple(Fraction(sum([x * v for x, v in zip(row, n)]), den) for row in scaled)
+                found[d] = Fraction(sum([w * v for w, v in zip(weights, n)]), lam_den)
+    found[tuple(Fraction(0) for _ in range(m.k))] = Fraction(0)
+    return [d for _, d in sorted((t, d) for d, t in found.items())]
 
 
 def _kernel_ray(mat, k: int) -> list[Fraction]:

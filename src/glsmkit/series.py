@@ -12,7 +12,7 @@ sector ring attached to the term's degree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, factorial, lcm
 
@@ -178,7 +178,6 @@ class GradedSeries:
     t_order: int
     terms: dict[TermKey, LaurentZ]
     vanished: tuple[TermKey, ...] = ()
-    rings: dict = field(default_factory=dict, repr=False)
 
     @property
     def model_key(self) -> str:
@@ -188,10 +187,7 @@ class GradedSeries:
         return sorted(self.terms, key=lambda key: (theta_degree(self.model, key[0]), key[0], key[1]))
 
     def ring_for(self, d: Degree) -> SectorRing:
-        g = sector_of_degree(self.model, d)
-        if g.lam not in self.rings:
-            self.rings[g.lam] = build_ring(self.model, g)
-        return self.rings[g.lam]
+        return build_ring(self.model, sector_of_degree(self.model, d))
 
     def restrict(self, q_bound, t_order: int) -> "GradedSeries":
         q_bound = Fraction(q_bound)

@@ -139,16 +139,14 @@ def _fjrw_degree_tuples(spec: FjrwSpec, q_bound: Fraction):
     return out
 
 
-def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0, rings=None) -> GradedSeries:
+def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSeries:
     """The displayed affine-phase series, coded literally.
 
     Sums over generator exponents (d_1 >= 1, d_j >= 0) whose rotation numbers
     a_i = sum_j c_{ij} d_j / r_j are all non-integral, with coefficient
     e^{t d_1} prod_i prod_{0 < nu <= a_i} z(-a_i + nu)
     / (z^{d_1-1} (d_1-1)! prod_{j>=2} z^{d_j} d_j!)
-    on the unit class of the matching sector.  `rings` seeds the sector-ring
-    memo with rings of the same model (sector lambda -> SectorRing); the
-    cross-checks pass the engine's, which shares rings but no factor code.
+    on the unit class of the matching sector.
     """
     q_bound = F(q_bound)
     model = fjrw_build(spec)
@@ -162,7 +160,6 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0, rings=None) ->
         q_bound=q_bound,
         t_order=t_order,
         terms={},
-        rings=dict(rings or {}),
     )
     for tup in _fjrw_degree_tuples(spec, q_bound):
         d_eng: Degree = tuple(F(-tup[j], orders[j]) for j in range(len(orders)))
@@ -215,7 +212,7 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
     model = fjrw_build(spec)
     etas, insertions = fjrw_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
-    direct = fjrw_direct_series(spec, q_bound, t_order, rings=engine.rings)
+    direct = fjrw_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
 
     def times(characters):
@@ -295,13 +292,12 @@ def hybrid_insertions(spec: HybridSpec):
     return etas, insertions
 
 
-def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0, rings=None) -> GradedSeries:
+def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedSeries:
     """The displayed hybrid series, coded literally.
 
     Sums q^{k/d} (d = lcm of the p-weights) over k >= 0 with exponential
     factors prod_j e^{t_j (d_j H / z + d_j k / d)} and the stated nu-ranges;
-    H is the hyperplane class of the weighted projective base.  `rings`
-    seeds the sector-ring memo as in fjrw_direct_series.
+    H is the hyperplane class of the weighted projective base.
     """
     q_bound = F(q_bound)
     model = hybrid_build(spec)
@@ -315,7 +311,6 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0, rings=None
         q_bound=q_bound,
         t_order=t_order,
         terms={},
-        rings=dict(rings or {}),
     )
     k = 0
     while F(k, d_lcm) <= q_bound:
@@ -366,7 +361,7 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
     model = hybrid_build(spec)
     etas, insertions = hybrid_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
-    direct = hybrid_direct_series(spec, q_bound, t_order, rings=engine.rings)
+    direct = hybrid_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
 
     def with_endpoints(d, _alpha, value):
@@ -431,15 +426,14 @@ def ci_build(spec: CiSpec) -> GLSMModel:
     )
 
 
-def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=(), rings=None) -> GradedSeries:
+def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) -> GradedSeries:
     """The ambient-times-section-factor series the twisted engine output must match.
 
     Per degree: the plain ambient factor over the x-coordinates times
     prod_j prod_{0 <= nu < <d,tau_j>} (class(tau_j) + (<d,tau_j> - nu) z),
     assembled in the inertia rings shared with the built model, times the
     exponential insertion factor prod_j (z^{-1} p_j(eta + <d, eta> z))^{alpha_j} / alpha_j!
-    for each t-exponent alpha.  `rings` seeds the sector-ring memo as in
-    fjrw_direct_series.
+    for each t-exponent alpha.
     """
     q_bound = F(q_bound)
     model = ci_build(spec)
@@ -451,7 +445,6 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
         q_bound=q_bound,
         t_order=t_order,
         terms={},
-        rings=dict(rings or {}),
     )
     for d in effective_degrees(model, q_bound):
         ring = series.ring_for(d)
@@ -532,7 +525,7 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
         return value
 
     normalized = twist_novikov(engine.map_terms(checked_phase), list(spec.taus))
-    rhs = ci_ambient_series(spec, q_bound, t_order, etas, insertions, rings=engine.rings)
+    rhs = ci_ambient_series(spec, q_bound, t_order, etas, insertions)
     diff = series_compare(normalized, rhs.map_terms(with_euler_classes))
     return {
         "family": "ci",

@@ -14,7 +14,9 @@ on the staircase basis), and on the engine's `hyper_factor` (or its
 closed-form helper `_coordinate_factor`) naming `linear_z_factor` or
 `invert_linear_z_factor` (the engine multiplies each coordinate out in
 closed form, while the direct series keep the per-factor products, so the
-two sides of a cross-check compute factors by different algorithms).  The package
+two sides of a cross-check compute factors by different algorithms), and on
+a `rings` parameter in `series` or `specialize` or a `rings` field on
+`GradedSeries` (the memo inside `build_ring` is the only ring memo).  The package
 `__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
@@ -125,4 +127,20 @@ def test_groebner_reduction_only_while_building_rings():
         if path.name != "multipoly.py":
             stray += _named_outside(path.name, "groebner_basis", {"build_ring"})
             stray += _named_outside(path.name, "normal_form", {"build_ring", "class_from_character"})
+    assert not stray, stray
+
+
+def test_one_ring_memo():
+    stray = []
+    for name in ("series.py", "specialize.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.arg == "rings":
+                stray.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "GradedSeries":
+                stray += [
+                    f"{name}:{item.lineno}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "rings"
+                ]
     assert not stray, stray

@@ -4,22 +4,26 @@ from itertools import combinations, product
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsmkit import sectors
 from glsmkit.rings import build_ring
 from glsmkit.sectors import (
     DegenerateStabilityError,
+    SectorLabel,
     age,
     cone_contains,
     effective_degrees,
     inertia_sectors,
     is_effective,
+    pairing,
+    sector_from_lambda,
     sector_of_degree,
     semistable_supports,
     sr_generators,
     theta_degree,
 )
-from glsmkit.series import big_i_function
+from glsmkit.series import big_i_function, glsm_i_function
 from glsmkit.validate import validate_model
 
 from conftest import small_torus_models
@@ -78,6 +82,19 @@ def test_support_search_runs_once_per_model_chain(m_quintic):
     assert sectors._support_table.cache_info().misses == 1
 
 
+def test_sector_rings_built_once_per_model_chain(m_rank2):
+    # the chain's own ring builds and both series share one ring per sector
+    build_ring.cache_clear()
+    validate_model(m_rank2)
+    labels = inertia_sectors(m_rank2)
+    for g in labels:
+        build_ring(m_rank2, g)
+    effective_degrees(m_rank2, F(2))
+    big_i_function(m_rank2, q_bound=F(2))
+    glsm_i_function(m_rank2, q_bound=F(2))
+    assert build_ring.cache_info().misses == len(labels) == 9
+
+
 def test_semistable_supports_minimality(m_rank2):
     supports = semistable_supports(m_rank2)
     cols = m_rank2.columns()
@@ -127,6 +144,43 @@ def test_sector_of_degree_cubic(m_cubic):
 
 def test_sector_of_degree_integer(m_p1):
     assert sector_of_degree(m_p1, (F(3),)).is_identity()
+
+
+def _fraction_sum(d, xi):
+    # <d, xi> one Fraction product at a time
+    total = F(0)
+    for x, y in zip(d, xi):
+        total += F(x) * F(y)
+    return total
+
+
+def _mod1(q):
+    return q - (q.numerator // q.denominator)
+
+
+_ENTRIES = st.integers(1, 6).flatmap(lambda den: st.integers(-3 * den, 3 * den).map(lambda num: F(num, den)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_torus_models(), st.data())
+def test_integer_numerator_arithmetic_matches_fraction_sums(m, data):
+    # mixed denominators <= 6, entries in [-3, 3]; theta has Fraction entries
+    d = data.draw(st.tuples(*[_ENTRIES] * m.k))
+    xi = data.draw(st.tuples(*[st.integers(-3, 3)] * m.k))
+    for col in m.columns():
+        assert pairing(d, col) == _fraction_sum(d, col)
+    assert pairing(d, m.theta) == theta_degree(m, d) == _fraction_sum(d, m.theta)
+
+    def label(lam):
+        reduced = tuple(_mod1(x) for x in lam)
+        return SectorLabel(reduced, tuple(_mod1(_fraction_sum(reduced, col)) for col in m.columns()))
+
+    neg = tuple(-x for x in d)
+    g = sector_of_degree(m, d)
+    assert g == label(neg) == sector_from_lambda(m, neg)
+    assert sector_from_lambda(m, d) == label(d)
+    assert all(type(x) is F for x in g.lam + g.action)
+    assert age(m, g, xi) == _mod1(_fraction_sum(label(neg).lam, xi))
 
 
 def test_age_examples(m_cubic):
@@ -186,19 +240,21 @@ def _sympy_effective_degrees(m, bound):
     # rho_i, i in the support) and every n in a box with sum(lam_i n_i) <= bound
     if not any(m.theta):
         raise DegenerateStabilityError("theta = 0")
+    theta = [sympy.Rational(t.numerator, t.denominator) for t in m.theta]
     found = {(F(0),) * m.k}
     for support in semistable_supports(m):
         if len(support) < m.k:
             raise DegenerateStabilityError("rank-deficient support")
         mat = sympy.Matrix([list(m.column(i)) for i in sorted(support)])
-        lam = mat.T.solve(sympy.Matrix([sympy.Rational(t.numerator, t.denominator) for t in m.theta]))
+        lam = mat.T.solve(sympy.Matrix(theta))
         inv = mat.inv()
         box = [range(int(sympy.floor(bound / x)) + 1) for x in lam]
         for n in product(*box):
             if sum(x * v for x, v in zip(lam, n)) <= bound:
                 d = inv * sympy.Matrix(n)
                 found.add(tuple(F(int(x.p), int(x.q)) for x in d))
-    return sorted(found, key=lambda d: (theta_degree(m, d), d))
+    # theta-degree <d, theta> computed in sympy, not by the library
+    return sorted(found, key=lambda d: (sum(sympy.Rational(x.numerator, x.denominator) * t for x, t in zip(d, theta)), d))
 
 
 def _outcome(fn, m, bound):
@@ -242,8 +298,6 @@ def test_sr_generators_cubic_twisted(m_cubic):
 
 
 def test_sr_generators_empty_sector(m_quintic):
-    from glsmkit.sectors import sector_from_lambda
-
     ghost = sector_from_lambda(m_quintic, (F(1, 2),))
     with pytest.raises(ValueError, match="empty"):
         sr_generators(m_quintic, ghost)

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from glsmkit import series, specialize
+from glsmkit import specialize
 from glsmkit.model import InputError
-from glsmkit.rings import class_from_character
+from glsmkit.rings import build_ring, class_from_character
 from glsmkit.scalars import format_rational
 from glsmkit.series import LaurentZ, invert_linear_z_factor, linear_z_factor
 from glsmkit.specialize import (
@@ -159,14 +159,12 @@ def test_fjrw_crosscheck_rank2():
     assert report["equal"], report["diff"]
 
 
-def test_crosscheck_shares_the_engine_rings(monkeypatch):
+def test_crosscheck_shares_the_engine_rings():
     # the direct series reuse the engine series' sector rings: 9 sectors, 9 builds
-    builds = []
-    build_ring = series.build_ring
-    monkeypatch.setattr(series, "build_ring", lambda m, g: builds.append(g.lam) or build_ring(m, g))
+    build_ring.cache_clear()
     report = fjrw_crosscheck(RANK2_SPEC, F(4, 3), t_order=0)
     assert report["equal"], report["diff"]
-    assert len(builds) == len(set(builds)) == 9
+    assert build_ring.cache_info().misses == 9
 
 
 # --- hybrid direct series ----------------------------------------------------
