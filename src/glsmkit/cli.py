@@ -244,21 +244,33 @@ def effective(file, qbound, out, fmt):
         _emit(_dump(payload), out)
 
 
+def _cached_series(key: str, compute, no_cache: bool, parse: bool = True) -> tuple[str, GradedSeries | None]:
+    """(series JSON, series) of a job: the cache hit, or computed and stored.
+
+    With parse false a hit is returned as stored text and no series, so a
+    caller that only emits the JSON never parses it.
+    """
+    hit = None if no_cache else cache_get(key)
+    if hit is not None:
+        return hit, series_from_json(hit) if parse else None
+    series = compute()
+    text = series_to_json(series)
+    if not no_cache:
+        cache_put(key, text)
+    return text, series
+
+
 def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache):
     model = parse_model(_read_file(file))
     etas, insertions = _parse_insertions(model, insert)
     q_bound = parse_rational(qbound)
-    key = _series_key(model, mode, q_bound, torder, insert)
-    if not no_cache:
-        hit = cache_get(key)
-        if hit is not None:
-            _emit(hit if fmt == "json" else _series_output(series_from_json(hit), fmt), out)
-            return
     fn = big_i_function if mode == "ifun" else glsm_i_function
-    series = fn(model, etas, insertions, q_bound, torder)
-    text = series_to_json(series)
-    if not no_cache:
-        cache_put(key, text)
+    text, series = _cached_series(
+        _series_key(model, mode, q_bound, torder, insert),
+        lambda: fn(model, etas, insertions, q_bound, torder),
+        no_cache,
+        parse=fmt != "json",
+    )
     _emit(text if fmt == "json" else _series_output(series, fmt), out)
 
 
@@ -304,16 +316,11 @@ def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
     etas, insertions = _parse_insertions(model, insert)
     q_bound = parse_rational(qbound)
     rho_list = _parse_rho_list(model, rho)
-    base_key = _series_key(model, "ifun", q_bound, torder, insert)
-    series = None
-    if not no_cache:
-        hit = cache_get(base_key)
-        if hit is not None:
-            series = series_from_json(hit)
-    if series is None:
-        series = big_i_function(model, etas, insertions, q_bound, torder)
-        if not no_cache:
-            cache_put(base_key, series_to_json(series))
+    _, series = _cached_series(
+        _series_key(model, "ifun", q_bound, torder, insert),
+        lambda: big_i_function(model, etas, insertions, q_bound, torder),
+        no_cache,
+    )
     result = z_partial(series, rho_list, method)
     _emit(_series_output(result, fmt), out)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Cyclo
-from .sectors import sector_of_degree
 from .series import GradedSeries
 
 
@@ -91,7 +90,6 @@ def render_latex(s: GradedSeries) -> str:
     chunks = []
     for (d, alpha) in s.sorted_keys():
         value = s.terms[(d, alpha)]
-        g = sector_of_degree(s.model, d)
         factors = []
         if any(x != 0 for x in d):
             if len(d) == 1:
@@ -105,7 +103,7 @@ def render_latex(s: GradedSeries) -> str:
             elif e > 1:
                 factors.append(f"{ins.name}^{{{e}}}")
         zpart = _zpart(value)
-        sector = "\\mathbb{1}_{(" + ",".join(_frac(x, inline=True) for x in g.lam) + ")}"
+        sector = "\\mathbb{1}_{(" + ",".join(_frac(x, inline=True) for x in value.ring.sector.lam) + ")}"
         if zpart == "1":
             factors.append(sector)
         else:

@@ -45,6 +45,7 @@ class SectorRing:
     groebner: tuple
     staircase: tuple
     products: dict = field(repr=False)  # (s, t) -> normal form of s*t over staircase monomials
+    divisors: tuple = field(repr=False)  # normal forms of H_1..H_k
 
     def __eq__(self, other):
         if not isinstance(other, SectorRing):
@@ -96,7 +97,8 @@ def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
     except ValueError as e:
         raise InfiniteRingError(str(e).replace("generator index", "generator H") + " (no pure power among leading terms)") from None
     sums = {(s, t): tuple(a + b for a, b in zip(s, t)) for s in stairs for t in stairs}
-    reduced = {mono: normal_form({mono: Fraction(1)}, basis) for mono in set(sums.values())}
+    h_monomials = [tuple(int(a == b) for b in range(m.k)) for a in range(m.k)]
+    reduced = {mono: normal_form({mono: Fraction(1)}, basis) for mono in set(sums.values()) | set(h_monomials)}
     return SectorRing(
         model_key=model_hash(m),
         sector=g,
@@ -104,6 +106,7 @@ def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
         groebner=tuple(basis),
         staircase=tuple(stairs),
         products={pair: reduced[mono] for pair, mono in sums.items()},
+        divisors=tuple(reduced[mono] for mono in h_monomials),
     )
 
 
@@ -164,8 +167,11 @@ class CohClass:
 
 
 def class_from_character(ring: SectorRing, xi) -> CohClass:
-    """Normal form of the divisor class sum_a xi_a H_a."""
-    return CohClass(ring, normal_form(linear_form(xi, ring.ngens), list(ring.groebner)))
+    """Normal form of the divisor class sum_a xi_a H_a, from the ring's divisor classes."""
+    out: Poly = {}
+    for c, h in zip(xi, ring.divisors):
+        out = poly_add(out, poly_scale(h, Fraction(c)))
+    return CohClass(ring, out)
 
 
 def ideal_membership(ring: SectorRing, factors: list[CohClass]):

@@ -9,12 +9,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .lattice import congruence_kernel, nonneg_vectors, rref, solve_rational_system, transpose
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
 from .scalars import format_rational, frac_mod1
+
+
+class BudgetExceededError(RuntimeError):
+    """The support search would visit more column subsets than _SUPPORT_BUDGET; assert genericity manually."""
 
 
 class DegenerateStabilityError(RuntimeError):
@@ -69,11 +73,18 @@ def cone_contains(v, gens) -> bool:
 
 
 _SUPPORT_TABLES = 8  # a job's chain asks about one model; spares cover callers alternating a few
+_SUPPORT_BUDGET = 65536  # most column subsets (sizes 1..k) one support search may visit
 
 
 @lru_cache(maxsize=_SUPPORT_TABLES)
-def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple[Fraction, ...]], ...]:
-    # (support, lam) pairs sorted by support; lam solves sum(lam_i * rho_i) = theta
+def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple[Fraction, ...], tuple | None], ...]:
+    # (support, lam, inverse) sorted by support; lam solves sum(lam_i * rho_i) = theta, and
+    # inverse = (den, integer rows) with rows / den the inverse of a full-rank support matrix, else None
+    count = sum(comb(m.r, size) for size in range(1, m.k + 1))
+    if count > _SUPPORT_BUDGET:
+        raise BudgetExceededError(
+            f"genericity check needs {count} subsets (budget {_SUPPORT_BUDGET}); assert genericity manually"
+        )
     found = []
     for size in range(1, m.k + 1):
         for subset in combinations(range(m.r), size):
@@ -83,7 +94,19 @@ def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple[Fraction, 
             lam = solve_rational_system(transpose(_support_matrix(m, s)), m.theta)
             if lam is not None and all(x >= 0 for x in lam):
                 found.append((s, tuple(lam)))
-    return tuple(sorted(found, key=lambda entry: sorted(entry[0])))
+    return tuple((s, lam, _scaled_inverse(m, s)) for s, lam in sorted(found, key=lambda entry: sorted(entry[0])))
+
+
+def _scaled_inverse(m: GLSMModel, support) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    # rref of [mat | I]: pivots in the first k columns exactly when mat is square and
+    # invertible, and then the right block is its inverse
+    mat = _support_matrix(m, support)
+    rows, pivots = rref([row + [int(i == j) for j in range(len(mat))] for i, row in enumerate(mat)])
+    if pivots != list(range(m.k)):
+        return None
+    inverse = [row[m.k:] for row in rows]
+    den = lcm(*[x.denominator for row in inverse for x in row])
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse)
 
 
 def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
@@ -96,7 +119,7 @@ def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
     on fewer columns would lie in a smaller support.  The search runs once per
     model; each call returns a fresh sorted list.
     """
-    return [s for s, _ in _support_table(m)]
+    return [s for s, _, _ in _support_table(m)]
 
 
 def _support_matrix(m: GLSMModel, support) -> list[list[int]]:
@@ -150,9 +173,9 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     integer for every i in S.  For a generic model every minimal support is a
     basis, so the candidates for one S are parameterized by the nonnegative
     integer vectors n = (<d, rho_i>)_{i in S}, and the theta-degree is a
-    positive combination of n; the enumeration is finite.  Each support
-    matrix is inverted once, scaled to an integer matrix over one
-    denominator, and every candidate is read off as inverse * n.
+    positive combination of n; the enumeration is finite.  Every candidate
+    is read off as inverse * n from the support table, which inverts each
+    support matrix once per model, scaled to integers over one denominator.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -160,24 +183,18 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     if not any(m.theta):
         raise DegenerateStabilityError("unbounded effectivity region: theta = 0 pairs to zero with every degree")
     found: dict[Degree, Fraction] = {}  # candidate -> theta-degree
-    for support, lam in _support_table(m):
+    for support, lam, inverse in _support_table(m):
         idx = sorted(support)
-        mat = _support_matrix(m, support)
         # theta != 0, so a minimal support of size k is a basis
-        if len(idx) < m.k:
-            ray = ", ".join(format_rational(x) for x in _kernel_ray(mat, m.k))
+        if inverse is None:
+            ray = ", ".join(format_rational(x) for x in _kernel_ray(_support_matrix(m, support), m.k))
             raise DegenerateStabilityError(
                 f"unbounded effectivity region over support {[i + 1 for i in idx]}: "
                 f"ray [{ray}] pairs to zero with theta"
             )
         if any(x <= 0 for x in lam):
             raise InternalError(f"minimal support {[i + 1 for i in idx]} lost its positive certificate")
-        # row a of the inverse solves transpose(mat) * y = e_a
-        inverse = [solve_rational_system(transpose(mat), [int(i == a) for i in range(m.k)]) for a in range(m.k)]
-        if None in inverse:
-            raise InternalError("support matrix lost invertibility")
-        den = lcm(*[x.denominator for row in inverse for x in row])
-        scaled = [[x.numerator * (den // x.denominator) for x in row] for row in inverse]
+        den, scaled = inverse
         # theta-degree of the candidate with pairing vector n is sum(lam_i n_i);
         # times L = lcm of lam's denominators it is an integer, so the bound is floor(L * bound)
         lam_den = lcm(*[x.denominator for x in lam])

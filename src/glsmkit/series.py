@@ -585,12 +585,11 @@ def series_to_dict(s: GradedSeries) -> dict:
     terms = []
     for (d, alpha) in s.sorted_keys():
         value = s.terms[(d, alpha)]
-        g = sector_of_degree(s.model, d)
         terms.append(
             {
                 "degree": [format_rational(x) for x in d],
                 "theta_degree": format_rational(theta_degree(s.model, d)),
-                "sector_lambda": [format_rational(x) for x in g.lam],
+                "sector_lambda": [format_rational(x) for x in value.ring.sector.lam],
                 "t_exponent": list(alpha),
                 "z": {str(e): class_to_json(c) for e, c in value.coeffs},
             }

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, lcm
 
+from .lattice import nonneg_vectors
 from .model import GLSMModel, InputError, InternalError, PotentialPolynomial, parse_monomial_expression
 from .rings import class_from_character, ideal_membership
 from .scalars import format_rational, half_turn, parse_rational
@@ -117,28 +118,6 @@ def fjrw_insertions(spec: FjrwSpec):
     return (eta,), (single_character_insertion("t1", 0, 1),)
 
 
-def _fjrw_degree_tuples(spec: FjrwSpec, q_bound: Fraction):
-    orders = [order for order, _ in spec.group_data]
-    s = len(orders)
-    out = []
-    cur = [0] * s
-
-    def rec(pos: int, used: Fraction):
-        if pos == s:
-            if cur[0] >= 1:
-                out.append(tuple(cur))
-            return
-        limit = floor((q_bound - used) * orders[pos])
-        start = 1 if pos == 0 else 0
-        for v in range(start, limit + 1):
-            cur[pos] = v
-            rec(pos + 1, used + F(v, orders[pos]))
-        cur[pos] = 0
-
-    rec(0, F(0))
-    return out
-
-
 def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSeries:
     """The displayed affine-phase series, coded literally.
 
@@ -161,7 +140,10 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
         t_order=t_order,
         terms={},
     )
-    for tup in _fjrw_degree_tuples(spec, q_bound):
+    scale = lcm(*orders)  # sum_j d_j / r_j <= q_bound, times L = lcm of the orders
+    for tup in nonneg_vectors([scale // r for r in orders], floor(q_bound * scale)):
+        if tup[0] == 0:
+            continue
         d_eng: Degree = tuple(F(-tup[j], orders[j]) for j in range(len(orders)))
         rotations = [
             sum(F(action[i] * tup[j], orders[j]) for j, (_o, action) in enumerate(spec.group_data))
@@ -326,8 +308,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                 )
         for dj in spec.p_weights:
             x = F(dj * k, d_lcm)
-            top = ceil(x) - 1 if x.denominator == 1 else floor(x)
-            for nu in range(1, top + 1):
+            for nu in range(1, ceil(x)):
                 hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
         if hyper.is_zero():
             k += 1
@@ -457,14 +438,12 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 for nu in range(ceil(x), 0):
                     value = value.mul(linear_z_factor(ring, cls, x - nu))
             elif x > 0:
-                top = ceil(x) - 1 if x.denominator == 1 else floor(x)
-                for nu in range(0, top + 1):
+                for nu in range(ceil(x)):
                     value = value.mul(invert_linear_z_factor(ring, cls, x - nu))
         for tau in spec.taus:
             x = pairing(d, tau)
             cls = class_from_character(ring, tau)
-            top = ceil(x) - 1 if x.denominator == 1 else floor(x)
-            for nu in range(0, top + 1):
+            for nu in range(ceil(x)):
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .lattice import (
     congruence_kernel,
@@ -21,11 +21,7 @@ from .lattice import (
 from .model import GLSMModel
 from .rationallp import positive_functional, scale_to_integers
 from .scalars import format_rational, frac_mod1
-from .sectors import semistable_supports
-
-
-class BudgetExceededError(RuntimeError):
-    """Subset enumeration exceeded the configured budget; assert genericity manually."""
+from .sectors import BudgetExceededError, semistable_supports
 
 
 @dataclass
@@ -133,19 +129,15 @@ def potential_check(m: GLSMModel) -> ValidationReport:
     return report
 
 
-def no_strict_semistable(m: GLSMModel, budget: int = 65536) -> bool:
+def no_strict_semistable(m: GLSMModel) -> bool:
     """Genericity of theta: it lies in no cone spanned by < k weight columns.
 
     The empty cone holds only theta = 0; otherwise a cone of < k columns
     holding theta contains a minimal semistable support of size < k.  The
-    budget bounds the subsets of sizes 1..k that the support search may visit.
+    support search runs first, so BudgetExceededError is raised even for theta = 0.
     """
-    count = sum(comb(m.r, size) for size in range(1, m.k + 1))
-    if count > budget:
-        raise BudgetExceededError(
-            f"genericity check needs {count} subsets (budget {budget}); assert genericity manually"
-        )
-    return any(m.theta) and all(len(s) == m.k for s in semistable_supports(m))
+    supports = semistable_supports(m)
+    return any(m.theta) and all(len(s) == m.k for s in supports)
 
 
 @dataclass
@@ -197,7 +189,7 @@ def faithfulness_check(m: GLSMModel) -> tuple[bool, str]:
     return True, "invariant factors all 1"
 
 
-def validate_model(m: GLSMModel, budget: int = 65536) -> ValidationReport:
+def validate_model(m: GLSMModel) -> ValidationReport:
     """Aggregate report over every algorithmically checkable axiom.
 
     Records all failures (no fail-fast).  Warning-level findings are stored
@@ -255,7 +247,7 @@ def validate_model(m: GLSMModel, budget: int = 65536) -> ValidationReport:
             report.add("r_torus_intersection", True, f"intersection is cyclic of order d_w = {m.d_w}")
 
     try:
-        generic = no_strict_semistable(m, budget=budget)
+        generic = no_strict_semistable(m)
         report.add(
             "no_strict_semistable",
             generic,

@@ -7,10 +7,10 @@ routines (its direct series must stay independent of them), and on
 `sectors` or `validate` naming the LP's `nonneg_combination` outside
 `cone_contains` (their support search is an exact linear solve; the LP
 stays as the tests' independent oracle), and on any module but `multipoly`
-naming `groebner_basis` outside `build_ring` or `normal_form` outside
-`build_ring` and `class_from_character` (a sector ring is reduced once, into
-its product table; class products and ideal membership are linear algebra
-on the staircase basis), and on the engine's `hyper_factor` (or its
+naming `groebner_basis` or `normal_form` outside `build_ring` (a sector
+ring is reduced once, into its product table and its divisor classes; class
+products, divisor classes and ideal membership are linear algebra on the
+staircase basis), and on the engine's `hyper_factor` (or its
 closed-form helper `_coordinate_factor`) naming `linear_z_factor` or
 `invert_linear_z_factor` (the engine multiplies each coordinate out in
 closed form, while the direct series keep the per-factor products, so the
@@ -126,7 +126,7 @@ def test_groebner_reduction_only_while_building_rings():
     for path in MODULES:
         if path.name != "multipoly.py":
             stray += _named_outside(path.name, "groebner_basis", {"build_ring"})
-            stray += _named_outside(path.name, "normal_form", {"build_ring", "class_from_character"})
+            stray += _named_outside(path.name, "normal_form", {"build_ring"})
     assert not stray, stray
 
 

@@ -258,6 +258,12 @@ def test_ring_layer_matches_sympy(m, data):
     a, b = _classes(data, ring, 2)
     assert (a * b).poly == _poly(gens, basis.reduce(_expr(gens, a.poly) * _expr(gens, b.poly))[1])
 
+    # divisor classes and linear forms against sympy's remainder
+    assert list(ring.divisors) == [_poly(gens, basis.reduce(h)[1]) for h in gens]
+    xi = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=m.k, max_size=m.k))
+    form = _expr(gens, {tuple(int(a == b) for b in range(m.k)): c for a, c in enumerate(xi)})
+    assert class_from_character(ring, xi).poly == _poly(gens, basis.reduce(form)[1])
+
     # membership in (p) against a Groebner basis of I + (p)
     chars = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m.k, max_size=m.k), min_size=1, max_size=2))
     factors = [class_from_character(ring, xi) for xi in chars]

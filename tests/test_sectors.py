@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsmkit import sectors
+import glsmkit
+from glsmkit import sectors, validate
 from glsmkit.rings import build_ring
 from glsmkit.sectors import (
     DegenerateStabilityError,
@@ -80,6 +81,40 @@ def test_support_search_runs_once_per_model_chain(m_quintic):
     effective_degrees(m_quintic, F(2))
     big_i_function(m_quintic, q_bound=F(2))
     assert sectors._support_table.cache_info().misses == 1
+
+
+def test_support_budget_bounds_every_consumer(monkeypatch, m_rank2):
+    # r = 4, k = 2: the support search visits 4 + 6 = 10 subsets
+    assert glsmkit.BudgetExceededError is validate.BudgetExceededError is sectors.BudgetExceededError
+    monkeypatch.setattr(sectors, "_SUPPORT_BUDGET", 9)
+    sectors._support_table.cache_clear()
+    with pytest.raises(sectors.BudgetExceededError, match=r"needs 10 subsets \(budget 9\)"):
+        inertia_sectors(m_rank2)
+    with pytest.raises(sectors.BudgetExceededError, match=r"needs 10 subsets \(budget 9\)"):
+        effective_degrees(m_rank2, F(1))
+    monkeypatch.setattr(sectors, "_SUPPORT_BUDGET", 10)
+    assert len(inertia_sectors(m_rank2)) == 9
+    assert (F(-1, 3), F(0)) in effective_degrees(m_rank2, F(1))
+
+
+def test_effective_degrees_reads_each_inverse_from_the_support_table(monkeypatch, m_rank2):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("rref", "solve_rational_system"):
+        monkeypatch.setattr(sectors, name, counting(name, getattr(sectors, name)))
+    sectors._support_table.cache_clear()
+    first = effective_degrees(m_rank2, F(2))
+    assert calls  # the first call searches the supports and inverts them
+    calls.clear()
+    assert effective_degrees(m_rank2, F(2)) == first
+    assert calls == []
 
 
 def test_sector_rings_built_once_per_model_chain(m_rank2):

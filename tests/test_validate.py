@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
+from glsmkit import sectors
 from glsmkit.model import parse_model
 from glsmkit.rationallp import nonneg_combination
 from glsmkit.validate import (
@@ -141,18 +142,22 @@ def test_genericity_matches_lp_over_small_subsets(m):
     assert no_strict_semistable(m) == (not in_small_cone)
 
 
-def test_genericity_budget():
+def test_genericity_budget(monkeypatch):
+    monkeypatch.setattr(sectors, "_SUPPORT_BUDGET", 1)
+    sectors._support_table.cache_clear()  # a cached table is not checked again
     m = model_from(r=2, k=2, weights=[[1, 0], [0, 1]], theta=["1", "1"])
     with pytest.raises(BudgetExceededError):
-        no_strict_semistable(m, budget=1)
+        no_strict_semistable(m)
 
 
-def test_genericity_budget_counts_what_the_search_visits():
+def test_genericity_budget_counts_what_the_search_visits(monkeypatch):
     # r = 40, k = 3: 821 subsets of size < k, 10,700 of sizes 1..k (what the support search enumerates)
+    monkeypatch.setattr(sectors, "_SUPPORT_BUDGET", 5000)
+    sectors._support_table.cache_clear()
     weights = [[1 + (i + a) % 3 for i in range(40)] for a in range(3)]
     m = model_from(r=40, k=3, weights=weights, r_charges=[0] * 40, theta=["1", "1", "1"])
     with pytest.raises(BudgetExceededError, match="needs 10700 subsets"):
-        no_strict_semistable(m, budget=5000)
+        no_strict_semistable(m)
 
 
 # --- invariants_trivial -----------------------------------------------------
