@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from . import ENGINE_VERSION
+from . import specialize as families
 from .cache import cache_get, cache_put, job_key
 from .latexout import render_latex
 from .model import GLSMModel, InputError, InternalError, model_to_dict, parse_model, parse_monomial_expression
@@ -36,18 +37,6 @@ from .series import (
     series_to_dict,
     series_to_json,
     z_partial,
-)
-from .specialize import (
-    ci_ambient_series,
-    ci_build,
-    ci_compare,
-    fjrw_build,
-    fjrw_crosscheck,
-    fjrw_direct_series,
-    hybrid_build,
-    hybrid_crosscheck,
-    hybrid_direct_series,
-    specialization_from_model_file,
 )
 from .validate import BudgetExceededError, validate_model
 
@@ -164,8 +153,28 @@ def _series_output(series: GradedSeries, fmt: str) -> str:
 
 
 common_out = click.option("--out", type=click.Path(dir_okay=False), default=None, help="write the artifact to a file")
-common_fmt = click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 common_nocache = click.option("--no-cache", is_flag=True, default=False, help="bypass the result cache")
+
+
+def formats(*names):
+    """--format: json (the default) or one of the other renderings the command has."""
+    return click.option("--format", "fmt", type=click.Choice(["json", *names]), default="json")
+
+
+def truncation(command):
+    """--qbound (maximal theta-degree) and --torder (nonnegative insertion order) of a series."""
+    command = click.option("--torder", type=click.IntRange(min=0), default=0)(command)
+    return click.option("--qbound", required=True)(command)
+
+
+# kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order).
+# Named, not bound: each call reads the specialize module's attribute, so a
+# wrapper installed there (perfbench's tracer) sees the CLI's calls too.
+FAMILIES = {
+    "fjrw": ("fjrw_direct_series", "fjrw_crosscheck"),
+    "hybrid": ("hybrid_direct_series", "hybrid_crosscheck"),
+    "ci": ("ci_ambient_series", "ci_compare"),
+}
 
 
 @click.group()
@@ -177,7 +186,7 @@ def cli():
 @cli.command()
 @click.argument("file", type=click.Path())
 @common_out
-@common_fmt
+@formats("text")
 def validate(file, out, fmt):
     """Check every axiom of the model definition; exit 1 on failure."""
     model = parse_model(_read_file(file))
@@ -197,7 +206,7 @@ def validate(file, out, fmt):
 @cli.command()
 @click.argument("file", type=click.Path())
 @common_out
-@common_fmt
+@formats("text")
 def sectors(file, out, fmt):
     """List the inertia sectors of the model."""
     model = parse_model(_read_file(file))
@@ -223,7 +232,7 @@ def sectors(file, out, fmt):
 @click.argument("file", type=click.Path())
 @click.option("--qbound", required=True, help="maximal theta-degree (rational)")
 @common_out
-@common_fmt
+@formats("text")
 def effective(file, qbound, out, fmt):
     """Enumerate criterion-effective degrees up to the theta-degree bound."""
     model = parse_model(_read_file(file))
@@ -276,11 +285,10 @@ def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache)
 
 @cli.command()
 @click.argument("file", type=click.Path())
-@click.option("--qbound", required=True)
-@click.option("--torder", type=click.IntRange(min=0), default=0)
+@truncation
 @click.option("--insert", multiple=True, help="NAME=POLY with POLY over rho1..rhoR")
 @common_out
-@common_fmt
+@formats("latex", "text")
 @common_nocache
 def ifun(file, qbound, torder, insert, out, fmt, no_cache):
     """Truncated big I-function (ambient state space)."""
@@ -289,11 +297,10 @@ def ifun(file, qbound, torder, insert, out, fmt, no_cache):
 
 @cli.command("glsm-ifun")
 @click.argument("file", type=click.Path())
-@click.option("--qbound", required=True)
-@click.option("--torder", type=click.IntRange(min=0), default=0)
+@truncation
 @click.option("--insert", multiple=True)
 @common_out
-@common_fmt
+@formats("latex", "text")
 @common_nocache
 def glsm_ifun(file, qbound, torder, insert, out, fmt, no_cache):
     """Truncated I-function of the model with potential (glsm state space)."""
@@ -303,12 +310,11 @@ def glsm_ifun(file, qbound, torder, insert, out, fmt, no_cache):
 @cli.command()
 @click.argument("file", type=click.Path())
 @click.option("--rho", required=True, help="semicolon-separated characters: rhoI or comma-separated integers")
-@click.option("--qbound", required=True)
-@click.option("--torder", type=click.IntRange(min=0), default=0)
+@truncation
 @click.option("--insert", multiple=True)
 @click.option("--method", type=click.Choice(["by_multiplication", "by_insertion", "verify"]), default="verify")
 @common_out
-@common_fmt
+@formats("latex", "text")
 @common_nocache
 def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
     """z-shifted derivative of the cached big I-function along characters."""
@@ -328,8 +334,7 @@ def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
 @cli.command("check-ct")
 @click.argument("series_file", type=click.Path())
 @common_out
-@common_fmt
-def check_ct(series_file, out, fmt):
+def check_ct(series_file, out):
     """Compact-type report of a stored series; exit 1 on violations."""
     series = series_from_json(_read_file(series_file))
     report = compact_type_report(series, series.model)
@@ -339,37 +344,23 @@ def check_ct(series_file, out, fmt):
 
 
 @cli.command()
-@click.argument("kind", type=click.Choice(["fjrw", "hybrid", "ci"]))
+@click.argument("kind", type=click.Choice(list(FAMILIES)))
 @click.argument("file", type=click.Path())
-@click.option("--qbound", required=True)
-@click.option("--torder", type=click.IntRange(min=0), default=0)
+@truncation
 @click.option("--crosscheck/--no-crosscheck", default=True)
 @common_out
-@common_fmt
+@formats("latex")
 def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
     """Build a family model, its direct series, and the engine cross-check."""
-    spec = specialization_from_model_file(_read_file(file))
+    spec = families.specialization_from_model_file(_read_file(file))
     q_bound = parse_rational(qbound)
-    if kind == "fjrw":
-        model = fjrw_build(spec)
-        series = fjrw_direct_series(spec, q_bound, torder)
-        report = fjrw_crosscheck(spec, q_bound, torder) if crosscheck else None
-    elif kind == "hybrid":
-        model = hybrid_build(spec)
-        series = hybrid_direct_series(spec, q_bound, torder)
-        report = hybrid_crosscheck(spec, q_bound, torder) if crosscheck else None
-    else:
-        model = ci_build(spec)
-        series = ci_ambient_series(spec, q_bound, torder)
-        report = ci_compare(spec, q_bound, torder) if crosscheck else None
-    payload = {
-        "model": model_to_dict(model),
-        "series": series_to_dict(series),
-        "crosscheck": report,
-    }
+    direct, check = (getattr(families, name) for name in FAMILIES[kind])
+    series = direct(spec, q_bound, torder)
+    report = check(spec, q_bound, torder) if crosscheck else None
     if fmt == "latex":
         _emit(render_latex(series) + "\n", out)
     else:
+        payload = {"model": model_to_dict(series.model), "series": series_to_dict(series), "crosscheck": report}
         _emit(_dump(payload), out)
     if report is not None and not report["equal"]:
         raise ValidationFailure("cross-check found differences")
@@ -380,7 +371,7 @@ def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
 @click.argument("series_b", type=click.Path())
 @click.option("--map", "subst", default=None, help="rename insertion variables: old=new,old2=new2")
 @common_out
-@common_fmt
+@formats("text")
 def compare(series_a, series_b, subst, out, fmt):
     """Exact comparison of two stored series; exit 1 when they differ."""
     a = series_from_json(_read_file(series_a))
@@ -407,10 +398,7 @@ def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except ValidationFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (HypothesisError, DegenerateStabilityError) as e:
+    except (ValidationFailure, HypothesisError, DegenerateStabilityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (InputError, BudgetExceededError, click.UsageError, click.BadParameter) as e:

@@ -170,7 +170,10 @@ def groebner_basis(gens: list[Poly]) -> list[Poly]:
     return reduced
 
 
-def staircase_monomials(basis: list[Poly], nvars: int, cap: int = 10000) -> list[Monomial]:
+_STAIRCASE_CAP = 10000  # largest sector-ring dimension accepted
+
+
+def staircase_monomials(basis: list[Poly], nvars: int) -> list[Monomial]:
     """Monomials outside the leading-term ideal of the basis, sorted.
 
     Raises ValueError naming a variable with no pure power among the leading
@@ -184,6 +187,6 @@ def staircase_monomials(basis: list[Poly], nvars: int, cap: int = 10000) -> list
             raise ValueError(f"quotient ring is infinite-dimensional along generator index {v}")
         bounds.append(min(pure))
     out = [m for m in product(*(range(b) for b in bounds)) if not any(_divides(lm, m) for lm in lms)]
-    if len(out) > cap:
+    if len(out) > _STAIRCASE_CAP:
         raise ValueError("staircase exceeds cap")
     return sorted(out, key=grevlex_key)

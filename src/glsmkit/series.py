@@ -238,13 +238,13 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
         prod_k (c + a_k z)^-1   = sum_{j<N} G_j D^n / P_0^(j+1) c^j z^(-n-j),
     where G_0 = 1 and G_j = -sum_{i=1..j} P_i G_(j-i) P_0^(i-1) are the
     integer numerators of the truncated series 1/P(u).  Zero a-values in a
-    numerator only shift P.  Coordinates with equal columns and ranges share
-    one factor within the call.
+    numerator only shift P.  Coordinates with equal columns and ranges are
+    counted first, and each group multiplies out one factor on its a-values
+    repeated count times.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
-    out = LaurentZ.one(ring)
-    shared: dict[tuple, LaurentZ] = {}
+    groups: dict[tuple, int] = {}  # (column, x, nus, inverted) -> number of coordinates
     for i in range(m.r):
         col = m.column(i)
         x = pairing(d, col)
@@ -255,18 +255,18 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
             continue
         else:
             nus = range(0, ceil(x)) if inverted else range(ceil(x), 0)
-        if not nus:
-            continue
-        key = (col, nus)
-        if key not in shared:
-            shared[key] = _coordinate_factor(ring, class_from_character(ring, col), x, nus, inverted)
-        out = out.mul(shared[key])
+        if nus:
+            key = (col, x, nus, inverted)
+            groups[key] = groups.get(key, 0) + 1
+    out = LaurentZ.one(ring)
+    for (col, x, nus, inverted), count in groups.items():
+        out = out.mul(_coordinate_factor(ring, class_from_character(ring, col), x, list(nus) * count, inverted))
         if out.is_zero():
             return out
     return out
 
 
-def _coordinate_factor(ring: SectorRing, c: CohClass, x: Fraction, nus: range, inverted: bool) -> LaurentZ:
+def _coordinate_factor(ring: SectorRing, c: CohClass, x: Fraction, nus: list[int], inverted: bool) -> LaurentZ:
     """prod_{nu in nus} (c + (x - nu) z), or its inverse, by the closed form of hyper_factor."""
     n, den = len(nus), x.denominator
     limit = ring.dimension if inverted else min(n + 1, ring.dimension)  # c^dimension = 0: the ring is graded
@@ -492,7 +492,7 @@ def compact_type_report(s: GradedSeries, m: GLSMModel) -> dict:
     ideals: dict = {}  # degree -> membership test of its endpoint ideal, eliminated once
     for (d, alpha), value in sorted(s.terms.items()):
         if d not in ideals:
-            g = sector_of_degree(m, d)
+            g = value.ring.sector
             factors = [
                 class_from_character(value.ring, m.column(i))
                 for i in charged

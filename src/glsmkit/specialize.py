@@ -19,7 +19,7 @@ from .lattice import nonneg_vectors
 from .model import GLSMModel, InputError, InternalError, PotentialPolynomial, parse_monomial_expression
 from .rings import class_from_character, ideal_membership
 from .scalars import format_rational, half_turn, parse_rational
-from .sectors import Degree, age, effective_degrees, pairing, sector_of_degree
+from .sectors import Degree, age, effective_degrees, pairing
 from .series import (
     GradedSeries,
     LaurentZ,
@@ -484,12 +484,12 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
     model = ci_build(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
 
-    def euler_classes(g, ring):
-        return [class_from_character(ring, tau) for tau in spec.taus if age(model, g, tau) == 0]
+    def euler_classes(ring):
+        return [class_from_character(ring, tau) for tau in spec.taus if age(model, ring.sector, tau) == 0]
 
     def checked_phase(d, _alpha, value):
-        g = sector_of_degree(model, d)
-        factors = euler_classes(g, value.ring)
+        g = value.ring.sector
+        factors = euler_classes(value.ring)
         contains = ideal_membership(value.ring, factors) if factors else None
         if contains and not all(contains(cls) for _z, cls in value.coeffs):
             raise InternalError(
@@ -499,7 +499,7 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
         return value.scale(half_turn(sum((age(model, g, tau) for tau in spec.taus), F(0))))
 
     def with_euler_classes(d, _alpha, value):
-        for cls in euler_classes(sector_of_degree(model, d), value.ring):
+        for cls in euler_classes(value.ring):
             value = value.scale_class(cls.scale(F(-1)))
         return value
 

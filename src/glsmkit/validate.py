@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import (
-    congruence_kernel,
-    invariant_factors,
-    rational_rank,
-    solve_congruences,
-    transpose,
-)
+from .lattice import invariant_factors, smith_normal_form, solve_congruences, transpose
 from .model import GLSMModel
 from .rationallp import positive_functional, scale_to_integers
 from .scalars import format_rational, frac_mod1
@@ -82,28 +76,22 @@ def r_torus_intersection_order(m: GLSMModel) -> int | None:
     the weight torus.  It is positive-dimensional exactly when the R-charge
     vector is nonzero and lies in the rational row span of the weight matrix
     (then the whole R-torus image sits inside the other torus); in that case
-    None is returned.  Otherwise the realizable R-parameters form a subgroup
-    P of Q/Z computed from the congruence kernel of (s, lambda) pairs, and
-    the matrix-group order is [P : K] where K = (1/gcd(c_i)) Z/Z is the
-    kernel of s -> diag(e^(2 pi i s c_i)).
+    None is returned, as it is for a rank-deficient weight matrix.  Otherwise
+    the realizable R-parameters form a subgroup P of Q/Z: with
+    U * [c | -W^T] * V = diag(d_0..d_k) in Smith normal form, the solutions
+    (s, lambda) are V y with d_j y_j = 0 in Q/Z, so P is generated by the
+    V[0][j] / d_j and |P| = lcm_j d_j / gcd(d_j, V[0][j]).  The matrix-group
+    order is [P : K] where K = (1/gcd(c_i)) Z/Z is the kernel of
+    s -> diag(e^(2 pi i s c_i)).
     """
     if all(c == 0 for c in m.r_charges):
         return 1
-    rows = [list(row) for row in m.weights]
-    if rational_rank(rows + [list(m.r_charges)]) == rational_rank(rows):
-        return None
     aug = [[m.r_charges[i]] + [-m.weights[a][i] for a in range(m.k)] for i in range(m.r)]
-    if rational_rank(aug) < m.k + 1:
-        # only possible for a rank-deficient (non-faithful) weight matrix
+    d, _, v = smith_normal_form(aug)
+    diag = [d[j][j] for j in range(min(m.r, m.k + 1))]
+    if len(diag) < m.k + 1 or 0 in diag:
         return None
-    elements = congruence_kernel(aug)
-    param_index = 1
-    for el in elements:
-        param_index = lcm(param_index, el[0].denominator)
-    g = 0
-    for c in m.r_charges:
-        g = gcd(g, c)
-    return param_index // g
+    return lcm(*(dj // gcd(dj, v[0][j]) for j, dj in enumerate(diag))) // gcd(*m.r_charges)
 
 
 def potential_check(m: GLSMModel) -> ValidationReport:

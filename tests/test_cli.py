@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from glsmkit.cli import main
+from glsmkit import specialize as families
+from glsmkit.cli import cli, main
 
 from conftest import CUBIC, P1, QUINTIC, WALL_MODEL
 
@@ -288,3 +290,89 @@ def test_negative_torder_exits_2(run, model_file, model, argv):
     assert code == 2, err
     assert out == ""
     assert err.startswith("error: ") and "--torder" in err
+
+
+@pytest.fixture
+def argvs(run, model_file, tmp_path):
+    """A working argv, without --format, of every subcommand that renders an artifact."""
+    model = model_file(P1)
+    series = tmp_path / "p1.series"
+    run("ifun", model, "--qbound", "1", "--out", str(series))
+    return {
+        "validate": ["validate", model],
+        "sectors": ["sectors", model],
+        "effective": ["effective", model, "--qbound", "1"],
+        "ifun": ["ifun", model, "--qbound", "1"],
+        "glsm-ifun": ["glsm-ifun", model, "--qbound", "1"],
+        "dz": ["dz", model, "--rho", "rho1", "--qbound", "1"],
+        "check-ct": ["check-ct", str(series)],
+        "specialize": ["specialize", "fjrw", model_file(FJRW_SPEC, "fjrw.json"), "--qbound", "2"],
+        "compare": ["compare", str(series), str(series)],
+    }
+
+
+def offered_formats(name):
+    """The --format choices of a subcommand, or None when it has no --format."""
+    return next((list(p.type.choices) for p in cli.commands[name].params if p.name == "fmt"), None)
+
+
+def test_format_choices_per_command():
+    assert {name: offered_formats(name) for name in cli.commands} == {
+        "validate": ["json", "text"],
+        "sectors": ["json", "text"],
+        "effective": ["json", "text"],
+        "compare": ["json", "text"],
+        "ifun": ["json", "latex", "text"],
+        "glsm-ifun": ["json", "latex", "text"],
+        "dz": ["json", "latex", "text"],
+        "specialize": ["json", "latex"],
+        "check-ct": None,
+        "render-latex": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "command", ["validate", "sectors", "effective", "ifun", "glsm-ifun", "dz", "check-ct", "specialize", "compare"]
+)
+def test_each_offered_format_renders_something_else_than_json(run, argvs, command):
+    code, as_json, err = run(*argvs[command])
+    assert code == 0, err
+    for fmt in (offered_formats(command) or [])[1:]:
+        code, rendered, err = run(*argvs[command], "--format", fmt)
+        assert code == 0, err
+        assert rendered.strip() and rendered != as_json, fmt
+
+
+DROPPED_FORMATS = [(c, "latex") for c in ("validate", "sectors", "effective", "compare")] + [
+    ("specialize", "text"),
+    ("check-ct", "json"),
+    ("check-ct", "latex"),
+    ("check-ct", "text"),
+]
+
+
+@pytest.mark.parametrize("command, fmt", DROPPED_FORMATS, ids=[f"{c}-{f}" for c, f in DROPPED_FORMATS])
+def test_format_not_offered_exits_2(run, argvs, command, fmt):
+    code, out, err = run(*argvs[command], "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--format" in err
+
+
+def test_specialize_calls_family_functions_through_their_module(run, model_file, monkeypatch):
+    # each call reads the specialize module's attribute, so a wrapper set there sees it
+    calls = []
+
+    def spy(name):
+        real = getattr(families, name)
+        return lambda *args: calls.append((name, args[1:])) or real(*args)
+
+    for name in ("fjrw_direct_series", "fjrw_crosscheck"):
+        monkeypatch.setattr(families, name, spy(name))
+    code, _out, err = run("specialize", "fjrw", model_file(FJRW_SPEC), "--qbound", "2", "--torder", "1")
+    assert code == 0, err
+    # the CLI's two calls, then the direct series the cross-check computes itself
+    names = ["fjrw_direct_series", "fjrw_crosscheck", "fjrw_direct_series"]
+    assert calls == [(name, (Fraction(2), 1)) for name in names]
+    code, _out, err = run("specialize", "quintic", model_file(FJRW_SPEC), "--qbound", "2")
+    assert code == 2 and "'fjrw', 'hybrid', 'ci'" in err

@@ -113,6 +113,24 @@ def test_hyper_factor_quintic_ambient_oracle(m_quintic):
     assert hyper_factor(m_quintic, d, "ambient", ring) == num.mul(den)
 
 
+def test_hyper_factor_one_product_per_coordinate_group(m_quintic, monkeypatch):
+    # x1..x5 share a column and a nu-range, so they make one factor; p makes the other
+    d = (F(3),)
+    ring = ring_at(m_quintic, d)
+    calls = []
+    mul = LaurentZ.mul
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentZ, "mul", counted)
+    for mode in ("ambient", "glsm"):
+        calls.clear()
+        hyper_factor(m_quintic, d, mode, ring)
+        assert len(calls) <= 2, mode
+
+
 def _per_factor_product(m, d, mode, ring):
     """The documented product: one linear factor per nu, in ascending nu."""
     out = LaurentZ.one(ring)

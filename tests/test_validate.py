@@ -1,12 +1,16 @@
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glsmkit import sectors
-from glsmkit.model import parse_model
+from glsmkit.lattice import congruence_kernel
+from glsmkit.model import model_from_dict, parse_model
 from glsmkit.rationallp import nonneg_combination
 from glsmkit.validate import (
     BudgetExceededError,
@@ -245,6 +249,41 @@ def test_intersection_infinite():
     # nonzero R-charge vector inside the row span of the weights
     m = model_from(weights=[[1, 1]], r_charges=[1, 1], d_w=1)
     assert r_torus_intersection_order(m) is None
+
+
+def _intersection_order_by_enumeration(m):
+    """[P : K] with P read off the whole congruence kernel of [c | -W^T]."""
+    if not any(m.r_charges):
+        return 1
+    aug = [[m.r_charges[i]] + [-m.weights[a][i] for a in range(m.k)] for i in range(m.r)]
+    if sympy.Matrix(aug).rank() < m.k + 1:
+        return None
+    return lcm(*(x[0].denominator for x in congruence_kernel(aug))) // gcd(*m.r_charges)
+
+
+@st.composite
+def r_charged_models(draw):
+    """k <= 3, r <= 6, weights and R-charges in [-4, 4]: rank-deficient and
+    non-faithful weight matrices come up, as do R-charges in the row span."""
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 6))
+    return model_from_dict(
+        {
+            "r": r,
+            "k": k,
+            "weights": [[draw(st.integers(-4, 4)) for _ in range(r)] for _ in range(k)],
+            "r_charges": [draw(st.integers(-4, 4)) for _ in range(r)],
+            "d_w": 1,
+            "theta": ["1"] * k,
+            "potential": None,
+        }
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(r_charged_models())
+def test_intersection_order_matches_kernel_enumeration(m):
+    assert r_torus_intersection_order(m) == _intersection_order_by_enumeration(m)
 
 
 # --- validate_model ---------------------------------------------------------
