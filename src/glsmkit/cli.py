@@ -353,6 +353,8 @@ def check_ct(series_file, out):
 def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
     """Build a family model, its direct series, and the engine cross-check."""
     spec = families.specialization_from_model_file(_read_file(file))
+    if spec.kind != kind:
+        raise InputError(f"specialize {kind} was given a file whose specialization kind is {spec.kind!r}")
     q_bound = parse_rational(qbound)
     direct, check = (getattr(families, name) for name in FAMILIES[kind])
     series = direct(spec, q_bound, torder)

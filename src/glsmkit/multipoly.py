@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from .scalars import Scalar, scalar_is_zero
 
@@ -170,23 +171,30 @@ def groebner_basis(gens: list[Poly]) -> list[Poly]:
     return reduced
 
 
-_STAIRCASE_CAP = 10000  # largest sector-ring dimension accepted
+_STAIRCASE_CAP = 10000  # most monomials a staircase box may hold
+
+
+class InfiniteStaircaseError(ValueError):
+    """Some variable has no pure power among the leading terms: the quotient is infinite-dimensional."""
 
 
 def staircase_monomials(basis: list[Poly], nvars: int) -> list[Monomial]:
     """Monomials outside the leading-term ideal of the basis, sorted.
 
-    Raises ValueError naming a variable with no pure power among the leading
-    terms (the quotient is then infinite-dimensional).
+    Raises InfiniteStaircaseError naming a variable with no pure power among
+    the leading terms, and ValueError when the box of pure-power bounds, which
+    holds the staircase, has more than _STAIRCASE_CAP monomials; both before
+    enumerating anything.
     """
     lms = [leading_monomial(g) for g in basis if g]
     bounds = []
     for v in range(nvars):
         pure = [lm[v] for lm in lms if all(lm[w] == 0 for w in range(nvars) if w != v)]
         if not pure:
-            raise ValueError(f"quotient ring is infinite-dimensional along generator index {v}")
+            raise InfiniteStaircaseError(f"quotient ring is infinite-dimensional along generator index {v}")
         bounds.append(min(pure))
+    box = prod(bounds)
+    if box > _STAIRCASE_CAP:
+        raise ValueError(f"staircase box of {box} monomials exceeds the cap of {_STAIRCASE_CAP}")
     out = [m for m in product(*(range(b) for b in bounds)) if not any(_divides(lm, m) for lm in lms)]
-    if len(out) > _STAIRCASE_CAP:
-        raise ValueError("staircase exceeds cap")
     return sorted(out, key=grevlex_key)

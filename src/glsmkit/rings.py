@@ -1,9 +1,16 @@
 """Sector cohomology rings as linear algebra on the staircase basis.
 
 Each inertia sector gets Q[H_1..H_k] modulo the products of linear forms of
-its Stanley-Reisner data.  Its reduced grevlex Groebner basis (H_1 > ... > H_k)
-gives the staircase basis; reduction runs once per ring, into the table of
-normal forms of staircase products.  Membership in an ideal is a span test.
+its Stanley-Reisner data.  Those depend on the sector only through its fixed
+support, so the reduction runs once per (model, fixed support), in
+`_ring_table`: the reduced grevlex Groebner basis (H_1 > ... > H_k) gives the
+staircase basis.  The generators are homogeneous, so the quotient is graded
+and every monomial above `top`, the largest staircase degree, is zero.  The
+table holds the normal form of every monomial of degree at most `top`
+(`forms`), of every product of two staircase monomials (`products`) and of
+H_1..H_k (`divisors`); `build_ring` labels it with its sector.  Class
+products, divisor classes and ideal membership are lookups and linear
+algebra on the staircase basis.
 """
 
 from __future__ import annotations
@@ -12,9 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import rref
+from .lattice import nonneg_vectors, rref
 from .model import GLSMModel, model_hash
 from .multipoly import (
+    InfiniteStaircaseError,
     Poly,
     groebner_basis,
     normal_form,
@@ -26,7 +34,7 @@ from .multipoly import (
     staircase_monomials,
 )
 from .scalars import Scalar, scalar_from_json, scalar_is_zero, scalar_to_json
-from .sectors import SectorLabel, sr_generators
+from .sectors import SectorLabel, support_sr_generators
 
 
 class RingMismatchError(ValueError):
@@ -44,6 +52,7 @@ class SectorRing:
     ngens: int
     groebner: tuple
     staircase: tuple
+    forms: dict = field(repr=False)  # monomial of degree <= top -> its normal form
     products: dict = field(repr=False)  # (s, t) -> normal form of s*t over staircase monomials
     divisors: tuple = field(repr=False)  # normal forms of H_1..H_k
 
@@ -58,6 +67,11 @@ class SectorRing:
     @property
     def dimension(self) -> int:
         return len(self.staircase)
+
+    @property
+    def top(self) -> int:
+        """Largest staircase degree: every monomial of higher degree is zero in the ring."""
+        return sum(self.staircase[-1])
 
     def zero(self) -> "CohClass":
         return CohClass(self, {})
@@ -80,13 +94,10 @@ _SECTOR_RINGS = 128  # one chain's rings: every sector of one model (66 at most 
 
 
 @lru_cache(maxsize=_SECTOR_RINGS)
-def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
-    """Presentation of the sector's cohomology with exact rational Groebner data.
-
-    The only ring memo: each (model, sector) ring is built once and shared.
-    """
+def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
+    """Groebner data and normal-form tables of the ring of one fixed support, shared by its sectors."""
     gens = []
-    for t_set in sr_generators(m, g):
+    for t_set in support_sr_generators(m, fixed):
         prod: Poly = {(0,) * m.k: Fraction(1)}
         for i in sorted(t_set):
             prod = poly_mul(prod, linear_form(m.column(i), m.k))
@@ -94,20 +105,35 @@ def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
     basis = groebner_basis(gens)
     try:
         stairs = staircase_monomials(basis, m.k)
-    except ValueError as e:
+    except InfiniteStaircaseError as e:
         raise InfiniteRingError(str(e).replace("generator index", "generator H") + " (no pure power among leading terms)") from None
-    sums = {(s, t): tuple(a + b for a, b in zip(s, t)) for s in stairs for t in stairs}
+    top = sum(stairs[-1])
+    inside = set(stairs)
+    # staircase monomials are their own normal forms; the grading zeroes everything above top
+    forms = {
+        mono: {mono: Fraction(1)} if mono in inside else normal_form({mono: Fraction(1)}, basis)
+        for mono in nonneg_vectors((1,) * m.k, top)
+    }
     h_monomials = [tuple(int(a == b) for b in range(m.k)) for a in range(m.k)]
-    reduced = {mono: normal_form({mono: Fraction(1)}, basis) for mono in set(sums.values()) | set(h_monomials)}
-    return SectorRing(
-        model_key=model_hash(m),
-        sector=g,
-        ngens=m.k,
-        groebner=tuple(basis),
-        staircase=tuple(stairs),
-        products={pair: reduced[mono] for pair, mono in sums.items()},
-        divisors=tuple(reduced[mono] for mono in h_monomials),
-    )
+    return {
+        "model_key": model_hash(m),
+        "ngens": m.k,
+        "groebner": tuple(basis),
+        "staircase": tuple(stairs),
+        "forms": forms,
+        "products": {(s, t): forms.get(tuple(a + b for a, b in zip(s, t)), {}) for s in stairs for t in stairs},
+        "divisors": tuple(forms.get(mono, {}) for mono in h_monomials),
+    }
+
+
+@lru_cache(maxsize=_SECTOR_RINGS)
+def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
+    """Presentation of the sector's cohomology with exact rational Groebner data.
+
+    The ring memo: each (model, sector) ring is built once and shared, and
+    sectors with one fixed support share one table from `_ring_table`.
+    """
+    return SectorRing(sector=g, **_ring_table(m, g.fixed_support))
 
 
 @dataclass(frozen=True)
@@ -141,8 +167,9 @@ class CohClass:
             out: Poly = {}
             for m1, c1 in self.poly.items():
                 for m2, c2 in other.poly.items():
+                    c12 = c1 * c2
                     for mono, c in self.ring.products[m1, m2].items():
-                        out[mono] = out.get(mono, 0) + c1 * c2 * c
+                        out[mono] = out.get(mono, 0) + c12 * c
             return CohClass(self.ring, {m: c for m, c in out.items() if not scalar_is_zero(c)})
         return self.scale(other)
 

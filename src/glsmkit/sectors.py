@@ -240,7 +240,11 @@ def sr_generators(m: GLSMModel, g: SectorLabel) -> list[frozenset[int]]:
     sector's cohomology presentation: T must meet every minimal semistable
     support contained in the fixed locus of g.
     """
-    fixed = g.fixed_support
+    return support_sr_generators(m, g.fixed_support)
+
+
+def support_sr_generators(m: GLSMModel, fixed: frozenset[int]) -> list[frozenset[int]]:
+    """sr_generators of every sector whose fixed support is `fixed`: they read nothing else of it."""
     family = [s for s in semistable_supports(m) if s <= fixed]
     if not family:
         raise ValueError("sector is empty: no semistable support inside its fixed locus")

@@ -230,17 +230,22 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     factors over range(1, ceil(x)) when x > 0; R-charge-zero coordinates keep
     the ambient ranges.
 
-    Each coordinate's factors are multiplied out in closed form.  Let c be
-    class(rho_i), N its nilpotency index (c^N = 0), D the denominator of x and
-    p_k = D*(x - nu_k) the integer numerators of the n a-values.  With
-    P(u) = prod_k (p_k + D u) mod u^N, an integer polynomial,
-        prod_k (c + a_k z)      = sum_{j<N} P_j D^-n c^j z^(n-j),
-        prod_k (c + a_k z)^-1   = sum_{j<N} G_j D^n / P_0^(j+1) c^j z^(-n-j),
+    The factor is one polynomial per degree.  Let c = class(rho_i) =
+    sum_a rho_ia H_a, D the denominator of x and p_k = D*(x - nu_k) the
+    integer numerators of the n a-values.  With P(u) = prod_k (p_k + D u), an
+    integer polynomial,
+        prod_k (c + a_k z)      = sum_j P_j D^-n c^j z^(n-j),
+        prod_k (c + a_k z)^-1   = sum_j G_j D^n / P_0^(j+1) c^j z^(-n-j),
     where G_0 = 1 and G_j = -sum_{i=1..j} P_i G_(j-i) P_0^(i-1) are the
-    integer numerators of the truncated series 1/P(u).  Zero a-values in a
-    numerator only shift P.  Coordinates with equal columns and ranges are
-    counted first, and each group multiplies out one factor on its a-values
-    repeated count times.
+    integer numerators of the series 1/P(u).  Zero a-values in a numerator
+    only shift P.  Coordinates with equal columns and ranges are counted
+    first, and each group contributes one P on its a-values repeated count
+    times.  Every term pairs H-degree j with z^(+-n - j), so the product over
+    the groups is one integer polynomial in H_1..H_k times one rational scale,
+    with H^mu standing at z^(shift - |mu|), where shift sums the +-n.  The
+    ring's ideal is homogeneous, so every monomial above its top degree is
+    zero: the series and their product are truncated there, and one pass
+    through the ring's normal forms (`ring.forms`) gives the classes.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -258,41 +263,72 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
         if nus:
             key = (col, x, nus, inverted)
             groups[key] = groups.get(key, 0) + 1
-    out = LaurentZ.one(ring)
+    top = ring.top
+    poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
+    scale = Fraction(1)
+    shift = 0
     for (col, x, nus, inverted), count in groups.items():
-        out = out.mul(_coordinate_factor(ring, class_from_character(ring, col), x, list(nus) * count, inverted))
-        if out.is_zero():
-            return out
-    return out
+        n = len(nus) * count
+        coeffs, group_scale = _gamma_series(x, nus, count, inverted, top)
+        poly = _times_linear_series(poly, coeffs, col, top)
+        if not poly:
+            return LaurentZ(ring, ())
+        scale *= group_scale
+        shift += -n if inverted else n
+    by_z: dict[int, dict] = {}  # z-exponent -> class over the staircase
+    for mono, v in poly.items():
+        coeff = scale * v
+        target = by_z.setdefault(shift - sum(mono), {})
+        for stair, c in ring.forms[mono].items():
+            target[stair] = target.get(stair, 0) + coeff * c
+    classes = {e: CohClass(ring, {stair: c for stair, c in cls.items() if c}) for e, cls in by_z.items()}
+    return LaurentZ.from_dict(ring, classes)
 
 
-def _coordinate_factor(ring: SectorRing, c: CohClass, x: Fraction, nus: list[int], inverted: bool) -> LaurentZ:
-    """prod_{nu in nus} (c + (x - nu) z), or its inverse, by the closed form of hyper_factor."""
-    n, den = len(nus), x.denominator
-    limit = ring.dimension if inverted else min(n + 1, ring.dimension)  # c^dimension = 0: the ring is graded
-    powers = [ring.one()]  # c^j for j < N
-    while len(powers) < limit:
-        nxt = powers[-1] * c
-        if nxt.is_zero():
-            break
-        powers.append(nxt)
-    top = len(powers)
-    poly = [1] + [0] * (top - 1)
+def _gamma_series(x: Fraction, nus: range, count: int, inverted: bool, top: int) -> tuple[list[int], Fraction]:
+    """Integer coefficients of P(u), or of 1/P(u), up to u^top, and the scale of hyper_factor's closed form.
+
+    P is the product over nus, taken count times.
+    """
+    num, den, n = x.numerator, x.denominator, len(nus) * count
+    size = top + 1 if inverted else min(n, top) + 1
+    once = [1] + [0] * (size - 1)
     for nu in nus:
-        p = x.numerator - den * nu
-        poly = [p * poly[0]] + [p * poly[j] + den * poly[j - 1] for j in range(1, top)]
-    scale = den**n
+        p = num - den * nu
+        for j in range(size - 1, 0, -1):
+            once[j] = p * once[j] + den * once[j - 1]
+        once[0] *= p
+    poly = once
+    for _ in range(count - 1):
+        poly = [sum(poly[i] * once[j - i] for i in range(j + 1)) for j in range(size)]
     if not inverted:
-        return LaurentZ.from_dict(ring, {n - j: powers[j].scale(Fraction(poly[j], scale)) for j in range(top)})
+        return poly, Fraction(1, den**n)
     p0 = poly[0]
     if p0 == 0:
         raise InternalError("denominator factor with zero scalar part")
     inv = [1]
-    for j in range(1, top):
+    for j in range(1, size):
         inv.append(-sum(poly[i] * inv[j - i] * p0 ** (i - 1) for i in range(1, j + 1)))
-    return LaurentZ.from_dict(
-        ring, {-n - j: powers[j].scale(Fraction(inv[j] * scale, p0 ** (j + 1))) for j in range(top)}
-    )
+    # G_j / P_0^(j+1) over the common denominator P_0^size
+    return [g * p0 ** (size - 1 - j) for j, g in enumerate(inv)], Fraction(den**n, p0**size)
+
+
+def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
+    """poly * sum_j coeffs[j] (sum_a col_a H_a)^j over the integers, without monomials above degree top."""
+    steps = [(a, w) for a, w in enumerate(col) if w]
+    acc: dict = {}
+    for c in reversed(coeffs):  # Horner in the linear form
+        nxt: dict = {}
+        for mono, v in acc.items():
+            if sum(mono) < top:
+                for a, w in steps:
+                    up = mono[:a] + (mono[a] + 1,) + mono[a + 1 :]
+                    nxt[up] = nxt.get(up, 0) + w * v
+        if c:
+            for mono, v in poly.items():
+                nxt[mono] = nxt.get(mono, 0) + c * v
+        acc = nxt
+    return {mono: v for mono, v in acc.items() if v}
 
 
 def exp_factor(
@@ -364,6 +400,9 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         hyper = hyper_factor(m, d, mode, ring)
         if hyper.is_zero():
             vanished.extend((d, alpha) for alpha in t_exponents(len(series.insertions), t_order))
+            continue
+        if not series.insertions:
+            series.terms[(d, ())] = hyper
             continue
         exps = exp_factor(m, d, series.etas, series.insertions, t_order, ring)
         for alpha, coeff in sorted(exps.items()):

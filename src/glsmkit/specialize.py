@@ -48,6 +48,7 @@ class FjrwSpec:
     generator must be the grading element: r_1 = d_w and c_{i1} = c_i mod d_w.
     """
 
+    kind = "fjrw"  # the "kind" of its "specialize" section; a class attribute, not a field
     n: int
     d_w: int
     r_charges: tuple[int, ...]
@@ -224,6 +225,7 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
 class HybridSpec:
     """Rank-one negative phase over a weighted projective stack."""
 
+    kind = "hybrid"
     x_weights: tuple[int, ...]
     p_weights: tuple[int, ...]
     sections: tuple[str, ...] | None = None
@@ -369,6 +371,7 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
 class CiSpec:
     """Ambient toric data plus the section characters of the intersection."""
 
+    kind = "ci"
     ambient_r: int
     k: int
     ambient_weights: tuple[tuple[int, ...], ...]

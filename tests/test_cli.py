@@ -200,26 +200,38 @@ def test_specialize_fjrw(run, tmp_path):
     assert payload["crosscheck"]["equal"]
 
 
+CI_SPEC = {
+    "specialize": {
+        "kind": "ci",
+        "ambient": {"r": 5, "k": 1, "weights": [[1, 1, 1, 1, 1]], "theta": ["1"]},
+        "taus": [[5]],
+        "sections": ["x1^5+x2^5+x3^5+x4^5+x5^5"],
+        "semipositive_asserted": True,
+        "pairing_nondegenerate_asserted": True,
+    }
+}
+
+HYBRID_SPEC = {"specialize": {"kind": "hybrid", "x_weights": [1], "p_weights": [3]}}
+
+
 def test_specialize_ci(run, tmp_path):
     spec_file = tmp_path / "ci.json"
-    spec_file.write_text(
-        json.dumps(
-            {
-                "specialize": {
-                    "kind": "ci",
-                    "ambient": {"r": 5, "k": 1, "weights": [[1, 1, 1, 1, 1]], "theta": ["1"]},
-                    "taus": [[5]],
-                    "sections": ["x1^5+x2^5+x3^5+x4^5+x5^5"],
-                    "semipositive_asserted": True,
-                    "pairing_nondegenerate_asserted": True,
-                }
-            }
-        ),
-        encoding="utf-8",
-    )
+    spec_file.write_text(json.dumps(CI_SPEC), encoding="utf-8")
     code, out, _ = run("specialize", "ci", str(spec_file), "--qbound", "2")
     assert code == 0
     assert json.loads(out)["crosscheck"]["equal"]
+
+
+SPEC_FILES = {"fjrw": FJRW_SPEC, "hybrid": HYBRID_SPEC, "ci": CI_SPEC}
+MISMATCHED = [(asked, given) for asked in SPEC_FILES for given in SPEC_FILES if asked != given]
+
+
+@pytest.mark.parametrize("asked, given", MISMATCHED, ids=[f"{a}-on-{g}" for a, g in MISMATCHED])
+def test_specialize_kind_must_match_the_file(run, model_file, asked, given):
+    code, out, err = run("specialize", asked, model_file(SPEC_FILES[given]), "--qbound", "1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and f"specialize {asked} " in err and repr(given) in err
 
 
 def test_thread_env_determinism(run, model_file):

@@ -7,17 +7,21 @@ routines (its direct series must stay independent of them), and on
 `sectors` or `validate` naming the LP's `nonneg_combination` outside
 `cone_contains` (their support search is an exact linear solve; the LP
 stays as the tests' independent oracle), and on any module but `multipoly`
-naming `groebner_basis` or `normal_form` outside `build_ring` (a sector
-ring is reduced once, into its product table and its divisor classes; class
-products, divisor classes and ideal membership are linear algebra on the
-staircase basis), and on the engine's `hyper_factor` (or its
-closed-form helper `_coordinate_factor`) naming `linear_z_factor` or
-`invert_linear_z_factor` (the engine multiplies each coordinate out in
-closed form, while the direct series keep the per-factor products, so the
-two sides of a cross-check compute factors by different algorithms), and on
-a `rings` parameter in `series` or `specialize` or a `rings` field on
-`GradedSeries` (the memo inside `build_ring` is the only ring memo).  The package
-`__init__` is exempt from the unused-import check: it exists to re-export.
+naming `groebner_basis` or `normal_form` outside `_ring_table` (a ring is
+reduced once per (model, fixed support), into its tables of monomial normal
+forms, staircase products and divisor classes; class products, divisor
+classes and ideal membership are linear algebra on the staircase basis), and
+on the engine's `hyper_factor` (or its helpers `_gamma_series` and
+`_times_linear_series`) naming `linear_z_factor` or `invert_linear_z_factor`
+(the engine multiplies each coordinate group out in closed form, while the
+direct series keep the per-factor products, so the two sides of a
+cross-check compute factors by different algorithms), or naming `mul` or
+`class_from_character` (it multiplies integer polynomials and reduces once,
+through the ring's normal forms), and on a `rings` parameter in `series` or
+`specialize` or a `rings` field on `GradedSeries` (ring memos live in
+`rings`: `build_ring` per sector and `_ring_table` per fixed support).  The
+package `__init__` is exempt from the unused-import check: it exists to
+re-export.
 """
 
 import ast
@@ -86,15 +90,27 @@ def test_specialize_does_not_import_engine_factors():
     assert not imported & {"hyper_factor", "exp_factor"}, imported
 
 
-def test_hyper_factor_does_not_use_per_factor_products():
+HYPER_FACTOR = {"hyper_factor", "_gamma_series", "_times_linear_series"}
+
+
+def _named_in_hyper_factor(targets):
     tree = ast.parse((SRC / "series.py").read_text(encoding="utf-8"))
-    named = {
-        f"{node.name}: {inner.id}"
+    return {
+        f"{node.name}: {getattr(inner, 'id', getattr(inner, 'attr', None))}"
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in {"hyper_factor", "_coordinate_factor"}
+        if isinstance(node, ast.FunctionDef) and node.name in HYPER_FACTOR
         for inner in ast.walk(node)
-        if isinstance(inner, ast.Name) and inner.id in {"linear_z_factor", "invert_linear_z_factor"}
+        if getattr(inner, "id", getattr(inner, "attr", None)) in targets
     }
+
+
+def test_hyper_factor_does_not_use_per_factor_products():
+    named = _named_in_hyper_factor({"linear_z_factor", "invert_linear_z_factor"})
+    assert not named, named
+
+
+def test_hyper_factor_reduces_once_without_ring_products():
+    named = _named_in_hyper_factor({"mul", "class_from_character"})
     assert not named, named
 
 
@@ -125,8 +141,8 @@ def test_groebner_reduction_only_while_building_rings():
     stray = []
     for path in MODULES:
         if path.name != "multipoly.py":
-            stray += _named_outside(path.name, "groebner_basis", {"build_ring"})
-            stray += _named_outside(path.name, "normal_form", {"build_ring"})
+            stray += _named_outside(path.name, "groebner_basis", {"_ring_table"})
+            stray += _named_outside(path.name, "normal_form", {"_ring_table"})
     assert not stray, stray
 
 

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glsmkit import multipoly
 from glsmkit.multipoly import (
+    InfiniteStaircaseError,
     grevlex_key,
     groebner_basis,
     leading_monomial,
@@ -106,6 +108,21 @@ def test_staircase_infinite_raises():
     basis = groebner_basis([P((1, (1, 1)))])
     with pytest.raises(ValueError):
         staircase_monomials(basis, 2)
+    with pytest.raises(InfiniteStaircaseError, match="generator index 0"):
+        staircase_monomials(basis, 2)
+
+
+def test_staircase_cap_refuses_before_enumerating(monkeypatch):
+    # a finite staircase of 101^2 = 10201 monomials, over the cap of 10000
+    def no_enumeration(*ranges):
+        raise AssertionError("the staircase box was enumerated")
+
+    monkeypatch.setattr(multipoly, "product", no_enumeration)
+    basis = [P((1, (101, 0))), P((1, (0, 101)))]
+    with pytest.raises(ValueError, match="10201 monomials exceeds the cap of 10000") as caught:
+        staircase_monomials(basis, 2)
+    assert not isinstance(caught.value, InfiniteStaircaseError)
+    assert "no pure power" not in str(caught.value)
 
 
 @st.composite

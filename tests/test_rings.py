@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import grevlex
 
+from glsmkit.lattice import nonneg_vectors
 from glsmkit.model import model_from_dict
 from glsmkit.rings import (
+    _ring_table,
     CohClass,
     InfiniteRingError,
     RingMismatchError,
@@ -258,6 +260,15 @@ def test_ring_layer_matches_sympy(m, data):
     a, b = _classes(data, ring, 2)
     assert (a * b).poly == _poly(gens, basis.reduce(_expr(gens, a.poly) * _expr(gens, b.poly))[1])
 
+    # every tabulated normal form against sympy's remainder; the ideal is
+    # homogeneous, so the monomials one degree above top all reduce to zero
+    assert set(ring.forms) == set(nonneg_vectors((1,) * m.k, ring.top))
+    for mono, form in ring.forms.items():
+        assert form == _poly(gens, basis.reduce(_expr(gens, {mono: F(1)}))[1])
+    for mono in nonneg_vectors((1,) * m.k, ring.top + 1):
+        if sum(mono) == ring.top + 1:
+            assert basis.reduce(_expr(gens, {mono: F(1)}))[1] == 0
+
     # divisor classes and linear forms against sympy's remainder
     assert list(ring.divisors) == [_poly(gens, basis.reduce(h)[1]) for h in gens]
     xi = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=m.k, max_size=m.k))
@@ -273,3 +284,31 @@ def test_ring_layer_matches_sympy(m, data):
         multiple = multiple * f
     for cls in (a, multiple):
         assert divides_ideal(cls, factors) == with_p.contains(_expr(gens, cls.poly))
+
+
+# --- one table per (model, fixed support) ------------------------------------
+
+
+def test_sectors_with_one_fixed_support_share_a_table(m_rank2):
+    labels = inertia_sectors(m_rank2)
+    g1, g2 = [g for g in labels if g.fixed_support == frozenset({2, 3})][:2]
+    r1, r2 = build_ring(m_rank2, g1), build_ring(m_rank2, g2)
+    assert r1.products is r2.products and r1.forms is r2.forms
+    # the table is shared, the sector label is not: their classes never mix
+    assert r1 != r2 and r1.sector != r2.sector
+    with pytest.raises(RingMismatchError):
+        _ = r1.one() + r2.one()
+    with pytest.raises(RingMismatchError):
+        _ = r1.one() * r2.one()
+
+
+@pytest.mark.parametrize("index", range(4), ids=["p1", "quintic", "cubic", "rank2"])
+def test_one_ring_table_per_fixed_support(index):
+    m = corpus()[index]
+    labels = inertia_sectors(m)
+    _ring_table.cache_clear()
+    build_ring.cache_clear()
+    for g in labels:
+        build_ring(m, g)
+    assert build_ring.cache_info().misses == len(labels)
+    assert _ring_table.cache_info().misses == len({g.fixed_support for g in labels})
