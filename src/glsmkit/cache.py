@@ -1,9 +1,12 @@
 """Content-addressed result cache for CLI computations.
 
 Keys hash the canonical model serialization, the command, the truncation,
-the insertion data, and the engine version, so identical inputs share a slot
-and any change invalidates it.  Writes go to a temp file first and are
-renamed into place.
+the insertion data, and a sha256 of the library's own sources, so identical
+inputs share a slot and any change to the inputs or the code invalidates it.
+Each entry `<key>.json` holds the text exactly; the sha256 of that text is
+stored beside it in `<key>.sha256`, and an entry whose text does not match
+its digest (truncated, tampered, half written) is a miss.  The text goes to a
+temp file first and is renamed into place.
 """
 
 from __future__ import annotations
@@ -12,12 +15,21 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cache
 from pathlib import Path
 
-from . import ENGINE_VERSION
 from .model import GLSMModel, serialize_model
 
 CACHE_ENV = "GLSMKIT_CACHE_DIR"
+
+
+@cache
+def sources_sha256() -> str:
+    """sha256 over the name and bytes of every glsmkit/*.py source, computed once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 def job_key(model: GLSMModel, command: str, truncation: dict, extras: dict | None = None) -> str:
@@ -26,7 +38,7 @@ def job_key(model: GLSMModel, command: str, truncation: dict, extras: dict | Non
         "command": command,
         "truncation": truncation,
         "extras": extras or {},
-        "engine_version": ENGINE_VERSION,
+        "sources": sources_sha256(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -40,20 +52,26 @@ def cache_dir() -> Path:
 
 
 def cache_get(key: str) -> str | None:
-    path = cache_dir() / f"{key}.json"
+    """The stored text of `key`, or None when it is absent or does not match its stored digest."""
+    directory = cache_dir()
     try:
-        return path.read_text(encoding="utf-8")
+        data = (directory / f"{key}.json").read_bytes()
+        digest = (directory / f"{key}.sha256").read_bytes()
     except OSError:
         return None
+    if hashlib.sha256(data).hexdigest().encode() != digest:
+        return None
+    return data.decode("utf-8")
 
 
 def cache_put(key: str, text: str) -> None:
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
+    data = text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, directory / f"{key}.json")
     except OSError:
         try:
@@ -61,3 +79,5 @@ def cache_put(key: str, text: str) -> None:
         except OSError:
             pass
         raise
+    # written after the text and in place: until it is whole, the entry is a miss
+    (directory / f"{key}.sha256").write_text(hashlib.sha256(data).hexdigest(), encoding="ascii")

@@ -254,7 +254,7 @@ def effective(file, qbound, out, fmt):
 
 
 def _cached_series(key: str, compute, no_cache: bool, parse: bool = True) -> tuple[str, GradedSeries | None]:
-    """(series JSON, series) of a job: the cache hit, or computed and stored.
+    """(series JSON, series) of a job: the verified cache hit, or computed and stored.
 
     With parse false a hit is returned as stored text and no series, so a
     caller that only emits the JSON never parses it.

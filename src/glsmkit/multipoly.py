@@ -78,12 +78,6 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def poly_eq(f: Poly, g: Poly) -> bool:
-    if set(f) != set(g):
-        return False
-    return all(f[m] == g[m] for m in f)
-
-
 def leading_monomial(f: Poly) -> Monomial:
     return max(f, key=grevlex_key)
 

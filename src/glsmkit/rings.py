@@ -6,11 +6,11 @@ support, so the reduction runs once per (model, fixed support), in
 `_ring_table`: the reduced grevlex Groebner basis (H_1 > ... > H_k) gives the
 staircase basis.  The generators are homogeneous, so the quotient is graded
 and every monomial above `top`, the largest staircase degree, is zero.  The
-table holds the normal form of every monomial of degree at most `top`
-(`forms`), of every product of two staircase monomials (`products`) and of
-H_1..H_k (`divisors`); `build_ring` labels it with its sector.  Class
-products, divisor classes and ideal membership are lookups and linear
-algebra on the staircase basis.
+ring's one table, `forms`, holds the normal form of every monomial of degree
+at most `top`; `build_ring` labels it with its sector.  `class_of` is the
+only reader of that table: class products, divisor classes and the engine's
+per-degree factors all hand it (monomial, coefficient) pairs.  Ideal
+membership is linear algebra on the staircase basis.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .lattice import nonneg_vectors, rref
 from .model import GLSMModel, model_hash
@@ -27,7 +28,6 @@ from .multipoly import (
     groebner_basis,
     normal_form,
     poly_add,
-    poly_eq,
     poly_mul,
     poly_neg,
     poly_scale,
@@ -52,9 +52,7 @@ class SectorRing:
     ngens: int
     groebner: tuple
     staircase: tuple
-    forms: dict = field(repr=False)  # monomial of degree <= top -> its normal form
-    products: dict = field(repr=False)  # (s, t) -> normal form of s*t over staircase monomials
-    divisors: tuple = field(repr=False)  # normal forms of H_1..H_k
+    forms: dict = field(repr=False)  # monomial of degree <= top -> its normal form; read by class_of
 
     def __eq__(self, other):
         if not isinstance(other, SectorRing):
@@ -72,9 +70,6 @@ class SectorRing:
     def top(self) -> int:
         """Largest staircase degree: every monomial of higher degree is zero in the ring."""
         return sum(self.staircase[-1])
-
-    def zero(self) -> "CohClass":
-        return CohClass(self, {})
 
     def one(self) -> "CohClass":
         return CohClass(self, {(0,) * self.ngens: Fraction(1)})
@@ -95,7 +90,7 @@ _SECTOR_RINGS = 128  # one chain's rings: every sector of one model (66 at most 
 
 @lru_cache(maxsize=_SECTOR_RINGS)
 def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
-    """Groebner data and normal-form tables of the ring of one fixed support, shared by its sectors."""
+    """Groebner data and normal-form table of the ring of one fixed support, shared by its sectors."""
     gens = []
     for t_set in support_sr_generators(m, fixed):
         prod: Poly = {(0,) * m.k: Fraction(1)}
@@ -114,15 +109,12 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
         mono: {mono: Fraction(1)} if mono in inside else normal_form({mono: Fraction(1)}, basis)
         for mono in nonneg_vectors((1,) * m.k, top)
     }
-    h_monomials = [tuple(int(a == b) for b in range(m.k)) for a in range(m.k)]
     return {
         "model_key": model_hash(m),
         "ngens": m.k,
         "groebner": tuple(basis),
         "staircase": tuple(stairs),
         "forms": forms,
-        "products": {(s, t): forms.get(tuple(a + b for a, b in zip(s, t)), {}) for s in stairs for t in stairs},
-        "divisors": tuple(forms.get(mono, {}) for mono in h_monomials),
     }
 
 
@@ -164,24 +156,16 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._check(other)
-            out: Poly = {}
-            for m1, c1 in self.poly.items():
-                for m2, c2 in other.poly.items():
-                    c12 = c1 * c2
-                    for mono, c in self.ring.products[m1, m2].items():
-                        out[mono] = out.get(mono, 0) + c12 * c
-            return CohClass(self.ring, {m: c for m, c in out.items() if not scalar_is_zero(c)})
+            terms = (
+                (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.poly.items() for m2, c2 in other.poly.items()
+            )
+            return class_of(self.ring, terms)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, s: Scalar) -> "CohClass":
         return CohClass(self.ring, poly_scale(self.poly, s))
-
-    def __eq__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return self.ring == other.ring and poly_eq(self.poly, other.poly)
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.poly.items(), key=lambda kv: kv[0]))))
@@ -193,12 +177,23 @@ class CohClass:
         return out
 
 
-def class_from_character(ring: SectorRing, xi) -> CohClass:
-    """Normal form of the divisor class sum_a xi_a H_a, from the ring's divisor classes."""
+def class_of(ring: SectorRing, terms) -> CohClass:
+    """The class of sum c*H^mu over (mu, c) pairs, read from the ring's `forms`.
+
+    A monomial above `top` has no entry and contributes zero.
+    """
+    forms = ring.forms
     out: Poly = {}
-    for c, h in zip(xi, ring.divisors):
-        out = poly_add(out, poly_scale(h, Fraction(c)))
-    return CohClass(ring, out)
+    for mono, c in terms:
+        for stair, v in forms.get(mono, {}).items():
+            prev = out.get(stair)
+            out[stair] = c * v if prev is None else prev + c * v
+    return CohClass(ring, {stair: c for stair, c in out.items() if not scalar_is_zero(c)})
+
+
+def class_from_character(ring: SectorRing, xi) -> CohClass:
+    """Normal form of the divisor class sum_a xi_a H_a."""
+    return class_of(ring, linear_form(xi, ring.ngens).items())
 
 
 def ideal_membership(ring: SectorRing, factors: list[CohClass]):

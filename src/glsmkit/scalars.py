@@ -45,20 +45,20 @@ def frac_mod1(q: Fraction) -> Fraction:
     return q - Fraction(q.numerator // q.denominator)
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials (coefficient lists, low degree
-    # first); den is monic here so the quotient stays integral.
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        out[i] = c
+def _divmod_monic(num: list, den) -> tuple[list, list]:
+    # Long division by a monic polynomial (coefficient lists, low degree
+    # first, len(num) >= len(den) - 1): the quotient and the remainder, of
+    # len(den) - 1 coefficients.  Integer inputs give integer outputs.
+    rem = list(num)
+    n = len(den) - 1
+    quot = [0] * (len(rem) - n)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + n]
+        quot[i] = c
         if c:
             for j, d in enumerate(den):
-                num[i + j] -= c * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+                rem[i + j] -= c * d
+    return quot, rem[:n]
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +72,9 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     poly[0] = -1  # x^order - 1
     for d in range(1, order):
         if order % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
 
 
@@ -93,17 +95,9 @@ def _mean_trace(order: int, power: int) -> Fraction:
 def _reduce_vector(order: int, coeffs) -> tuple[Fraction, ...]:
     # Remainder of the coefficient vector modulo Phi_order (monic), i.e.
     # canonical power-basis coordinates.
-    phi = _euler_phi(order)
-    poly = cyclotomic_polynomial(order)
     work = [Fraction(c) for c in coeffs]
-    work += [Fraction(0)] * max(0, phi - len(work))
-    for j in range(len(work) - 1, phi - 1, -1):
-        c = work[j]
-        if c:
-            work[j] = Fraction(0)
-            for i in range(phi):
-                work[j - phi + i] -= c * poly[i]
-    return tuple(work[:phi])
+    work += [Fraction(0)] * (_euler_phi(order) - len(work))
+    return tuple(_divmod_monic(work, cyclotomic_polynomial(order))[1])
 
 
 class Cyclo:
@@ -133,8 +127,7 @@ class Cyclo:
         if order % self.order != 0:
             raise ValueError("can only promote to a multiple order")
         step = order // self.order
-        vec = [Fraction(0)] * (_euler_phi(self.order) * step - step + 1)
-        out = [Fraction(0)] * len(vec)
+        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             out[i * step] += c
         return Cyclo(order, _reduce_vector(order, out))

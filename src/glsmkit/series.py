@@ -24,6 +24,7 @@ from .rings import (
     build_ring,
     class_from_character,
     class_from_json,
+    class_of,
     class_to_json,
     ideal_membership,
 )
@@ -102,14 +103,6 @@ class LaurentZ:
 
     def shift(self, dz: int) -> "LaurentZ":
         return LaurentZ(self.ring, tuple((e + dz, c) for e, c in self.coeffs))
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentZ):
-            return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
 
 
 def linear_z_factor(ring: SectorRing, cls: CohClass, a: Fraction) -> LaurentZ:
@@ -244,8 +237,9 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     the groups is one integer polynomial in H_1..H_k times one rational scale,
     with H^mu standing at z^(shift - |mu|), where shift sums the +-n.  The
     ring's ideal is homogeneous, so every monomial above its top degree is
-    zero: the series and their product are truncated there, and one pass
-    through the ring's normal forms (`ring.forms`) gives the classes.
+    zero: the series and their product are truncated there.  The terms are
+    bucketed by z-exponent, and `rings.class_of` reads each bucket's class
+    off the ring's normal forms.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -275,14 +269,10 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
             return LaurentZ(ring, ())
         scale *= group_scale
         shift += -n if inverted else n
-    by_z: dict[int, dict] = {}  # z-exponent -> class over the staircase
+    by_z: dict[int, list] = {}  # z-exponent -> (monomial, coefficient) terms
     for mono, v in poly.items():
-        coeff = scale * v
-        target = by_z.setdefault(shift - sum(mono), {})
-        for stair, c in ring.forms[mono].items():
-            target[stair] = target.get(stair, 0) + coeff * c
-    classes = {e: CohClass(ring, {stair: c for stair, c in cls.items() if c}) for e, cls in by_z.items()}
-    return LaurentZ.from_dict(ring, classes)
+        by_z.setdefault(shift - sum(mono), []).append((mono, scale * v))
+    return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items()})
 
 
 def _gamma_series(x: Fraction, nus: range, count: int, inverted: bool, top: int) -> tuple[list[int], Fraction]:

@@ -1,5 +1,6 @@
 import json
 
+from glsmkit import cache
 from glsmkit.cache import cache_get, cache_put, job_key
 from glsmkit.model import parse_model
 
@@ -32,3 +33,22 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     # overwrite is atomic rename, last write wins
     cache_put("deadbeef", "other\n")
     assert cache_get("deadbeef") == "other\n"
+
+
+def test_entry_must_match_its_digest(tmp_path, monkeypatch):
+    monkeypatch.setenv("GLSMKIT_CACHE_DIR", str(tmp_path))
+    cache_put("deadbeef", "payload\n")
+    (tmp_path / "deadbeef.json").write_text("payloaD\n", encoding="utf-8")
+    assert cache_get("deadbeef") is None
+    cache_put("deadbeef", "payload\n")
+    (tmp_path / "deadbeef.sha256").unlink()
+    assert cache_get("deadbeef") is None
+    (tmp_path / "deadbeef.json").write_bytes(b"\xff\xfe")
+    assert cache_get("deadbeef") is None
+
+
+def test_job_key_follows_the_library_sources(monkeypatch):
+    m = parse_model(json.dumps(P1))
+    base = job_key(m, "ifun", {"q_bound": "2", "t_order": 0})
+    monkeypatch.setattr(cache, "sources_sha256", lambda: "0" * 64)
+    assert base != job_key(m, "ifun", {"q_bound": "2", "t_order": 0})

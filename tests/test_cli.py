@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from glsmkit import cache
 from glsmkit import specialize as families
 from glsmkit.cli import cli, main
 
@@ -118,6 +119,52 @@ def test_cache_byte_identity(run, model_file, tmp_path):
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
     assert list((tmp_path / "cache").glob("*.json"))
+
+
+# the three renderings of a cached ifun series, and dz, which parses the same entry
+CACHED_JOBS = {
+    "ifun-json": ("ifun", "--format", "json"),
+    "ifun-text": ("ifun", "--format", "text"),
+    "ifun-latex": ("ifun", "--format", "latex"),
+    "dz": ("dz", "--rho", "rho1"),
+}
+FAULTS = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "tampered": lambda text: '{"garbage": 1}',
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("job", list(CACHED_JOBS))
+def test_corrupt_cache_entry_is_recomputed(run, model_file, tmp_path, job, fault):
+    command, *opts = CACHED_JOBS[job]
+    argv = (command, model_file(QUINTIC), "--qbound", "2", *opts)
+    expected = run(*argv, "--no-cache")
+    assert expected[0] == 0
+    assert run(*argv) == expected
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    stored = entry.read_text(encoding="utf-8")
+    entry.write_text(FAULTS[fault](stored), encoding="utf-8")
+    assert run(*argv) == expected
+    # the miss overwrote the entry with a verified one
+    assert cache.cache_get(entry.stem) == stored
+
+
+@pytest.mark.parametrize("job", list(CACHED_JOBS))
+def test_stale_key_entry_is_not_served(run, model_file, tmp_path, monkeypatch, job):
+    command, *opts = CACHED_JOBS[job]
+    path = model_file(QUINTIC)
+    argv = (command, path, "--qbound", "2", *opts)
+    expected = run(*argv, "--no-cache")
+    _code, other, _err = run("ifun", path, "--qbound", "1", "--no-cache")
+    with monkeypatch.context() as patch:
+        # older library sources stored a well-formed, different series under this job's key
+        patch.setattr(cache, "sources_sha256", lambda: "0" * 64)
+        run(*argv)
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        cache.cache_put(entry.stem, other)
+        assert run(*argv) != expected
+    assert run(*argv) == expected
 
 
 def test_compare_equal_and_restricted(run, model_file, tmp_path):

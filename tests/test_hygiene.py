@@ -8,20 +8,21 @@ routines (its direct series must stay independent of them), and on
 `cone_contains` (their support search is an exact linear solve; the LP
 stays as the tests' independent oracle), and on any module but `multipoly`
 naming `groebner_basis` or `normal_form` outside `_ring_table` (a ring is
-reduced once per (model, fixed support), into its tables of monomial normal
-forms, staircase products and divisor classes; class products, divisor
-classes and ideal membership are linear algebra on the staircase basis), and
-on the engine's `hyper_factor` (or its helpers `_gamma_series` and
-`_times_linear_series`) naming `linear_z_factor` or `invert_linear_z_factor`
-(the engine multiplies each coordinate group out in closed form, while the
-direct series keep the per-factor products, so the two sides of a
-cross-check compute factors by different algorithms), or naming `mul` or
-`class_from_character` (it multiplies integer polynomials and reduces once,
-through the ring's normal forms), and on a `rings` parameter in `series` or
-`specialize` or a `rings` field on `GradedSeries` (ring memos live in
-`rings`: `build_ring` per sector and `_ring_table` per fixed support).  The
-package `__init__` is exempt from the unused-import check: it exists to
-re-export.
+reduced once per (model, fixed support), into one table of monomial normal
+forms; ideal membership is linear algebra on the staircase basis), on any
+module reading a `.forms` attribute outside `rings.class_of` (the one reader
+of that table: class products, divisor classes and the engine's per-degree
+factors all go through it), and on the engine's `hyper_factor` (or its
+helpers `_gamma_series` and `_times_linear_series`) naming `linear_z_factor`
+or `invert_linear_z_factor` (the engine multiplies each coordinate group out
+in closed form, while the direct series keep the per-factor products, so the
+two sides of a cross-check compute factors by different algorithms), or
+naming `mul` or `class_from_character` (it multiplies integer polynomials
+and reduces once, through `class_of`), and on a `rings` parameter in
+`series` or `specialize` or a `rings` field on `GradedSeries` (ring memos
+live in `rings`: `build_ring` per sector and `_ring_table` per fixed
+support).  The package `__init__` is exempt from the unused-import check: it
+exists to re-export.
 """
 
 import ast
@@ -143,6 +144,24 @@ def test_groebner_reduction_only_while_building_rings():
         if path.name != "multipoly.py":
             stray += _named_outside(path.name, "groebner_basis", {"_ring_table"})
             stray += _named_outside(path.name, "normal_form", {"_ring_table"})
+    assert not stray, stray
+
+
+def test_ring_table_read_only_by_class_of():
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reader = {
+            id(inner)
+            for node in tree.body
+            if path.name == "rings.py" and isinstance(node, ast.FunctionDef) and node.name == "class_of"
+            for inner in ast.walk(node)
+        }
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "forms" and id(node) not in reader
+        ]
     assert not stray, stray
 
 

@@ -13,7 +13,6 @@ from glsmkit.multipoly import (
     normal_form,
     poly_add,
     poly_const,
-    poly_eq,
     poly_mul,
     staircase_monomials,
 )
@@ -89,7 +88,7 @@ def test_groebner_generator_order_independent():
     b = groebner_basis(list(reversed(gens)))
     assert len(a) == len(b)
     for f, g in zip(a, b):
-        assert poly_eq(f, g)
+        assert f == g
 
 
 def test_staircase_univariate():
@@ -140,11 +139,11 @@ def polys(draw, nvars=2, max_terms=4, max_exp=3):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys(), polys())
 def test_ring_axioms(f, g, h):
-    assert poly_eq(poly_mul(f, g), poly_mul(g, f))
-    assert poly_eq(poly_mul(poly_mul(f, g), h), poly_mul(f, poly_mul(g, h)))
-    assert poly_eq(poly_mul(f, poly_add(g, h)), poly_add(poly_mul(f, g), poly_mul(f, h)))
+    assert poly_mul(f, g) == poly_mul(g, f)
+    assert poly_mul(poly_mul(f, g), h) == poly_mul(f, poly_mul(g, h))
+    assert poly_mul(f, poly_add(g, h)) == poly_add(poly_mul(f, g), poly_mul(f, h))
     one = poly_const(2, F(1))
-    assert poly_eq(poly_mul(f, one), f)
+    assert poly_mul(f, one) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,7 +152,7 @@ def test_normal_form_linear(f, g):
     basis = groebner_basis([P((1, (2, 0)), (1, (0, 1))), P((1, (0, 2)))])
     lhs = normal_form(poly_add(f, g), basis)
     rhs = poly_add(normal_form(f, basis), normal_form(g, basis))
-    assert poly_eq(lhs, rhs)
+    assert lhs == rhs
 
 
 @settings(max_examples=30, deadline=None)
