@@ -3,14 +3,15 @@
 Provides Smith normal form with unimodular transforms and the solvers built
 on it: rational solutions of congruence systems M*x = b (mod Z), enumeration
 of the finite kernel of a full-rank map (Q/Z)^k -> (Q/Z)^m, plain rational
-Gaussian elimination, and the nonnegative lattice points under a hyperplane.
+Gaussian elimination, fraction-free integer elimination with the solves and
+inverses read off it, and the nonnegative lattice points under a hyperplane.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import Cyclo, frac_mod1
 
@@ -165,6 +166,85 @@ def solve_rational_system(mat, rhs) -> list[Fraction] | None:
     for row, col in zip(a, pivots):
         x[col] = row[cols]
     return x
+
+
+def fraction_free_rref(mat, ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
+
+    Pivots are chosen as in `rref`: left to right, among the first ncols
+    columns (all by default).  Each step replaces every other row by
+    (p * row - c * pivot_row) / prev, with p the new pivot, c the row's entry
+    in the pivot column and prev the previous pivot (1 at first).  Every entry
+    stays an integer minor of mat, so each division is exact.  Returns
+    (rows, pivots, d) with rows = d * rref(mat) and d the last pivot (1 when
+    there is none): the leading entry of every pivot row is d.
+    """
+    a = [list(row) for row in mat]
+    nrows = len(a)
+    if ncols is None:
+        ncols = len(a[0]) if nrows else 0
+    pivots: list[int] = []
+    prev = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == nrows:
+            break
+        piv = next((i for i in range(rank, nrows) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p = top[col]
+        for i, row in enumerate(a):
+            if i != rank:
+                c = row[col]
+                a[i] = [(p * x - c * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    return a, pivots, prev
+
+
+def _over_common_denominator(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    # nums / den with den > 0 and gcd(den, *nums) = 1
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, [x // g for x in nums]
+
+
+def integer_solve(mat, rhs) -> tuple[int, list[int]] | None:
+    """One solution of mat*x = rhs over Q for integer mat and rhs, or None if inconsistent.
+
+    The solution is (den, nums), x = nums / den with den > 0 and
+    gcd(den, *nums) = 1.  As in `solve_rational_system`, the variables off the
+    pivot columns are zero; no Fraction is formed.
+    """
+    cols = len(mat[0]) if mat else 0
+    rows, pivots, d = fraction_free_rref([list(row) + [b] for row, b in zip(mat, rhs)], cols)
+    if any(row[cols] for row in rows[len(pivots):]):
+        return None
+    x = [0] * cols
+    for row, col in zip(rows, pivots):
+        x[col] = row[cols]
+    return _over_common_denominator(d, x)
+
+
+def integer_inverse(mat) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """Inverse of a square integer matrix as (den, rows), or None when it is singular or not square.
+
+    Fraction-free elimination of [mat | I] leaves d * inverse in the right
+    block, with d = +-det(mat): the adjugate up to sign.  It is divided by the
+    gcd of d and all its entries, so den > 0 is the lcm of the inverse's
+    denominators and rows / den is the inverse.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        return None
+    rows, pivots, d = fraction_free_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n)
+    if len(pivots) < n:
+        return None
+    den, flat = _over_common_denominator(d, [x for row in rows for x in row[n:]])
+    return den, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
 
 def solve_congruences(mat: list[list[int]], rhs: list[Fraction]) -> list[Fraction] | None:

@@ -156,9 +156,13 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._check(other)
-            terms = (
-                (tuple(map(add, m1, m2)), c1 * c2) for m1, c1 in self.poly.items() for m2, c2 in other.poly.items()
-            )
+            # a product of degree above top is zero: skip it before forming c1 * c2
+            top = self.ring.top
+            right = [(m2, c2, sum(m2)) for m2, c2 in other.poly.items()]
+            terms = []
+            for m1, c1 in self.poly.items():
+                room = top - sum(m1)
+                terms += [(tuple(map(add, m1, m2)), c1 * c2) for m2, c2, deg in right if deg <= room]
             return class_of(self.ring, terms)
         return self.scale(other)
 
@@ -180,12 +184,20 @@ class CohClass:
 def class_of(ring: SectorRing, terms) -> CohClass:
     """The class of sum c*H^mu over (mu, c) pairs, read from the ring's `forms`.
 
-    A monomial above `top` has no entry and contributes zero.
+    A monomial above `top` has no entry and contributes zero, and a staircase
+    monomial, the only form that contains its own monomial, adds c unchanged.
     """
     forms = ring.forms
     out: Poly = {}
     for mono, c in terms:
-        for stair, v in forms.get(mono, {}).items():
+        form = forms.get(mono)
+        if form is None:
+            continue
+        if mono in form:
+            prev = out.get(mono)
+            out[mono] = c if prev is None else prev + c
+            continue
+        for stair, v in form.items():
             prev = out.get(stair)
             out[stair] = c * v if prev is None else prev + c * v
     return CohClass(ring, {stair: c for stair, c in out.items() if not scalar_is_zero(c)})

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
+from operator import mul
 
-from .lattice import congruence_kernel, nonneg_vectors, rref, solve_rational_system, transpose
+from .lattice import congruence_kernel, fraction_free_rref, integer_inverse, integer_solve, nonneg_vectors
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
 from .scalars import format_rational, frac_mod1
@@ -77,36 +78,38 @@ _SUPPORT_BUDGET = 65536  # most column subsets (sizes 1..k) one support search m
 
 
 @lru_cache(maxsize=_SUPPORT_TABLES)
-def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple[Fraction, ...], tuple | None], ...]:
-    # (support, lam, inverse) sorted by support; lam solves sum(lam_i * rho_i) = theta, and
-    # inverse = (den, integer rows) with rows / den the inverse of a full-rank support matrix, else None
+def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple, tuple | None], ...]:
+    """(support, lam, inverse) per minimal semistable support, sorted by support.
+
+    All on integer numerators: lam = (den, nums) solves sum(lam_i * rho_i) =
+    theta, and inverse = (den, rows) with rows / den the inverse of a
+    full-rank support matrix, else None.  Each column subset is solved by
+    fraction-free elimination against theta scaled to integers, and each
+    found support is inverted by the same elimination, so no Fraction is
+    formed here.
+    """
     count = sum(comb(m.r, size) for size in range(1, m.k + 1))
     if count > _SUPPORT_BUDGET:
         raise BudgetExceededError(
             f"genericity check needs {count} subsets (budget {_SUPPORT_BUDGET}); assert genericity manually"
         )
+    theta_den = lcm(*[x.denominator for x in m.theta])
+    theta = [x.numerator * (theta_den // x.denominator) for x in m.theta]
     found = []
     for size in range(1, m.k + 1):
         for subset in combinations(range(m.r), size):
             s = frozenset(subset)
             if any(prev <= s for prev, _ in found):
                 continue
-            lam = solve_rational_system(transpose(_support_matrix(m, s)), m.theta)
-            if lam is not None and all(x >= 0 for x in lam):
-                found.append((s, tuple(lam)))
-    return tuple((s, lam, _scaled_inverse(m, s)) for s, lam in sorted(found, key=lambda entry: sorted(entry[0])))
-
-
-def _scaled_inverse(m: GLSMModel, support) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-    # rref of [mat | I]: pivots in the first k columns exactly when mat is square and
-    # invertible, and then the right block is its inverse
-    mat = _support_matrix(m, support)
-    rows, pivots = rref([row + [int(i == j) for j in range(len(mat))] for i, row in enumerate(mat)])
-    if pivots != list(range(m.k)):
-        return None
-    inverse = [row[m.k:] for row in rows]
-    den = lcm(*[x.denominator for row in inverse for x in row])
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse)
+            lam = integer_solve([[row[i] for i in subset] for row in m.weights], theta)
+            if lam is not None and all(x >= 0 for x in lam[1]):
+                # lam = nums / (den * theta_den); den is already coprime to nums
+                den, nums = lam
+                g = gcd(theta_den, *nums)
+                found.append((s, (den * theta_den // g, tuple(x // g for x in nums))))
+    return tuple(
+        (s, lam, integer_inverse(_support_matrix(m, s))) for s, lam in sorted(found, key=lambda entry: sorted(entry[0]))
+    )
 
 
 def semistable_supports(m: GLSMModel) -> list[frozenset[int]]:
@@ -176,14 +179,20 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
     positive combination of n; the enumeration is finite.  Every candidate
     is read off as inverse * n from the support table, which inverts each
     support matrix once per model, scaled to integers over one denominator.
+
+    The enumeration runs on integer numerators over one model-wide
+    denominator D, the lcm of the supports' inverse denominators: candidates
+    are deduplicated and sorted as integer tuples (theta-degree numerator,
+    then the numerators of d), and Fractions are formed only for the degrees
+    returned.
     """
     bound = Fraction(bound)
     if bound < 0:
         return []
     if not any(m.theta):
         raise DegenerateStabilityError("unbounded effectivity region: theta = 0 pairs to zero with every degree")
-    found: dict[Degree, Fraction] = {}  # candidate -> theta-degree
-    for support, lam, inverse in _support_table(m):
+    table = _support_table(m)
+    for support, (_, lam), inverse in table:
         idx = sorted(support)
         # theta != 0, so a minimal support of size k is a basis
         if inverse is None:
@@ -194,29 +203,31 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
             )
         if any(x <= 0 for x in lam):
             raise InternalError(f"minimal support {[i + 1 for i in idx]} lost its positive certificate")
-        den, scaled = inverse
-        # theta-degree of the candidate with pairing vector n is sum(lam_i n_i);
-        # times L = lcm of lam's denominators it is an integer, so the bound is floor(L * bound)
-        lam_den = lcm(*[x.denominator for x in lam])
-        weights = [x.numerator * (lam_den // x.denominator) for x in lam]
+    den = lcm(*[inverse[0] for _, _, inverse in table])
+    theta_den = lcm(*[x.denominator for x in m.theta])
+    theta = [x.numerator * (theta_den // x.denominator) for x in m.theta]
+    found = {(0,) * (m.k + 1)}  # (theta-degree numerator over den * theta_den, numerators of d over den)
+    for _, (lam_den, weights), (inv_den, inv_rows) in table:
+        # the theta-degree of the candidate with pairing vector n is sum(lam_i n_i), an integer over
+        # lam_den, so the bound on the weighted sum is floor(lam_den * bound)
+        rows = [[x * (den // inv_den) for x in row] for row in inv_rows]
         for n in nonneg_vectors(weights, bound.numerator * lam_den // bound.denominator):
             if any(n):
-                d = tuple(Fraction(sum([x * v for x, v in zip(row, n)]), den) for row in scaled)
-                found[d] = Fraction(sum([w * v for w, v in zip(weights, n)]), lam_den)
-    found[tuple(Fraction(0) for _ in range(m.k))] = Fraction(0)
-    return [d for _, d in sorted((t, d) for d, t in found.items())]
+                d = [sum(map(mul, row, n)) for row in rows]
+                found.add((sum(map(mul, d, theta)), *d))
+    return [tuple(Fraction(x, den) for x in key[1:]) for key in sorted(found)]
 
 
 def _kernel_ray(mat, k: int) -> list[Fraction]:
     # a nonzero rational vector in the kernel of the support pairing map
-    rows, pivots = rref(mat)
+    rows, pivots, d = fraction_free_rref(mat)
     free = next((c for c in range(k) if c not in pivots), None)
     if free is None:
         raise InternalError("kernel ray requested for a full-rank matrix")
     v = [Fraction(0)] * k
     v[free] = Fraction(1)
     for row, col in zip(rows, pivots):
-        v[col] = -row[free]
+        v[col] = Fraction(-row[free], d)
     return v
 
 

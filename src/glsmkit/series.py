@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, factorial, lcm
+from math import factorial, gcd, lcm
 
 from .lattice import nonneg_vectors
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
@@ -240,47 +240,59 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     zero: the series and their product are truncated there.  The terms are
     bucketed by z-exponent, and `rings.class_of` reads each bucket's class
     off the ring's normal forms.
+
+    Everything up to that point runs on integers: all r pairings are
+    numerators over the lcm of d's denominators, computed in one pass, and
+    the groups are keyed on them.  Each group's scale stays an integer
+    numerator and denominator; their products form the degree's one
+    Fraction scale, which multiplies each bucket's class.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
-    groups: dict[tuple, int] = {}  # (column, x, nus, inverted) -> number of coordinates
-    for i in range(m.r):
-        col = m.column(i)
-        x = pairing(d, col)
-        inverted = x > 0
-        if mode == "glsm" and m.r_charges[i] != 0:
-            nus = range(1, ceil(x)) if inverted else range(ceil(x), 1)
-        elif x == 0:
+    den = lcm(*[x.denominator for x in d])
+    nums = [x.numerator * (den // x.denominator) for x in d]
+    groups: dict[tuple, int] = {}  # (column, numerator of x over den, nus) -> number of coordinates
+    for col, charge in zip(zip(*m.weights), m.r_charges):
+        xn = sum([w * v for w, v in zip(col, nums)])  # x = <d, rho_i> = xn / den
+        up = -(-xn // den)  # ceil(x)
+        if mode == "glsm" and charge != 0:
+            nus = range(1, up) if xn > 0 else range(up, 1)
+        elif xn == 0:
             continue
         else:
-            nus = range(0, ceil(x)) if inverted else range(ceil(x), 0)
+            nus = range(0, up) if xn > 0 else range(up, 0)
         if nus:
-            key = (col, x, nus, inverted)
+            key = (col, xn, nus)
             groups[key] = groups.get(key, 0) + 1
     top = ring.top
     poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
-    scale = Fraction(1)
+    scale_num = scale_den = 1
     shift = 0
-    for (col, x, nus, inverted), count in groups.items():
-        n = len(nus) * count
-        coeffs, group_scale = _gamma_series(x, nus, count, inverted, top)
+    for (col, xn, nus), count in groups.items():
+        g = gcd(xn, den)
+        inverted = xn > 0
+        coeffs, num, dnm = _gamma_series(xn // g, den // g, nus, count, inverted, top)
         poly = _times_linear_series(poly, coeffs, col, top)
         if not poly:
             return LaurentZ(ring, ())
-        scale *= group_scale
+        scale_num *= num
+        scale_den *= dnm
+        n = len(nus) * count
         shift += -n if inverted else n
-    by_z: dict[int, list] = {}  # z-exponent -> (monomial, coefficient) terms
+    scale = Fraction(scale_num, scale_den)
+    by_z: dict[int, list] = {}  # z-exponent -> (monomial, integer coefficient) terms
     for mono, v in poly.items():
-        by_z.setdefault(shift - sum(mono), []).append((mono, scale * v))
-    return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items()})
+        by_z.setdefault(shift - sum(mono), []).append((mono, v))
+    return LaurentZ.from_dict(ring, {e: class_of(ring, terms).scale(scale) for e, terms in by_z.items()})
 
 
-def _gamma_series(x: Fraction, nus: range, count: int, inverted: bool, top: int) -> tuple[list[int], Fraction]:
+def _gamma_series(num: int, den: int, nus: range, count: int, inverted: bool, top: int) -> tuple[list[int], int, int]:
     """Integer coefficients of P(u), or of 1/P(u), up to u^top, and the scale of hyper_factor's closed form.
 
-    P is the product over nus, taken count times.
+    x = num / den in lowest terms, and P is the product over nus, taken count
+    times.  The scale is returned as its integer numerator and denominator.
     """
-    num, den, n = x.numerator, x.denominator, len(nus) * count
+    n = len(nus) * count
     size = top + 1 if inverted else min(n, top) + 1
     once = [1] + [0] * (size - 1)
     for nu in nus:
@@ -290,17 +302,18 @@ def _gamma_series(x: Fraction, nus: range, count: int, inverted: bool, top: int)
         once[0] *= p
     poly = once
     for _ in range(count - 1):
-        poly = [sum(poly[i] * once[j - i] for i in range(j + 1)) for j in range(size)]
+        poly = [sum([poly[i] * once[j - i] for i in range(j + 1)]) for j in range(size)]
     if not inverted:
-        return poly, Fraction(1, den**n)
+        return poly, 1, den**n
     p0 = poly[0]
     if p0 == 0:
         raise InternalError("denominator factor with zero scalar part")
-    inv = [1]
+    # G_j / P_0^(j+1) over the common denominator P_0^size: c_j = G_j P_0^(size-1-j) satisfies
+    # c_0 = P_0^(size-1) and c_j = -sum_{i=1..j} P_i c_(j-i) / P_0, where every term is divisible by P_0
+    inv = [p0 ** (size - 1)]
     for j in range(1, size):
-        inv.append(-sum(poly[i] * inv[j - i] * p0 ** (i - 1) for i in range(1, j + 1)))
-    # G_j / P_0^(j+1) over the common denominator P_0^size
-    return [g * p0 ** (size - 1 - j) for j, g in enumerate(inv)], Fraction(den**n, p0**size)
+        inv.append(-sum([poly[i] * inv[j - i] for i in range(1, j + 1)]) // p0)
+    return inv, den**n, p0**size
 
 
 def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
@@ -374,6 +387,24 @@ def t_exponents(nvars: int, t_order: int) -> list[tuple[int, ...]]:
     return list(nonneg_vectors((1,) * nvars, t_order))
 
 
+def _sector_rings(m: GLSMModel, degrees) -> list[SectorRing]:
+    """The sector ring of each degree, with one `build_ring` call per distinct sector among them.
+
+    A degree's sector depends only on d mod 1, keyed here as the integer
+    numerators of d mod 1 over the lcm of d's denominators.
+    """
+    by_sector: dict[tuple, SectorRing] = {}
+    out = []
+    for d in degrees:
+        den = lcm(*[x.denominator for x in d])
+        key = (den, tuple([x.numerator * (den // x.denominator) % den for x in d]))
+        ring = by_sector.get(key)
+        if ring is None:
+            ring = by_sector[key] = build_ring(m, sector_of_degree(m, d))
+        out.append(ring)
+    return out
+
+
 def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
     series = GradedSeries(
         model=m,
@@ -385,8 +416,8 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         terms={},
     )
     vanished: list[TermKey] = []
-    for d in effective_degrees(m, series.q_bound):
-        ring = series.ring_for(d)
+    degrees = effective_degrees(m, series.q_bound)
+    for d, ring in zip(degrees, _sector_rings(m, degrees)):
         hyper = hyper_factor(m, d, mode, ring)
         if hyper.is_zero():
             vanished.extend((d, alpha) for alpha in t_exponents(len(series.insertions), t_order))
@@ -680,10 +711,9 @@ def series_from_dict(data: dict) -> GradedSeries:
             for item in data.get("vanished", [])
         ),
     )
-    for item in data["terms"]:
-        d = tuple(parse_rational(x) for x in item["degree"])
+    degrees = [tuple(parse_rational(x) for x in item["degree"]) for item in data["terms"]]
+    for d, ring, item in zip(degrees, _sector_rings(m, degrees), data["terms"]):
         alpha = tuple(item["t_exponent"])
-        ring = series.ring_for(d)
         coeffs = {int(e): class_from_json(ring, cmap) for e, cmap in item["z"].items()}
         series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)
     return series

@@ -1,13 +1,16 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glsmkit.lattice import (
     congruence_kernel,
+    fraction_free_rref,
+    integer_inverse,
+    integer_solve,
     invariant_factors,
     mat_mul,
     nonneg_vectors,
@@ -174,6 +177,55 @@ def test_elimination_matches_sympy(mat, data):
     if rank < cols:
         ray = _kernel_ray(mat, cols)
         assert any(ray) and not any(apply(mat, ray))
+
+
+SYSTEMS = ["consistent", "inconsistent", "rank-deficient", "square invertible"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SYSTEMS), small_matrices(), st.data())
+def test_fraction_free_solver_matches_sympy(kind, mat, data):
+    rows, cols = len(mat), len(mat[0])
+    entries = st.integers(-4, 4)
+    if kind == "square invertible":
+        mat = [[data.draw(entries) for _ in range(rows)] for _ in range(rows)]
+        assume(sympy.Matrix(mat).det() != 0)
+        rhs = [data.draw(entries) for _ in mat]
+    elif kind == "consistent":
+        x0 = [data.draw(entries) for _ in range(cols)]
+        rhs = [sum(a * b for a, b in zip(row, x0)) for row in mat]
+    else:
+        # the last row is an integer combination of two others (zero for one row);
+        # an inconsistent right-hand side breaks the same combination by one
+        a, b = (data.draw(entries), data.draw(entries)) if rows > 1 else (0, 0)
+        j = max(rows - 2, 0)
+        rhs = [data.draw(entries) for _ in mat]
+        mat = mat[:-1] + [[a * x + b * y for x, y in zip(mat[0], mat[j])]]
+        rhs[-1] = a * rhs[0] + b * rhs[j] + (kind == "inconsistent")
+    matrix = sympy.Matrix(mat)
+    reduced, sympy_pivots = matrix.rref()
+    ff, pivots, d = fraction_free_rref(mat)
+    assert tuple(pivots) == sympy_pivots and d != 0
+    assert sympy.Matrix(ff) == d * reduced
+    sol = integer_solve(mat, rhs)
+    if matrix.row_join(sympy.Matrix(rhs)).rank() > matrix.rank():
+        assert kind != "consistent" and sol is None
+    else:
+        assert kind != "inconsistent"
+        den, nums = sol
+        assert den > 0 and gcd(den, *nums) == 1
+        assert matrix * sympy.Matrix(nums) == den * sympy.Matrix(rhs)
+        # as in solve_rational_system, the variables off the pivot columns are zero
+        assert all(nums[j] == 0 for j in range(len(nums)) if j not in sympy_pivots)
+        assert [Fraction(v, den) for v in nums] == solve_rational_system(mat, rhs)
+    inverse = integer_inverse(mat)
+    if len(mat) != len(mat[0]) or matrix.det() == 0:
+        assert inverse is None and kind != "square invertible"
+    else:
+        den, inv_rows = inverse
+        exact = matrix.inv()
+        assert den == lcm(*[x.q for x in exact])
+        assert sympy.Matrix(inv_rows) == den * exact
 
 
 @settings(max_examples=40)

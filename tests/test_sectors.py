@@ -107,7 +107,7 @@ def test_effective_degrees_reads_each_inverse_from_the_support_table(monkeypatch
 
         return wrapper
 
-    for name in ("rref", "solve_rational_system"):
+    for name in ("integer_solve", "integer_inverse", "fraction_free_rref"):
         monkeypatch.setattr(sectors, name, counting(name, getattr(sectors, name)))
     sectors._support_table.cache_clear()
     first = effective_degrees(m_rank2, F(2))

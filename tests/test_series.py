@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glsmkit.series as series_module
 from glsmkit.model import InternalError
 from glsmkit.rings import InfiniteRingError, build_ring, class_from_character
 from glsmkit.scalars import Cyclo
@@ -457,6 +458,27 @@ def test_series_json_roundtrip_with_twist(m_quintic):
     s = twist_novikov(glsm_i_function(m_quintic, q_bound=F(1)), [(5,)])
     text = series_to_json(s)
     assert series_to_json(series_from_json(text)) == text
+
+
+def test_one_ring_lookup_per_sector(monkeypatch, m_rank2):
+    # assembling and reading back a series look up each distinct sector's ring once,
+    # however many degrees share it
+    calls = []
+
+    def counting(m, g):
+        calls.append(g)
+        return build_ring(m, g)
+
+    monkeypatch.setattr(series_module, "build_ring", counting)
+    s = big_i_function(m_rank2, q_bound=F(8))
+    # the vanished degrees need their rings too: their factor vanishes in it
+    degrees = {d for d, _alpha in list(s.terms) + list(s.vanished)}
+    assert len(degrees) > len({sector_of_degree(m_rank2, d) for d in degrees}) > 1
+    assert sorted(calls) == sorted({sector_of_degree(m_rank2, d) for d in degrees})
+    calls.clear()
+    back = series_from_json(series_to_json(s))
+    assert series_compare(s, back) == []
+    assert sorted(calls) == sorted({value.ring.sector for value in s.terms.values()})
 
 
 def test_width_bound(m_p1, m_quintic, m_cubic, m_rank2):
