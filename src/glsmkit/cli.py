@@ -145,9 +145,8 @@ def _series_output(series: GradedSeries, fmt: str) -> str:
         return render_latex(series) + "\n"
     if fmt == "text":
         lines = [f"state={series.state} terms={len(series.terms)} vanished={len(series.vanished)}"]
-        for (d, alpha) in series.sorted_keys():
-            td = format_rational(theta_degree(series.model, d))
-            lines.append(f"  theta-degree {td} degree {[format_rational(x) for x in d]} t={list(alpha)}")
+        for td, d, alpha in series.graded_keys():
+            lines.append(f"  theta-degree {format_rational(td)} degree {[format_rational(x) for x in d]} t={list(alpha)}")
         return "\n".join(lines) + "\n"
     return series_to_json(series)
 

@@ -88,7 +88,7 @@ def _zpart(value) -> str:
 def render_latex(s: GradedSeries) -> str:
     """Render the whole truncated series as a single LaTeX expression."""
     chunks = []
-    for (d, alpha) in s.sorted_keys():
+    for _, d, alpha in s.graded_keys():
         value = s.terms[(d, alpha)]
         factors = []
         if any(x != 0 for x in d):

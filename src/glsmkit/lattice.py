@@ -2,9 +2,10 @@
 
 Provides Smith normal form with unimodular transforms and the solvers built
 on it: rational solutions of congruence systems M*x = b (mod Z), enumeration
-of the finite kernel of a full-rank map (Q/Z)^k -> (Q/Z)^m, plain rational
-Gaussian elimination, fraction-free integer elimination with the solves and
-inverses read off it, and the nonnegative lattice points under a hyperplane.
+of the finite kernel of a full-rank map (Q/Z)^k -> (Q/Z)^m, one
+fraction-free integer elimination with the ranks, solves and inverses read
+off it, and the nonnegative lattice points under a hyperplane.  A rational
+vector enters the integer algorithms as `common_denominator` numerators.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-
-from .scalars import Cyclo, frac_mod1
+from operator import mul
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -119,65 +119,33 @@ def invariant_factors(mat: list[list[int]]) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
-def rref(mat, rhs=None) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q by Gauss-Jordan elimination.
-
-    Returns (rows, pivots): pivots[i] is the column of row i's leading one.
-    With rhs given, it is carried as an extra last column that is never
-    chosen as a pivot, so its entries may be cyclotomic.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in mat]
-    if rhs is not None:
-        for row, b in zip(a, rhs):
-            row.append(b if isinstance(b, Cyclo) else Fraction(b))
-    pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        if rank == rows:
-            break
-        piv = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col]
-        a[rank] = [x / inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-    return a, pivots
+def common_denominator(vec) -> tuple[int, list[int]]:
+    """(den, nums) with vec = nums / den: den is the lcm of the entries' denominators (1 when empty)."""
+    den = lcm(*[x.denominator for x in vec])
+    return den, [x.numerator * (den // x.denominator) for x in vec]
 
 
-def rational_rank(mat) -> int:
-    """Rank over Q (works for Fraction or int entries)."""
-    return len(rref(mat)[1])
-
-
-def solve_rational_system(mat, rhs) -> list[Fraction] | None:
-    """One exact solution of mat*x = rhs over Q, or None if inconsistent."""
-    a, pivots = rref(mat, rhs)
-    cols = len(mat[0]) if mat else 0
-    if any(row[cols] != 0 for row in a[len(pivots):]):
-        return None
-    x = [Fraction(0)] * cols
-    for row, col in zip(a, pivots):
-        x[col] = row[cols]
-    return x
+def _lowest_terms(den: int, nums: list[int]) -> tuple[int, list[int]]:
+    # nums / den with den > 0 and gcd(den, *nums) = 1
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, [x // g for x in nums]
 
 
 def fraction_free_rref(mat, ncols: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss 1968).
 
-    Pivots are chosen as in `rref`: left to right, among the first ncols
-    columns (all by default).  Each step replaces every other row by
-    (p * row - c * pivot_row) / prev, with p the new pivot, c the row's entry
-    in the pivot column and prev the previous pivot (1 at first).  Every entry
+    Pivots are chosen left to right, among the first ncols columns (all by
+    default), each in the first remaining row with a nonzero entry there.
+    Each step replaces every other row by (p * row - c * pivot_row) / prev,
+    with p the new pivot, c the row's entry in the pivot column and prev the
+    previous pivot (1 at first).  Every entry
     stays an integer minor of mat, so each division is exact.  Returns
-    (rows, pivots, d) with rows = d * rref(mat) and d the last pivot (1 when
-    there is none): the leading entry of every pivot row is d.
+    (rows, pivots, d) with rows / d the reduced row echelon form of mat and d
+    the last pivot (1 when there is none): the leading entry of every pivot
+    row is d.  Scaling a row by a nonzero constant leaves the pivots
+    unchanged, so a rational matrix is eliminated on its rows' numerators.
     """
     a = [list(row) for row in mat]
     nrows = len(a)
@@ -204,20 +172,12 @@ def fraction_free_rref(mat, ncols: int | None = None) -> tuple[list[list[int]], 
     return a, pivots, prev
 
 
-def _over_common_denominator(den: int, nums: list[int]) -> tuple[int, list[int]]:
-    # nums / den with den > 0 and gcd(den, *nums) = 1
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return den // g, [x // g for x in nums]
-
-
 def integer_solve(mat, rhs) -> tuple[int, list[int]] | None:
     """One solution of mat*x = rhs over Q for integer mat and rhs, or None if inconsistent.
 
     The solution is (den, nums), x = nums / den with den > 0 and
-    gcd(den, *nums) = 1.  As in `solve_rational_system`, the variables off the
-    pivot columns are zero; no Fraction is formed.
+    gcd(den, *nums) = 1.  The variables off the pivot columns are zero; no
+    Fraction is formed.
     """
     cols = len(mat[0]) if mat else 0
     rows, pivots, d = fraction_free_rref([list(row) + [b] for row, b in zip(mat, rhs)], cols)
@@ -226,7 +186,19 @@ def integer_solve(mat, rhs) -> tuple[int, list[int]] | None:
     x = [0] * cols
     for row, col in zip(rows, pivots):
         x[col] = row[cols]
-    return _over_common_denominator(d, x)
+    return _lowest_terms(d, x)
+
+
+def rational_rank(mat) -> int:
+    """Rank over Q of a matrix of ints or Fractions."""
+    return len(fraction_free_rref([common_denominator(row)[1] for row in mat])[1])
+
+
+def solve_rational_system(mat, rhs) -> list[Fraction] | None:
+    """One exact solution of mat*x = rhs over Q, as `integer_solve` on the rows of [mat | rhs] scaled to integers."""
+    rows = [common_denominator([*row, b])[1] for row, b in zip(mat, rhs)]
+    sol = integer_solve([row[:-1] for row in rows], [row[-1] for row in rows])
+    return None if sol is None else [Fraction(x, sol[0]) for x in sol[1]]
 
 
 def integer_inverse(mat) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
@@ -243,7 +215,7 @@ def integer_inverse(mat) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     rows, pivots, d = fraction_free_rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)], n)
     if len(pivots) < n:
         return None
-    den, flat = _over_common_denominator(d, [x for row in rows for x in row[n:]])
+    den, flat = _lowest_terms(d, [x for row in rows for x in row[n:]])
     return den, tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
 
 
@@ -252,23 +224,22 @@ def solve_congruences(mat: list[list[int]], rhs: list[Fraction]) -> list[Fractio
 
     mat is an m x n integer matrix, rhs a rational vector of length m.
     Returns one solution or None when the congruence system is inconsistent.
+    Runs on integer numerators: beta = U * rhs over the denominator of rhs,
+    and the solution over that times the lcm of the nonzero invariant
+    factors, so one Fraction is formed per returned entry.
     """
     d, u, v = smith_normal_form(mat)
     m = len(mat)
     n = len(mat[0]) if m else 0
-    beta = [sum(Fraction(u[i][j]) * rhs[j] for j in range(m)) for i in range(m)]
-    mu = [Fraction(0)] * n
-    for i in range(min(m, n)):
-        di = d[i][i]
-        if di != 0:
-            mu[i] = beta[i] / di
-        elif frac_mod1(beta[i]) != 0:
-            return None
-    for i in range(n, m):
-        if frac_mod1(beta[i]) != 0:
-            return None
-    x = [sum(Fraction(v[i][j]) * mu[j] for j in range(n)) for i in range(n)]
-    return [frac_mod1(c) for c in x]
+    den, nums = common_denominator(rhs)
+    beta = [sum(map(mul, row, nums)) for row in u]
+    diag = [d[i][i] for i in range(min(m, n))]
+    if any(b % den for i, b in enumerate(beta) if i >= len(diag) or not diag[i]):
+        return None
+    top = lcm(*[di for di in diag if di])
+    mu = [beta[j] * (top // diag[j]) if j < len(diag) and diag[j] else 0 for j in range(n)]
+    x_den = den * top
+    return [Fraction(sum(map(mul, row, mu)) % x_den, x_den) for row in v]
 
 
 def congruence_kernel(mat: list[list[int]]) -> list[tuple[Fraction, ...]]:

@@ -11,7 +11,9 @@ search decides membership by one exact linear solve instead).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .lattice import common_denominator
 
 
 class LPInternalError(RuntimeError):
@@ -148,9 +150,6 @@ def positive_functional(columns: list) -> tuple[list[Fraction] | None, list[Frac
 
 def scale_to_integers(vec: list[Fraction]) -> list[int]:
     """Clear denominators and divide by the content."""
-    denom = lcm(*[v.denominator for v in vec]) if vec else 1
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints = common_denominator(vec)[1]
+    g = gcd(*ints)
     return [v // g for v in ints] if g else ints

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .lattice import nonneg_vectors, rref
+from .lattice import common_denominator, fraction_free_rref, nonneg_vectors
 from .model import GLSMModel, model_hash
 from .multipoly import (
     InfiniteStaircaseError,
@@ -211,24 +211,23 @@ def class_from_character(ring: SectorRing, xi) -> CohClass:
 def ideal_membership(ring: SectorRing, factors: list[CohClass]):
     """Membership test for the principal ideal generated by the product p of factors.
 
-    The span of p*s over the staircase monomials s is row-reduced once; the
-    returned predicate reduces a class of the ring against those rows, so a
-    cyclotomic class works too.
+    The span of p*s over the staircase monomials s, each row scaled to
+    integers, is row-reduced once by fraction-free elimination, to rows / d
+    in reduced echelon form.  A class lies in the span iff d times its vector
+    equals the rows combined with its entries at the pivots, so the returned
+    predicate works for a cyclotomic class too.
     """
     p = ring.one()
     for f in factors:
         p = p * f
     span = [(p * CohClass(ring, {s: Fraction(1)})).poly for s in ring.staircase]
-    rows, pivots = rref([[v.get(t, 0) for t in ring.staircase] for v in span])
+    rows, pivots, d = fraction_free_rref([common_denominator([v.get(t, 0) for t in ring.staircase])[1] for v in span])
 
     def contains(a: CohClass) -> bool:
         a._check(p)
         vec = [a.poly.get(t, 0) for t in ring.staircase]
-        for row, col in zip(rows, pivots):
-            c = vec[col]
-            if not scalar_is_zero(c):
-                vec = [x - c * y for x, y in zip(vec, row)]
-        return all(scalar_is_zero(x) for x in vec)
+        used = [(vec[col], row) for row, col in zip(rows, pivots) if not scalar_is_zero(vec[col])]
+        return all(scalar_is_zero(d * x - sum([c * row[j] for c, row in used])) for j, x in enumerate(vec))
 
     return contains
 

@@ -12,7 +12,14 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from operator import mul
 
-from .lattice import congruence_kernel, fraction_free_rref, integer_inverse, integer_solve, nonneg_vectors
+from .lattice import (
+    common_denominator,
+    congruence_kernel,
+    fraction_free_rref,
+    integer_inverse,
+    integer_solve,
+    nonneg_vectors,
+)
 from .model import GLSMModel, InternalError
 from .rationallp import nonneg_combination
 from .scalars import format_rational, frac_mod1
@@ -39,10 +46,9 @@ def pairing(d: Degree, xi) -> Fraction:
     Summed as integer numerators over D * E, with D and E the lcm of the
     denominators of d and of xi, so one Fraction is formed.
     """
-    dd = lcm(*[x.denominator for x in d])
-    de = lcm(*[y.denominator for y in xi])
-    num = sum([x.numerator * (dd // x.denominator) * y.numerator * (de // y.denominator) for x, y in zip(d, xi)])
-    return Fraction(num, dd * de)
+    dd, dn = common_denominator(d)
+    de, en = common_denominator(xi)
+    return Fraction(sum(map(mul, dn, en)), dd * de)
 
 
 @dataclass(frozen=True, order=True)
@@ -62,8 +68,8 @@ class SectorLabel:
 
 def sector_from_lambda(m: GLSMModel, lam) -> SectorLabel:
     # lam and the action <lam, rho_i> reduced mod 1 as integer numerators over one denominator
-    den = lcm(*[x.denominator for x in lam])
-    nums = [x.numerator * (den // x.denominator) % den for x in lam]
+    den, nums = common_denominator(lam)
+    nums = [x % den for x in nums]
     action = [sum([w * n for w, n in zip(col, nums)]) % den for col in zip(*m.weights)]
     return SectorLabel(tuple(Fraction(n, den) for n in nums), tuple(Fraction(a, den) for a in action))
 
@@ -93,8 +99,7 @@ def _support_table(m: GLSMModel) -> tuple[tuple[frozenset[int], tuple, tuple | N
         raise BudgetExceededError(
             f"genericity check needs {count} subsets (budget {_SUPPORT_BUDGET}); assert genericity manually"
         )
-    theta_den = lcm(*[x.denominator for x in m.theta])
-    theta = [x.numerator * (theta_den // x.denominator) for x in m.theta]
+    theta_den, theta = common_denominator(m.theta)
     found = []
     for size in range(1, m.k + 1):
         for subset in combinations(range(m.r), size):
@@ -204,9 +209,8 @@ def effective_degrees(m: GLSMModel, bound: Fraction) -> list[Degree]:
         if any(x <= 0 for x in lam):
             raise InternalError(f"minimal support {[i + 1 for i in idx]} lost its positive certificate")
     den = lcm(*[inverse[0] for _, _, inverse in table])
-    theta_den = lcm(*[x.denominator for x in m.theta])
-    theta = [x.numerator * (theta_den // x.denominator) for x in m.theta]
-    found = {(0,) * (m.k + 1)}  # (theta-degree numerator over den * theta_den, numerators of d over den)
+    theta = common_denominator(m.theta)[1]
+    found = {(0,) * (m.k + 1)}  # (numerator of <d, theta>, numerators of d over den)
     for _, (lam_den, weights), (inv_den, inv_rows) in table:
         # the theta-degree of the candidate with pairing vector n is sum(lam_i n_i), an integer over
         # lam_den, so the bound on the weighted sum is floor(lam_den * bound)

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
-from .lattice import nonneg_vectors
+from .lattice import common_denominator, nonneg_vectors
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
 from .rings import (
     CohClass,
@@ -176,11 +176,9 @@ class GradedSeries:
     def model_key(self) -> str:
         return model_hash(self.model)
 
-    def sorted_keys(self) -> list[TermKey]:
-        return sorted(self.terms, key=lambda key: (theta_degree(self.model, key[0]), key[0], key[1]))
-
-    def ring_for(self, d: Degree) -> SectorRing:
-        return build_ring(self.model, sector_of_degree(self.model, d))
+    def graded_keys(self) -> list[tuple[Fraction, Degree, tuple[int, ...]]]:
+        """(theta-degree, d, alpha) per term, sorted: each theta-degree is computed once."""
+        return sorted((theta_degree(self.model, d), d, alpha) for d, alpha in self.terms)
 
     def restrict(self, q_bound, t_order: int) -> "GradedSeries":
         q_bound = Fraction(q_bound)
@@ -249,8 +247,7 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
-    den = lcm(*[x.denominator for x in d])
-    nums = [x.numerator * (den // x.denominator) for x in d]
+    den, nums = common_denominator(d)
     groups: dict[tuple, int] = {}  # (column, numerator of x over den, nus) -> number of coordinates
     for col, charge in zip(zip(*m.weights), m.r_charges):
         xn = sum([w * v for w, v in zip(col, nums)])  # x = <d, rho_i> = xn / den
@@ -387,17 +384,18 @@ def t_exponents(nvars: int, t_order: int) -> list[tuple[int, ...]]:
     return list(nonneg_vectors((1,) * nvars, t_order))
 
 
-def _sector_rings(m: GLSMModel, degrees) -> list[SectorRing]:
+def sector_rings(m: GLSMModel, degrees) -> list[SectorRing]:
     """The sector ring of each degree, with one `build_ring` call per distinct sector among them.
 
+    The one per-sector ring lookup of the engine and of the direct series.
     A degree's sector depends only on d mod 1, keyed here as the integer
     numerators of d mod 1 over the lcm of d's denominators.
     """
     by_sector: dict[tuple, SectorRing] = {}
     out = []
     for d in degrees:
-        den = lcm(*[x.denominator for x in d])
-        key = (den, tuple([x.numerator * (den // x.denominator) % den for x in d]))
+        den, nums = common_denominator(d)
+        key = (den, tuple([x % den for x in nums]))
         ring = by_sector.get(key)
         if ring is None:
             ring = by_sector[key] = build_ring(m, sector_of_degree(m, d))
@@ -417,7 +415,7 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
     )
     vanished: list[TermKey] = []
     degrees = effective_degrees(m, series.q_bound)
-    for d, ring in zip(degrees, _sector_rings(m, degrees)):
+    for d, ring in zip(degrees, sector_rings(m, degrees)):
         hyper = hyper_factor(m, d, mode, ring)
         if hyper.is_zero():
             vanished.extend((d, alpha) for alpha in t_exponents(len(series.insertions), t_order))
@@ -528,7 +526,7 @@ def twist_novikov(s: GradedSeries, tau_list) -> GradedSeries:
     for (d, _alpha) in list(s.terms) + list(s.vanished):
         if d not in exponents:
             exponents[d] = sum((pairing(d, tau) for tau in tau_list), Fraction(0))
-    order = 2 * lcm(*[e.denominator for e in exponents.values()]) if exponents else 2
+    order = 2 * common_denominator(exponents.values())[0]
     return s.map_terms(
         lambda d, _alpha, value: value.scale(Cyclo.root_of_unity(order, int(exponents[d] * order // 2)))
     )
@@ -643,12 +641,12 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
 
 def series_to_dict(s: GradedSeries) -> dict:
     terms = []
-    for (d, alpha) in s.sorted_keys():
+    for td, d, alpha in s.graded_keys():
         value = s.terms[(d, alpha)]
         terms.append(
             {
                 "degree": [format_rational(x) for x in d],
-                "theta_degree": format_rational(theta_degree(s.model, d)),
+                "theta_degree": format_rational(td),
                 "sector_lambda": [format_rational(x) for x in value.ring.sector.lam],
                 "t_exponent": list(alpha),
                 "z": {str(e): class_to_json(c) for e, c in value.coeffs},
@@ -712,7 +710,7 @@ def series_from_dict(data: dict) -> GradedSeries:
         ),
     )
     degrees = [tuple(parse_rational(x) for x in item["degree"]) for item in data["terms"]]
-    for d, ring, item in zip(degrees, _sector_rings(m, degrees), data["terms"]):
+    for d, ring, item in zip(degrees, sector_rings(m, degrees), data["terms"]):
         alpha = tuple(item["t_exponent"])
         coeffs = {int(e): class_from_json(ring, cmap) for e, cmap in item["z"].items()}
         series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)

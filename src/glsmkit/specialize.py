@@ -26,6 +26,7 @@ from .series import (
     glsm_i_function,
     invert_linear_z_factor,
     linear_z_factor,
+    sector_rings,
     series_compare,
     single_character_insertion,
     t_exponents,
@@ -142,17 +143,17 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
         terms={},
     )
     scale = lcm(*orders)  # sum_j d_j / r_j <= q_bound, times L = lcm of the orders
+    found = []  # (generator exponents, engine degree, rotation numbers)
     for tup in nonneg_vectors([scale // r for r in orders], floor(q_bound * scale)):
         if tup[0] == 0:
             continue
-        d_eng: Degree = tuple(F(-tup[j], orders[j]) for j in range(len(orders)))
         rotations = [
             sum(F(action[i] * tup[j], orders[j]) for j, (_o, action) in enumerate(spec.group_data))
             for i in range(spec.n)
         ]
-        if any(a.denominator == 1 for a in rotations):
-            continue
-        ring = series.ring_for(d_eng)
+        if not any(a.denominator == 1 for a in rotations):
+            found.append((tup, tuple(F(-tup[j], orders[j]) for j in range(len(orders))), rotations))
+    for (tup, d_eng, rotations), ring in zip(found, sector_rings(model, [d for _, d, _ in found])):
         coeff = F(1)
         zshift = 0
         for a in rotations:
@@ -296,10 +297,8 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
         t_order=t_order,
         terms={},
     )
-    k = 0
-    while F(k, d_lcm) <= q_bound:
-        d_eng: Degree = (F(-k, d_lcm),)
-        ring = series.ring_for(d_eng)
+    degrees: list[Degree] = [(F(-k, d_lcm),) for k in range(floor(q_bound * d_lcm) + 1)]
+    for k, (d_eng, ring) in enumerate(zip(degrees, sector_rings(model, degrees))):
         h = class_from_character(ring, (-1,))
         hyper = LaurentZ.one(ring)
         for w in spec.x_weights:
@@ -313,7 +312,6 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
             for nu in range(1, ceil(x)):
                 hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
         if hyper.is_zero():
-            k += 1
             continue
         exp_vals = []
         for dj in spec.p_weights:
@@ -329,7 +327,6 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
             value = factor.mul(hyper)
             if not value.is_zero():
                 series.terms[(d_eng, alpha)] = value
-        k += 1
     return series
 
 
@@ -430,8 +427,8 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
         t_order=t_order,
         terms={},
     )
-    for d in effective_degrees(model, q_bound):
-        ring = series.ring_for(d)
+    degrees = effective_degrees(model, q_bound)
+    for d, ring in zip(degrees, sector_rings(model, degrees)):
         value = LaurentZ.one(ring)
         for i in range(spec.ambient_r):
             col = model.column(i)

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import invariant_factors, smith_normal_form, solve_congruences, transpose
+from .lattice import common_denominator, invariant_factors, smith_normal_form, solve_congruences, transpose
 from .model import GLSMModel
 from .rationallp import positive_functional, scale_to_integers
-from .scalars import format_rational, frac_mod1
+from .scalars import format_rational
 from .sectors import BudgetExceededError, semistable_supports
 
 
@@ -63,7 +63,7 @@ def j_membership(m: GLSMModel) -> tuple[bool, tuple[Fraction, ...] | None, int]:
     mat = transpose([list(row) for row in m.weights])  # r x k
     rhs = [Fraction(c, m.d_w) for c in m.r_charges]
     witness = solve_congruences(mat, rhs)
-    order = lcm(*[frac_mod1(x).denominator for x in rhs]) if rhs else 1
+    order = common_denominator(rhs)[0]
     if witness is None:
         return False, None, order
     return True, tuple(witness), order

@@ -21,8 +21,10 @@ naming `mul` or `class_from_character` (it multiplies integer polynomials
 and reduces once, through `class_of`), and on a `rings` parameter in
 `series` or `specialize` or a `rings` field on `GradedSeries` (ring memos
 live in `rings`: `build_ring` per sector and `_ring_table` per fixed
-support).  The package `__init__` is exempt from the unused-import check: it
-exists to re-export.
+support), and on an `lcm(...)` call reading `.denominator` anywhere but
+`lattice.common_denominator` (how a rational vector becomes integer
+numerators over one denominator is decided in one place).  The package
+`__init__` is exempt from the unused-import check: it exists to re-export.
 """
 
 import ast
@@ -178,4 +180,25 @@ def test_one_ring_memo():
                     for item in node.body
                     if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "rings"
                 ]
+    assert not stray, stray
+
+
+def test_denominators_cleared_only_by_common_denominator():
+    stray = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {
+            id(inner)
+            for node in tree.body
+            if path.name == "lattice.py" and isinstance(node, ast.FunctionDef) and node.name == "common_denominator"
+            for inner in ast.walk(node)
+        }
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm"
+            and id(node) not in helper
+            and any(isinstance(inner, ast.Attribute) and inner.attr == "denominator" for inner in ast.walk(node))
+        ]
     assert not stray, stray

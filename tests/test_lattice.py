@@ -131,6 +131,30 @@ def test_solve_congruences_verifies(m, n, data):
             assert val.denominator == 1
 
 
+def fraction_solve_congruences(mat, rhs):
+    # the Fraction implementation the integer-numerator solver replaced: beta = U*rhs, mu = beta / d, x = V*mu
+    d, u, v = smith_normal_form(mat)
+    m, n = len(mat), len(mat[0])
+    beta = [sum(Fraction(u[i][j]) * rhs[j] for j in range(m)) for i in range(m)]
+    mu = [Fraction(0)] * n
+    for i in range(min(m, n)):
+        if d[i][i] != 0:
+            mu[i] = beta[i] / d[i][i]
+        elif beta[i].denominator != 1:
+            return None
+    if any(beta[i].denominator != 1 for i in range(n, m)):
+        return None
+    return [x - x.numerator // x.denominator for x in (sum(Fraction(v[i][j]) * mu[j] for j in range(n)) for i in range(n))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_solve_congruences_matches_fraction_implementation(m, n, data):
+    mat = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(m)]
+    rhs = [Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 6))) for _ in range(m)]
+    assert solve_congruences(mat, rhs) == fraction_solve_congruences(mat, rhs)
+
+
 def test_congruence_kernel_cubic_support():
     # kernel of multiplication by -3 in Q/Z has the three cube-root parameters
     ker = congruence_kernel([[-3]])
@@ -161,22 +185,33 @@ def apply(mat, x):
     return [sum(Fraction(a) * b for a, b in zip(row, x)) for row in mat]
 
 
+def over_small_denominators(data, values):
+    return [Fraction(v, data.draw(st.integers(1, 6))) for v in values]
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_matrices(), st.data())
-def test_elimination_matches_sympy(mat, data):
-    rank = sympy.Matrix(mat).rank()
-    assert rational_rank(mat) == rank
+@given(small_matrices(), st.booleans(), st.data())
+def test_elimination_matches_sympy(ints, rational, data):
+    # with Fraction entries, rational_rank and solve_rational_system scale each row to integers first
+    mat = [over_small_denominators(data, row) for row in ints] if rational else ints
     rhs = [data.draw(st.integers(-4, 4)) for _ in mat]
+    if rational:
+        rhs = over_small_denominators(data, rhs)
+    matrix = sympy.Matrix(mat)
+    rank = matrix.rank()
+    assert rational_rank(mat) == rank
     sol = solve_rational_system(mat, rhs)
-    consistent = sympy.Matrix([row + [b] for row, b in zip(mat, rhs)]).rank() == rank
+    consistent = matrix.row_join(sympy.Matrix(rhs)).rank() == rank
     if consistent:
         assert sol is not None and apply(mat, sol) == rhs
+        pivots = matrix.rref()[1]
+        assert all(x == 0 for j, x in enumerate(sol) if j not in pivots)
     else:
         assert sol is None
-    cols = len(mat[0])
-    if rank < cols:
-        ray = _kernel_ray(mat, cols)
-        assert any(ray) and not any(apply(mat, ray))
+    cols = len(ints[0])
+    if sympy.Matrix(ints).rank() < cols:
+        ray = _kernel_ray(ints, cols)
+        assert any(ray) and not any(apply(ints, ray))
 
 
 SYSTEMS = ["consistent", "inconsistent", "rank-deficient", "square invertible"]

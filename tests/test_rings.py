@@ -22,6 +22,7 @@ from glsmkit.rings import (
     class_to_json,
     divides_ideal,
 )
+from glsmkit.scalars import Cyclo
 from glsmkit.sectors import DegenerateStabilityError, inertia_sectors, sector_of_degree, sr_generators
 
 from conftest import corpus, small_torus_models
@@ -293,6 +294,10 @@ def test_ring_layer_matches_sympy(m, data):
         multiple = multiple * f
     for cls in (a, multiple):
         assert divides_ideal(cls, factors) == with_p.contains(_expr(gens, cls.poly))
+    # a cyclotomic class: multiple is in (p), and 1 and zeta_3 are independent over Q,
+    # so a + zeta_3 * multiple is in (p) iff a is
+    mixed = a + multiple.scale(Cyclo.root_of_unity(3, 1))
+    assert divides_ideal(mixed, factors) == with_p.contains(_expr(gens, a.poly))
 
 
 # --- one table per (model, fixed support) ------------------------------------

@@ -9,10 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsmkit.series as series_module
+from glsmkit.cli import _series_output
+from glsmkit.latexout import render_latex
 from glsmkit.model import InternalError
 from glsmkit.rings import InfiniteRingError, build_ring, class_from_character
 from glsmkit.scalars import Cyclo
-from glsmkit.sectors import DegenerateStabilityError, effective_degrees, inertia_sectors, pairing, sector_of_degree
+from glsmkit.sectors import (
+    DegenerateStabilityError,
+    effective_degrees,
+    inertia_sectors,
+    pairing,
+    sector_of_degree,
+    theta_degree,
+)
 from glsmkit.series import (
     HypothesisError,
     Insertion,
@@ -479,6 +488,21 @@ def test_one_ring_lookup_per_sector(monkeypatch, m_rank2):
     back = series_from_json(series_to_json(s))
     assert series_compare(s, back) == []
     assert sorted(calls) == sorted({value.ring.sector for value in s.terms.values()})
+
+
+def test_theta_degree_once_per_rendered_term(monkeypatch, m_rank2):
+    s = big_i_function(m_rank2, q_bound=F(4))
+    calls = []
+
+    def counting(m, d):
+        calls.append(d)
+        return theta_degree(m, d)
+
+    monkeypatch.setattr(series_module, "theta_degree", counting)
+    for render in (series_to_json, render_latex, lambda s: _series_output(s, "text")):
+        calls.clear()
+        render(s)
+        assert len(calls) == len(s.terms)
 
 
 def test_width_bound(m_p1, m_quintic, m_cubic, m_rank2):
