@@ -166,7 +166,8 @@ def truncation(command):
     return click.option("--qbound", required=True)(command)
 
 
-# kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order).
+# kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order); the
+# cross-check also receives the direct series as `direct`, so it is computed once per command.
 # Named, not bound: each call reads the specialize module's attribute, so a
 # wrapper installed there (perfbench's tracer) sees the CLI's calls too.
 FAMILIES = {
@@ -357,7 +358,7 @@ def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
     q_bound = parse_rational(qbound)
     direct, check = (getattr(families, name) for name in FAMILIES[kind])
     series = direct(spec, q_bound, torder)
-    report = check(spec, q_bound, torder) if crosscheck else None
+    report = check(spec, q_bound, torder, direct=series) if crosscheck else None
     if fmt == "latex":
         _emit(render_latex(series) + "\n", out)
     else:

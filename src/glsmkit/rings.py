@@ -8,8 +8,9 @@ staircase basis.  The generators are homogeneous, so the quotient is graded
 and every monomial above `top`, the largest staircase degree, is zero.  The
 ring's one table, `forms`, holds the normal form of every monomial of degree
 at most `top`; `build_ring` labels it with its sector.  `class_of` is the
-only reader of that table: class products, divisor classes and the engine's
-per-degree factors all hand it (monomial, coefficient) pairs.  Ideal
+only reader of that table: class products, divisor classes, the engine's
+per-degree factors and z-Laurent products (`series.LaurentZ.mul`) all hand
+it (monomial, coefficient) pairs.  Ideal
 membership is linear algebra on the staircase basis.
 """
 

@@ -15,11 +15,13 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd
+from operator import add
 
 from .lattice import common_denominator, nonneg_vectors
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
 from .rings import (
     CohClass,
+    RingMismatchError,
     SectorRing,
     build_ring,
     class_from_character,
@@ -86,20 +88,32 @@ class LaurentZ:
         return LaurentZ.from_dict(self.ring, out)
 
     def mul(self, other: "LaurentZ") -> "LaurentZ":
-        out: dict[int, CohClass] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                prod = c1 * c2
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return LaurentZ.from_dict(self.ring, out)
+        """The product, with one `class_of` reduction per z-exponent of the result.
+
+        Every product of terms c1 H^mu1 z^e1 and c2 H^mu2 z^e2 is formed with
+        integer exponent sums, except those with |mu1| + |mu2| above the
+        ring's top degree, which are zero; the products are bucketed by
+        z-exponent and each bucket is reduced once.
+        """
+        ring = self.ring
+        if ring != other.ring:
+            raise RingMismatchError("classes live in different sector rings")
+        top = ring.top
+        right = [(e2, m2, c2, sum(m2)) for e2, cls in other.coeffs for m2, c2 in cls.poly.items()]
+        by_z: dict[int, list] = {}  # z-exponent -> (monomial, coefficient) products
+        for e1, cls in self.coeffs:
+            for m1, c1 in cls.poly.items():
+                room = top - sum(m1)
+                for e2, m2, c2, deg in right:
+                    if deg <= room:
+                        by_z.setdefault(e1 + e2, []).append((tuple(map(add, m1, m2)), c1 * c2))
+        return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items()})
 
     def scale(self, s: Scalar) -> "LaurentZ":
         return LaurentZ.from_dict(self.ring, {e: c.scale(s) for e, c in self.coeffs})
 
     def scale_class(self, c: CohClass) -> "LaurentZ":
-        return LaurentZ.from_dict(self.ring, {e: v * c for e, v in self.coeffs})
+        return self.mul(LaurentZ.from_class(c.ring, c))
 
     def shift(self, dz: int) -> "LaurentZ":
         return LaurentZ(self.ring, tuple((e + dz, c) for e, c in self.coeffs))
@@ -477,11 +491,16 @@ def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> G
             raise InternalError(f"z_partial methods disagree at {len(diff)} positions")
         return a
     if method == "by_multiplication":
+        multipliers: dict[Degree, LaurentZ] = {}  # degree -> its multiplier, shared by its t-exponents
+
         def multiply(d, _alpha, value):
-            ring = value.ring
-            mult = LaurentZ.one(ring)
-            for rho in rho_list:
-                mult = mult.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
+            mult = multipliers.get(d)
+            if mult is None:
+                ring = value.ring
+                mult = LaurentZ.one(ring)
+                for rho in rho_list:
+                    mult = mult.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
+                multipliers[d] = mult
             return value.mul(mult)
 
         return s.map_terms(multiply)

@@ -184,19 +184,24 @@ def _diff_positions(diff: list[dict]) -> list[dict]:
     return positions
 
 
-def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0) -> dict:
+def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: GradedSeries | None = None) -> dict:
     """Exact cross-multiplied comparison of the engine series vs the display.
 
     The two series are derivative I-functions along different characters, so
     each side is multiplied by the other's degree factor:
     engine_term * (<d, eta_p1> z) == direct_term * prod_{c_i != 0}
     (class(rho_i) + <d, rho_i> z).
+
+    `direct` is the display side, `fjrw_direct_series(spec, q_bound,
+    t_order)`, for a caller that has already computed it; when omitted it is
+    computed here.
     """
     q_bound = F(q_bound)
     model = fjrw_build(spec)
     etas, insertions = fjrw_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
-    direct = fjrw_direct_series(spec, q_bound, t_order)
+    if direct is None:
+        direct = fjrw_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
 
     def times(characters):
@@ -330,18 +335,23 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
     return series
 
 
-def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0) -> dict:
+def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0, *, direct: GradedSeries | None = None) -> dict:
     """Engine vs display; the degree-zero display omits the endpoint classes.
 
     At k = 0 the engine carries the extra factor prod_j class(rho_{p_j}), so
     the comparison multiplies the direct side by the endpoint classes of the
     coordinates with <d, rho> = 0 (an empty product for every k >= 1).
+
+    `direct` is the display side, `hybrid_direct_series(spec, q_bound,
+    t_order)`, for a caller that has already computed it; when omitted it is
+    computed here.
     """
     q_bound = F(q_bound)
     model = hybrid_build(spec)
     etas, insertions = hybrid_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
-    direct = hybrid_direct_series(spec, q_bound, t_order)
+    if direct is None:
+        direct = hybrid_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
 
     def with_endpoints(d, _alpha, value):
@@ -472,7 +482,9 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     return series
 
 
-def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) -> dict:
+def ci_compare(
+    spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=(), *, direct: GradedSeries | None = None
+) -> dict:
     """Verify the sign-twisted comparison chain at the ambient level.
 
     Chain: engine series -> per-sector half-turn age phase -> Novikov twist
@@ -480,17 +492,25 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
     multiplied by the sector Euler classes prod_{age 0} (-class(tau_j)).
     Divisibility of every engine term by those Euler classes is checked and
     raises an engine-bug error on failure.
+
+    `direct` is the right-hand side, `ci_ambient_series(spec, q_bound,
+    t_order, etas, insertions)`, for a caller that has already computed it;
+    when omitted it is computed here.
     """
     model = ci_build(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
+    eulers: dict = {}  # sector ring -> (its Euler classes, membership test of their product's ideal)
 
-    def euler_classes(ring):
-        return [class_from_character(ring, tau) for tau in spec.taus if age(model, ring.sector, tau) == 0]
+    def euler_data(ring):
+        data = eulers.get(ring)
+        if data is None:
+            factors = [class_from_character(ring, tau) for tau in spec.taus if age(model, ring.sector, tau) == 0]
+            data = eulers[ring] = (factors, ideal_membership(ring, factors) if factors else None)
+        return data
 
     def checked_phase(d, _alpha, value):
         g = value.ring.sector
-        factors = euler_classes(value.ring)
-        contains = ideal_membership(value.ring, factors) if factors else None
+        contains = euler_data(value.ring)[1]
         if contains and not all(contains(cls) for _z, cls in value.coeffs):
             raise InternalError(
                 "engine term not divisible by its sector Euler factor at degree "
@@ -499,13 +519,14 @@ def ci_compare(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertions=()) 
         return value.scale(half_turn(sum((age(model, g, tau) for tau in spec.taus), F(0))))
 
     def with_euler_classes(d, _alpha, value):
-        for cls in euler_classes(value.ring):
+        for cls in euler_data(value.ring)[0]:
             value = value.scale_class(cls.scale(F(-1)))
         return value
 
     normalized = twist_novikov(engine.map_terms(checked_phase), list(spec.taus))
-    rhs = ci_ambient_series(spec, q_bound, t_order, etas, insertions)
-    diff = series_compare(normalized, rhs.map_terms(with_euler_classes))
+    if direct is None:
+        direct = ci_ambient_series(spec, q_bound, t_order, etas, insertions)
+    diff = series_compare(normalized, direct.map_terms(with_euler_classes))
     return {
         "family": "ci",
         "diff": diff,

@@ -5,7 +5,7 @@ import pytest
 
 from glsmkit import cache
 from glsmkit import specialize as families
-from glsmkit.cli import cli, main
+from glsmkit.cli import FAMILIES, cli, main
 
 from conftest import CUBIC, P1, QUINTIC, WALL_MODEL
 
@@ -419,19 +419,31 @@ def test_format_not_offered_exits_2(run, argvs, command, fmt):
 
 
 def test_specialize_calls_family_functions_through_their_module(run, model_file, monkeypatch):
-    # each call reads the specialize module's attribute, so a wrapper set there sees it
-    calls = []
+    # each call reads the specialize module's attribute, so a wrapper set there sees it;
+    # the direct series is computed once and the cross-check receives that very object
+    for kind, spec in SPEC_FILES.items():
+        calls = []
 
-    def spy(name):
-        real = getattr(families, name)
-        return lambda *args: calls.append((name, args[1:])) or real(*args)
+        def spy(name):
+            real = getattr(families, name)
 
-    for name in ("fjrw_direct_series", "fjrw_crosscheck"):
-        monkeypatch.setattr(families, name, spy(name))
-    code, _out, err = run("specialize", "fjrw", model_file(FJRW_SPEC), "--qbound", "2", "--torder", "1")
-    assert code == 0, err
-    # the CLI's two calls, then the direct series the cross-check computes itself
-    names = ["fjrw_direct_series", "fjrw_crosscheck", "fjrw_direct_series"]
-    assert calls == [(name, (Fraction(2), 1)) for name in names]
+            def called(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.append((name, args[1:], kwargs, result))
+                return result
+
+            return called
+
+        direct_name, check_name = FAMILIES[kind]
+        for name in (direct_name, check_name):
+            monkeypatch.setattr(families, name, spy(name))
+        code, _out, err = run("specialize", kind, model_file(spec, f"{kind}.json"), "--qbound", "2", "--torder", "1")
+        assert code == 0, err
+        assert [(name, args) for name, args, _kwargs, _result in calls] == [
+            (direct_name, (Fraction(2), 1)),
+            (check_name, (Fraction(2), 1)),
+        ]
+        assert calls[0][2] == {} and set(calls[1][2]) == {"direct"}
+        assert calls[1][2]["direct"] is calls[0][3]
     code, _out, err = run("specialize", "quintic", model_file(FJRW_SPEC), "--qbound", "2")
     assert code == 2 and "'fjrw', 'hybrid', 'ci'" in err

@@ -5,14 +5,15 @@ from fractions import Fraction
 from math import ceil
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsmkit.series as series_module
 from glsmkit.cli import _series_output
 from glsmkit.latexout import render_latex
-from glsmkit.model import InternalError
-from glsmkit.rings import InfiniteRingError, build_ring, class_from_character
+from glsmkit.model import InternalError, model_from_dict
+from glsmkit.rings import CohClass, InfiniteRingError, RingMismatchError, build_ring, class_from_character, class_of
 from glsmkit.scalars import Cyclo
 from glsmkit.sectors import (
     DegenerateStabilityError,
@@ -75,6 +76,136 @@ def test_invert_zero_scalar_raises(m_p1):
     ring = ring_at(m_p1, (F(0),))
     with pytest.raises(InternalError):
         invert_linear_z_factor(ring, ring.one(), F(0))
+
+
+# --- LaurentZ products -------------------------------------------------------
+
+
+def _sympy_expr(gens, poly):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(h**e for h, e in zip(gens, mono))) for mono, c in poly.items()),
+        sympy.Integer(0),
+    )
+
+
+def _laurent_pair(data, ring):
+    """Two random z-Laurent polynomials whose coefficients are normal forms of the ring."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    pair = []
+    for _ in range(2):
+        exps = data.draw(st.lists(st.integers(-3, 3), max_size=4, unique=True))
+        pair.append(lz(ring, {e: CohClass(ring, {s: c for s in ring.staircase if (c := data.draw(coeff))}) for e in exps}))
+    return pair
+
+
+# P1 x P1: a two-generator ring with a nonzero product H1*H2 (every RANK2 sector ring is Q)
+P1xP1 = model_from_dict(
+    {"r": 4, "k": 2, "weights": [[1, 1, 0, 0], [0, 0, 1, 1]], "r_charges": [0] * 4, "d_w": 1, "theta": ["1", "1"], "potential": None}
+)
+
+
+def _drawn_ring(data):
+    m = data.draw(st.sampled_from([corpus()[i] for i in (0, 1, 3)] + [P1xP1]))  # P1, quintic, RANK2, P1 x P1
+    return build_ring(m, data.draw(st.sampled_from(inertia_sectors(m))))
+
+
+def _per_pair_product(a, b):
+    """The former LaurentZ.mul: one class product and one class sum per pair of z-coefficients."""
+    out = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            prod = c1 * c2
+            cur = out.get(e1 + e2)
+            out[e1 + e2] = prod if cur is None else cur + prod
+    return LaurentZ.from_dict(a.ring, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laurent_mul_matches_sympy_remainder(data):
+    ring = _drawn_ring(data)
+    a, b = _laurent_pair(data, ring)
+    gens = sympy.symbols(f"H1:{ring.ngens + 1}")
+    basis = [_sympy_expr(gens, g) for g in ring.groebner]
+    expected = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            expected[e1 + e2] = expected.get(e1 + e2, 0) + _sympy_expr(gens, c1.poly) * _sympy_expr(gens, c2.poly)
+    got = a.mul(b).as_dict()
+    for e in set(expected) | set(got):
+        remainder = sympy.reduced(sympy.expand(expected.get(e, 0)), basis, *gens, order="grevlex")[1]
+        assert sympy.expand(_sympy_expr(gens, got[e].poly) if e in got else 0) == sympy.expand(remainder), e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_laurent_mul_cyclotomic_matches_per_pair_product(data):
+    # twist_novikov scales every coefficient of a term by one root of unity
+    ring = _drawn_ring(data)
+    a, b = _laurent_pair(data, ring)
+    roots = st.builds(Cyclo.root_of_unity, st.sampled_from([3, 4, 6, 10]), st.integers(0, 9))
+    a, b = a.scale(data.draw(roots)), b.scale(data.draw(roots))
+    assert a.mul(b) == _per_pair_product(a, b)
+    assert b.mul(a) == _per_pair_product(b, a)
+
+
+def test_laurent_mul_of_twisted_series_matches_per_pair_product(m_rank2):
+    etas, insertions = t_insertion((1, 0))
+    s = twist_novikov(big_i_function(m_rank2, etas, insertions, q_bound=F(2), t_order=1), [(1, 0)])
+    values = list(s.terms.values())
+    assert any(not isinstance(c, Fraction) for v in values for _e, cls in v.coeffs for c in cls.poly.values())
+    for value in values:
+        h = LaurentZ.from_dict(value.ring, {0: class_from_character(value.ring, (1, 2)), 1: value.ring.one()})
+        for other in (value, h):
+            assert value.mul(other) == _per_pair_product(value, other)
+
+
+def test_laurent_mul_reduces_once_per_z_exponent(monkeypatch, m_quintic):
+    cases = []
+    for m, d in ((m_quintic, (F(1),)), (P1xP1, (F(1), F(2)))):
+        ring = ring_at(m, d)
+        h = class_from_character(ring, (1,) * m.k)
+        a = linear_z_factor(ring, h, F(2)).mul(linear_z_factor(ring, h.scale(F(-3)), F(1, 2)))
+        cases.append((a, invert_linear_z_factor(ring, h, F(1))))
+        cases.append((a, LaurentZ.from_class(ring, h)))
+    calls = []
+
+    def counting(ring, terms):
+        calls.append(ring)
+        return class_of(ring, terms)
+
+    def refused(*_args):
+        raise AssertionError("LaurentZ products must not run CohClass.__mul__")
+
+    monkeypatch.setattr(series_module, "class_of", counting)
+    monkeypatch.setattr(CohClass, "__mul__", refused)
+    monkeypatch.setattr(CohClass, "__rmul__", refused)
+    for a, b in cases:
+        top = a.ring.top
+        buckets = {
+            e1 + e2
+            for e1, c1 in a.coeffs
+            for e2, c2 in b.coeffs
+            if any(sum(m1) + sum(m2) <= top for m1 in c1.poly for m2 in c2.poly)
+        }
+        calls.clear()
+        out = a.mul(b)
+        assert len(calls) == len(buckets) == len(out.coeffs)
+        assert all(ring is a.ring for ring in calls)
+        calls.clear()
+        a.scale_class(b.coeffs[0][1])
+        assert calls
+
+
+def test_laurent_mul_refuses_mismatched_rings_with_a_zero_operand(m_quintic, m_cubic):
+    ring_a = ring_at(m_quintic, (F(0),))
+    ring_b = ring_at(m_cubic, (F(-1, 3),))
+    zero_a, zero_b = lz(ring_a, {}), lz(ring_b, {})
+    for a, b in ((zero_a, LaurentZ.one(ring_b)), (LaurentZ.one(ring_a), zero_b), (zero_a, zero_b)):
+        with pytest.raises(RingMismatchError):
+            a.mul(b)
+    with pytest.raises(RingMismatchError):
+        zero_a.scale_class(ring_b.one())
 
 
 # --- hyper_factor -----------------------------------------------------------
@@ -352,6 +483,23 @@ def test_z_partial_methods_agree(m_p1, m_quintic, m_cubic):
         assert not series_compare(a, b)
         verified = z_partial(s, rho, "verify")
         assert not series_compare(verified, a)
+
+
+def test_z_partial_builds_one_multiplier_per_degree(monkeypatch, m_quintic):
+    etas, insertions = t_insertion()
+    s = big_i_function(m_quintic, etas, insertions, q_bound=F(3), t_order=1)
+    calls = []
+
+    def counting(ring, cls, a):
+        calls.append(a)
+        return linear_z_factor(ring, cls, a)
+
+    monkeypatch.setattr(series_module, "linear_z_factor", counting)
+    rho_list = [(1,), (-5,)]
+    z_partial(s, rho_list, "by_multiplication")
+    degrees = {d for d, _alpha in s.terms}
+    assert len(s.terms) > len(degrees)
+    assert len(calls) == len(rho_list) * len(degrees)
 
 
 def test_z_partial_requires_ambient(m_quintic):

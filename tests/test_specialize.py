@@ -6,7 +6,7 @@ from glsmkit import specialize
 from glsmkit.model import InputError
 from glsmkit.rings import build_ring, class_from_character
 from glsmkit.scalars import format_rational
-from glsmkit.series import LaurentZ, invert_linear_z_factor, linear_z_factor
+from glsmkit.series import Insertion, LaurentZ, invert_linear_z_factor, linear_z_factor
 from glsmkit.specialize import (
     CiSpec,
     FjrwSpec,
@@ -331,3 +331,37 @@ def test_ci_compare_reports_the_doubled_term(monkeypatch):
     assert all({"degree": r["degree"], "t_exponent": r["t_exponent"]} == position for r in report["diff"])
     assert len({r["z"] for r in report["diff"]}) == len(report["diff"])
     assert all(r["left"] is not None and r["right"] is not None for r in report["diff"])
+
+
+def test_ci_compare_eliminates_once_per_sector_ring(monkeypatch):
+    calls = []
+    real = specialize.ideal_membership
+
+    def counting(ring, factors):
+        calls.append(ring)
+        return real(ring, factors)
+
+    monkeypatch.setattr(specialize, "ideal_membership", counting)
+    report = ci_compare(QUINTIC_CI, F(3), t_order=1, etas=[(1,)], insertions=[Insertion.from_terms("t1", {(1,): F(1)})])
+    assert report["equal"], report["diff"]
+    assert calls and len(calls) == len(set(calls))
+
+
+CROSSCHECKS = [
+    (fjrw_direct_series, fjrw_crosscheck, CUBIC_SPEC, F(4), 1),
+    (hybrid_direct_series, hybrid_crosscheck, HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(3), 1),
+    (ci_ambient_series, ci_compare, QUINTIC_CI, F(3), 0),
+]
+
+
+@pytest.mark.parametrize("direct, check, spec, q_bound, t_order", CROSSCHECKS, ids=["fjrw", "hybrid", "ci"])
+def test_crosscheck_compares_against_the_given_direct_series(direct, check, spec, q_bound, t_order):
+    series = direct(spec, q_bound, t_order)
+    assert check(spec, q_bound, t_order, direct=series) == check(spec, q_bound, t_order)
+    key = sorted(series.terms)[1]
+    series.terms[key] = series.terms[key].scale(F(2))
+    report = check(spec, q_bound, t_order, direct=series)
+    assert not report["equal"]
+    assert {(tuple(r["degree"]), tuple(r["t_exponent"])) for r in report["diff"]} == {
+        (tuple(format_rational(x) for x in key[0]), key[1])
+    }
