@@ -10,8 +10,9 @@ ring's one table, `forms`, holds the normal form of every monomial of degree
 at most `top`; `build_ring` labels it with its sector.  `class_of` is the
 only reader of that table: class products, divisor classes, the engine's
 per-degree factors and z-Laurent products (`series.LaurentZ.mul`) all hand
-it (monomial, coefficient) pairs.  Ideal
-membership is linear algebra on the staircase basis.
+it (monomial, coefficient) pairs, and the two products form their pairs in
+one routine, `term_products`.  Ideal membership is linear algebra on the
+staircase basis.
 """
 
 from __future__ import annotations
@@ -157,14 +158,8 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._check(other)
-            # a product of degree above top is zero: skip it before forming c1 * c2
-            top = self.ring.top
             right = [(m2, c2, sum(m2)) for m2, c2 in other.poly.items()]
-            terms = []
-            for m1, c1 in self.poly.items():
-                room = top - sum(m1)
-                terms += [(tuple(map(add, m1, m2)), c1 * c2) for m2, c2, deg in right if deg <= room]
-            return class_of(self.ring, terms)
+            return class_of(self.ring, term_products(self.ring.top, self.poly, right))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -180,6 +175,19 @@ class CohClass:
         for _ in range(n):
             out = out * self
         return out
+
+
+def term_products(top: int, left: Poly, right: list) -> list:
+    """The products (mu1 + mu2, c1 * c2) of the terms of left and the (mu2, c2, |mu2|) of right.
+
+    A product of degree above top is zero in the ring: it is skipped before
+    c1 * c2 is formed.
+    """
+    out = []
+    for m1, c1 in left.items():
+        room = top - sum(m1)
+        out += [(tuple(map(add, m1, m2)), c1 * c2) for m2, c2, deg in right if deg <= room]
+    return out
 
 
 def class_of(ring: SectorRing, terms) -> CohClass:

@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, gcd
-from operator import add
 
 from .lattice import common_denominator, nonneg_vectors
 from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
@@ -29,10 +28,11 @@ from .rings import (
     class_of,
     class_to_json,
     ideal_membership,
+    term_products,
 )
 from .scalars import Cyclo, Scalar, format_rational, parse_rational
 from .sectors import Degree, effective_degrees, pairing, sector_of_degree, theta_degree
-from .validate import invariants_trivial
+from .validate import glsm_hypothesis
 
 
 class HypothesisError(ValueError):
@@ -81,6 +81,8 @@ class LaurentZ:
         return self.coeffs[-1][0] - self.coeffs[0][0] + 1
 
     def add(self, other: "LaurentZ") -> "LaurentZ":
+        if self.ring != other.ring:
+            raise RingMismatchError("classes live in different sector rings")
         out = self.as_dict()
         for e, c in other.coeffs:
             cur = out.get(e)
@@ -90,24 +92,20 @@ class LaurentZ:
     def mul(self, other: "LaurentZ") -> "LaurentZ":
         """The product, with one `class_of` reduction per z-exponent of the result.
 
-        Every product of terms c1 H^mu1 z^e1 and c2 H^mu2 z^e2 is formed with
-        integer exponent sums, except those with |mu1| + |mu2| above the
-        ring's top degree, which are zero; the products are bucketed by
+        The coefficient products of each pair of z-exponents come from
+        `rings.term_products`, as in a class product; they are bucketed by
         z-exponent and each bucket is reduced once.
         """
         ring = self.ring
         if ring != other.ring:
             raise RingMismatchError("classes live in different sector rings")
         top = ring.top
-        right = [(e2, m2, c2, sum(m2)) for e2, cls in other.coeffs for m2, c2 in cls.poly.items()]
+        right = [(e2, [(m2, c2, sum(m2)) for m2, c2 in cls.poly.items()]) for e2, cls in other.coeffs]
         by_z: dict[int, list] = {}  # z-exponent -> (monomial, coefficient) products
         for e1, cls in self.coeffs:
-            for m1, c1 in cls.poly.items():
-                room = top - sum(m1)
-                for e2, m2, c2, deg in right:
-                    if deg <= room:
-                        by_z.setdefault(e1 + e2, []).append((tuple(map(add, m1, m2)), c1 * c2))
-        return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items()})
+            for e2, terms in right:
+                by_z.setdefault(e1 + e2, []).extend(term_products(top, cls.poly, terms))
+        return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items() if terms})
 
     def scale(self, s: Scalar) -> "LaurentZ":
         return LaurentZ.from_dict(self.ring, {e: c.scale(s) for e, c in self.coeffs})
@@ -459,8 +457,7 @@ def glsm_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t
     Requires the invariant-triviality hypothesis on the R-charge-zero
     coordinates; refuses with the nontrivial-monomial certificate otherwise.
     """
-    keep = [i for i in range(m.r) if m.r_charges[i] == 0]
-    res = invariants_trivial(m, keep, include_r_charge=False)
+    res = glsm_hypothesis(m)
     if not res.trivial:
         raise HypothesisError(res.certificate)
     return _assemble(m, etas, insertions, q_bound, t_order, "glsm")
@@ -562,8 +559,7 @@ def compact_type_report(s: GradedSeries, m: GLSMModel) -> dict:
     Everything beyond these two checks is reported as unverified.
     """
     charged = m.r_charged_indices()
-    keep = [i for i in range(m.r) if m.r_charges[i] == 0]
-    hyp = invariants_trivial(m, keep, include_r_charge=False)
+    hyp = glsm_hypothesis(m)
     violations = []
     checked = 0
     ideals: dict = {}  # degree -> membership test of its endpoint ideal, eliminated once

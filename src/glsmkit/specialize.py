@@ -3,9 +3,14 @@ affine phases of a quasihomogeneous singularity, hybrid phases over a weighted
 projective stack, and the complete-intersection phase with its sign-twisted
 comparison against the ambient hypersurface series.
 
-The direct series code the displayed closed formulas with bare Laurent
-arithmetic (no reuse of the engine's factor routines), so the cross-checks
-exercise two genuinely independent paths.
+The hybrid model is the theta < 0 phase of the rank-one sections model, so
+`hybrid_build` is one `ci_build` call.  The direct series code the displayed
+closed formulas with bare Laurent arithmetic (no reuse of the engine's factor
+routines), so the cross-checks exercise two genuinely independent paths.  The
+hybrid and complete-intersection series share one insertion exponential,
+`_insertion_exponential`, which is separate from the engine's `exp_factor`.
+All three start from one empty series, `_empty_series`, and the affine and
+hybrid cross-checks share one report, `_family_report`.
 """
 
 from __future__ import annotations
@@ -113,11 +118,29 @@ def fjrw_build(spec: FjrwSpec) -> GLSMModel:
     )
 
 
+def _light_insertions(etas) -> tuple:
+    """The characters eta_j and one light insertion t_j * eta_j per character."""
+    etas = tuple(etas)
+    return etas, tuple(single_character_insertion(f"t{j + 1}", j, len(etas)) for j in range(len(etas)))
+
+
+def _empty_series(model: GLSMModel, state: str, etas, insertions, q_bound, t_order: int) -> GradedSeries:
+    """The series a direct series fills term by term."""
+    return GradedSeries(
+        model=model,
+        state=state,
+        etas=tuple(tuple(e) for e in etas),
+        insertions=tuple(insertions),
+        q_bound=F(q_bound),
+        t_order=t_order,
+        terms={},
+    )
+
+
 def fjrw_insertions(spec: FjrwSpec):
     """The single light insertion t * (character of weight -r_1 on p_1)."""
     s = len(spec.group_data)
-    eta = tuple(-spec.group_data[0][0] if j == 0 else 0 for j in range(s))
-    return (eta,), (single_character_insertion("t1", 0, 1),)
+    return _light_insertions([tuple(-spec.group_data[0][0] if j == 0 else 0 for j in range(s))])
 
 
 def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSeries:
@@ -131,17 +154,8 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     """
     q_bound = F(q_bound)
     model = fjrw_build(spec)
-    etas, insertions = fjrw_insertions(spec)
     orders = [order for order, _ in spec.group_data]
-    series = GradedSeries(
-        model=model,
-        state="glsm",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms={},
-    )
+    series = _empty_series(model, "glsm", *fjrw_insertions(spec), q_bound, t_order)
     scale = lcm(*orders)  # sum_j d_j / r_j <= q_bound, times L = lcm of the orders
     found = []  # (generator exponents, engine degree, rotation numbers)
     for tup in nonneg_vectors([scale // r for r in orders], floor(q_bound * scale)):
@@ -174,14 +188,19 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     return series
 
 
-def _diff_positions(diff: list[dict]) -> list[dict]:
-    """The distinct (degree, t_exponent) positions of series_compare records, in order."""
+def _family_report(family: str, engine: GradedSeries, direct: GradedSeries, diff: list[dict]) -> dict:
+    """The affine and hybrid cross-check report: the distinct (degree, t_exponent) positions of the diff, in order."""
     positions = []
     for record in diff:
         position = {"degree": record["degree"], "t_exponent": record["t_exponent"]}
         if not positions or positions[-1] != position:
             positions.append(position)
-    return positions
+    return {
+        "family": family,
+        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
+        "diff": positions,
+        "equal": not positions,
+    }
 
 
 def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: GradedSeries | None = None) -> dict:
@@ -196,7 +215,6 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: Graded
     t_order)`, for a caller that has already computed it; when omitted it is
     computed here.
     """
-    q_bound = F(q_bound)
     model = fjrw_build(spec)
     etas, insertions = fjrw_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
@@ -213,13 +231,8 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: Graded
 
         return fn
 
-    diffs = _diff_positions(series_compare(engine.map_terms(times(etas)), direct.map_terms(times(charged))))
-    return {
-        "family": "fjrw",
-        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
-        "diff": diffs,
-        "equal": not diffs,
-    }
+    diff = series_compare(engine.map_terms(times(etas)), direct.map_terms(times(charged)))
+    return _family_report("fjrw", engine, direct, diff)
 
 
 # --------------------------------------------------------------------------
@@ -243,43 +256,52 @@ class HybridSpec:
             raise InputError("dimension mismatch: one section per p-coordinate")
 
 
-def _sections_potential(sections, x_count: int) -> PotentialPolynomial | None:
-    """The potential sum_j p_j * s_j(x) of sections over x1..x{x_count}, or None."""
-    if sections is None:
-        return None
-    full: dict[tuple[int, ...], Fraction] = {}
-    for j, section in enumerate(sections):
-        terms = parse_monomial_expression(section, [f"x{i + 1}" for i in range(x_count)])
-        for exps, coeff in terms.items():
-            key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(len(sections)))
-            full[key] = full.get(key, F(0)) + coeff
-    return PotentialPolynomial.from_dict(full)
-
-
 def hybrid_build(spec: HybridSpec) -> GLSMModel:
-    m_count = len(spec.x_weights)
-    n_count = len(spec.p_weights)
-    names = tuple(f"x{i + 1}" for i in range(m_count)) + tuple(f"p{j + 1}" for j in range(n_count))
-    return GLSMModel(
-        r=m_count + n_count,
-        k=1,
-        weights=(tuple(spec.x_weights) + tuple(-d for d in spec.p_weights),),
-        r_charges=(0,) * m_count + (1,) * n_count,
-        d_w=1,
-        theta=(F(-1),),
-        potential=_sections_potential(spec.sections, m_count),
-        assert_critical_proper=True,
-        variables=names,
+    """The theta < 0 phase of the rank-one sections model with x-weights w_i and section degrees d_j."""
+    return ci_build(
+        CiSpec(
+            ambient_r=len(spec.x_weights),
+            k=1,
+            ambient_weights=(spec.x_weights,),
+            theta=(F(-1),),
+            taus=tuple((d,) for d in spec.p_weights),
+            sections=spec.sections,
+        )
     )
 
 
 def hybrid_insertions(spec: HybridSpec):
-    etas = tuple((-d,) for d in spec.p_weights)
-    insertions = tuple(
-        single_character_insertion(f"t{j + 1}", j, len(spec.p_weights))
-        for j in range(len(spec.p_weights))
-    )
-    return etas, insertions
+    """One light insertion t_j * (character of weight -d_j) per p-coordinate."""
+    return _light_insertions((-d,) for d in spec.p_weights)
+
+
+def _insertion_exponential(series: GradedSeries, d: Degree, ring) -> dict[tuple[int, ...], LaurentZ]:
+    """alpha -> prod_j (z^-1 p_j(eta + <d, eta> z))^alpha_j / alpha_j! for the series' insertions.
+
+    Each character eta_s is evaluated as class(eta_s) + <d, eta_s> z in bare
+    Laurent arithmetic; the factor of every t-exponent up to the series'
+    t_order is the product of its powers, one factor at a time.
+    """
+    evals = [linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in series.etas]
+    shifted = []
+    for ins in series.insertions:
+        acc = LaurentZ.from_dict(ring, {})
+        for mono, coeff in ins.poly:
+            term = LaurentZ.one(ring)
+            for pos, e in enumerate(mono):
+                for _ in range(e):
+                    term = term.mul(evals[pos])
+            acc = acc.add(term.scale(coeff))
+        shifted.append(acc.shift(-1))
+    out = {}
+    for alpha in t_exponents(len(shifted), series.t_order):
+        factor = LaurentZ.one(ring)
+        for j, e in enumerate(alpha):
+            for _ in range(e):
+                factor = factor.mul(shifted[j])
+            factor = factor.scale(F(1, factorial(e)))
+        out[alpha] = factor
+    return out
 
 
 def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedSeries:
@@ -291,17 +313,8 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
     """
     q_bound = F(q_bound)
     model = hybrid_build(spec)
-    etas, insertions = hybrid_insertions(spec)
     d_lcm = lcm(*spec.p_weights)
-    series = GradedSeries(
-        model=model,
-        state="glsm",
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms={},
-    )
+    series = _empty_series(model, "glsm", *hybrid_insertions(spec), q_bound, t_order)
     degrees: list[Degree] = [(F(-k, d_lcm),) for k in range(floor(q_bound * d_lcm) + 1)]
     for k, (d_eng, ring) in enumerate(zip(degrees, sector_rings(model, degrees))):
         h = class_from_character(ring, (-1,))
@@ -309,26 +322,14 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
         for w in spec.x_weights:
             x = F(w * k, d_lcm)
             for nu in range(1, floor(x) + 1):
-                hyper = hyper.mul(
-                    LaurentZ.from_dict(ring, {0: h.scale(F(-w)), 1: ring.one().scale(-x + nu)})
-                )
+                hyper = hyper.mul(linear_z_factor(ring, h.scale(F(-w)), -x + nu))
         for dj in spec.p_weights:
             x = F(dj * k, d_lcm)
             for nu in range(1, ceil(x)):
                 hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
         if hyper.is_zero():
             continue
-        exp_vals = []
-        for dj in spec.p_weights:
-            exp_vals.append(
-                LaurentZ.from_dict(ring, {-1: h.scale(F(dj)), 0: ring.one().scale(F(dj * k, d_lcm))})
-            )
-        for alpha in t_exponents(len(spec.p_weights), t_order):
-            factor = LaurentZ.one(ring)
-            for j, e in enumerate(alpha):
-                for _ in range(e):
-                    factor = factor.mul(exp_vals[j])
-                factor = factor.scale(F(1, factorial(e)))
+        for alpha, factor in _insertion_exponential(series, d_eng, ring).items():
             value = factor.mul(hyper)
             if not value.is_zero():
                 series.terms[(d_eng, alpha)] = value
@@ -346,7 +347,6 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0, *, direct: Gr
     t_order)`, for a caller that has already computed it; when omitted it is
     computed here.
     """
-    q_bound = F(q_bound)
     model = hybrid_build(spec)
     etas, insertions = hybrid_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
@@ -360,13 +360,7 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0, *, direct: Gr
                 value = value.scale_class(class_from_character(value.ring, rho))
         return value
 
-    diffs = _diff_positions(series_compare(engine, direct.map_terms(with_endpoints)))
-    return {
-        "family": "hybrid",
-        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
-        "diff": diffs,
-        "equal": not diffs,
-    }
+    return _family_report("hybrid", engine, direct, series_compare(engine, direct.map_terms(with_endpoints)))
 
 
 # --------------------------------------------------------------------------
@@ -399,11 +393,20 @@ class CiSpec:
 
 
 def ci_build(spec: CiSpec) -> GLSMModel:
+    """The sections model: ambient coordinates x_i, one p_j of character -tau_j per section, W = sum_j p_j s_j(x)."""
     n = len(spec.taus)
     weights = tuple(
         tuple(spec.ambient_weights[a]) + tuple(-tau[a] for tau in spec.taus) for a in range(spec.k)
     )
     names = tuple(f"x{i + 1}" for i in range(spec.ambient_r)) + tuple(f"p{j + 1}" for j in range(n))
+    potential = None
+    if spec.sections is not None:
+        full: dict[tuple[int, ...], Fraction] = {}
+        for j, section in enumerate(spec.sections):
+            for exps, coeff in parse_monomial_expression(section, names[: spec.ambient_r]).items():
+                key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(n))
+                full[key] = full.get(key, F(0)) + coeff
+        potential = PotentialPolynomial.from_dict(full)
     return GLSMModel(
         r=spec.ambient_r + n,
         k=spec.k,
@@ -411,7 +414,7 @@ def ci_build(spec: CiSpec) -> GLSMModel:
         r_charges=(0,) * spec.ambient_r + (1,) * n,
         d_w=1,
         theta=tuple(spec.theta),
-        potential=_sections_potential(spec.sections, spec.ambient_r),
+        potential=potential,
         assert_critical_proper=True,
         variables=names,
     )
@@ -426,18 +429,9 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     exponential insertion factor prod_j (z^{-1} p_j(eta + <d, eta> z))^{alpha_j} / alpha_j!
     for each t-exponent alpha.
     """
-    q_bound = F(q_bound)
     model = ci_build(spec)
-    series = GradedSeries(
-        model=model,
-        state="ambient",
-        etas=tuple(tuple(e) for e in etas),
-        insertions=tuple(insertions),
-        q_bound=q_bound,
-        t_order=t_order,
-        terms={},
-    )
-    degrees = effective_degrees(model, q_bound)
+    series = _empty_series(model, "ambient", etas, insertions, q_bound, t_order)
+    degrees = effective_degrees(model, series.q_bound)
     for d, ring in zip(degrees, sector_rings(model, degrees)):
         value = LaurentZ.one(ring)
         for i in range(spec.ambient_r):
@@ -457,26 +451,8 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue
-        evals = [
-            LaurentZ.from_dict(ring, {0: class_from_character(ring, eta), 1: ring.one().scale(pairing(d, eta))})
-            for eta in series.etas
-        ]
-        shifted = []
-        for ins in series.insertions:
-            acc = LaurentZ.from_dict(ring, {})
-            for mono, coeff in ins.poly:
-                term = LaurentZ.one(ring)
-                for pos, e in enumerate(mono):
-                    for _ in range(e):
-                        term = term.mul(evals[pos])
-                acc = acc.add(term.scale(coeff))
-            shifted.append(acc.shift(-1))
-        for alpha in t_exponents(len(shifted), t_order):
-            term = value
-            for j, e in enumerate(alpha):
-                for _ in range(e):
-                    term = term.mul(shifted[j])
-                term = term.scale(F(1, factorial(e)))
+        for alpha, factor in _insertion_exponential(series, d, ring).items():
+            term = factor.mul(value)
             if not term.is_zero():
                 series.terms[(d, alpha)] = term
     return series

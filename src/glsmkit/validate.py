@@ -2,13 +2,16 @@
 
 Everything here is exact: congruences through Smith normal form, cone
 membership through the exact linear solves of the semistable-support search,
-and invariant-monomial triviality through rational LP.
+and invariant-monomial triviality through rational LP.  The potential-aware
+series' hypothesis is that LP on the R-charge-zero coordinates, decided once
+per model by `glsm_hypothesis`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .lattice import common_denominator, invariant_factors, smith_normal_form, solve_congruences, transpose
@@ -128,7 +131,7 @@ def no_strict_semistable(m: GLSMModel) -> bool:
     return any(m.theta) and all(len(s) == m.k for s in supports)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantsResult:
     trivial: bool
     witness: tuple[Fraction, ...] | None  # functional certifying triviality
@@ -144,7 +147,8 @@ def invariants_trivial(m: GLSMModel, keep, include_r_charge: bool = False) -> In
     Gordan duality: trivial iff some rational functional is >= 1 on every
     kept column (of the weight matrix, plus the R-charge row if requested).
     The negative case converts the dual certificate into a nonzero
-    nonnegative integer exponent vector.
+    nonnegative integer exponent vector.  The series' hypothesis asks this
+    once per model, through `glsm_hypothesis`.
     """
     keep = sorted(set(keep))
     if not keep:
@@ -163,6 +167,19 @@ def invariants_trivial(m: GLSMModel, keep, include_r_charge: bool = False) -> In
     for i, v in zip(keep, ints):
         full[i] = v
     return InvariantsResult(False, None, tuple(full))
+
+
+_HYPOTHESES = 16  # one small result per model; a session alternates a handful of models
+
+
+@lru_cache(maxsize=_HYPOTHESES)
+def glsm_hypothesis(m: GLSMModel) -> InvariantsResult:
+    """Is the constant the only torus-invariant monomial on the R-charge-zero coordinates?
+
+    The hypothesis of the potential-aware series.  Memoised on the frozen
+    model, so its callers in `series` share one LP and one result per model.
+    """
+    return invariants_trivial(m, [i for i in range(m.r) if m.r_charges[i] == 0])
 
 
 def faithfulness_check(m: GLSMModel) -> tuple[bool, str]:

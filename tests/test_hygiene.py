@@ -23,8 +23,15 @@ and reduces once, through `class_of`), and on a `rings` parameter in
 live in `rings`: `build_ring` per sector and `_ring_table` per fixed
 support), and on an `lcm(...)` call reading `.denominator` anywhere but
 `lattice.common_denominator` (how a rational vector becomes integer
-numerators over one denominator is decided in one place).  The package
-`__init__` is exempt from the unused-import check: it exists to re-export.
+numerators over one denominator is decided in one place), on any module
+naming `invariants_trivial` but its definition, `validate.glsm_hypothesis`
+and the package re-export (the series' hypothesis is decided once per
+model), and on `specialize` constructing a `GLSMModel` outside `fjrw_build`
+and `ci_build`, a `GradedSeries` outside `_empty_series`, or naming
+`t_exponents` outside `_insertion_exponential` (the hybrid model is a phase
+of the sections model, and the direct series share one skeleton and one
+insertion exponential).  The package `__init__` is exempt from the
+unused-import check: it exists to re-export.
 """
 
 import ast
@@ -117,8 +124,8 @@ def test_hyper_factor_reduces_once_without_ring_products():
     assert not named, named
 
 
-def _named_outside(name, target, functions):
-    """Lines of module `name` that name `target` outside the given functions."""
+def _found_outside(name, functions, hit):
+    """Lines of module `name` holding a node that `hit` accepts, outside the given functions."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
     allowed = {
         id(inner)
@@ -126,11 +133,19 @@ def _named_outside(name, target, functions):
         if isinstance(node, ast.FunctionDef) and node.name in functions
         for inner in ast.walk(node)
     }
-    return [
-        f"{name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if getattr(node, "id", getattr(node, "attr", None)) == target and id(node) not in allowed
-    ]
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree) if hit(node) and id(node) not in allowed]
+
+
+def _named_outside(name, target, functions):
+    """Lines of module `name` that name `target` outside the given functions."""
+    return _found_outside(name, functions, lambda node: getattr(node, "id", getattr(node, "attr", None)) == target)
+
+
+def _calls_outside(name, target, functions):
+    """Lines of module `name` that call `target` outside the given functions."""
+    return _found_outside(
+        name, functions, lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == target
+    )
 
 
 def test_lp_cone_membership_only_inside_cone_contains():
@@ -201,4 +216,26 @@ def test_denominators_cleared_only_by_common_denominator():
             and id(node) not in helper
             and any(isinstance(inner, ast.Attribute) and inner.attr == "denominator" for inner in ast.walk(node))
         ]
+    assert not stray, stray
+
+
+def test_hypothesis_lp_named_only_by_glsm_hypothesis():
+    stray = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        stray += _named_outside(path.name, "invariants_trivial", {"glsm_hypothesis"})
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and any(alias.name == "invariants_trivial" for alias in node.names)
+        ]
+    assert not stray, stray
+
+
+def test_direct_series_share_one_model_one_skeleton_one_exponential():
+    stray = _calls_outside("specialize.py", "GLSMModel", {"fjrw_build", "ci_build"})
+    stray += _calls_outside("specialize.py", "GradedSeries", {"_empty_series"})
+    stray += _named_outside("specialize.py", "t_exponents", {"_insertion_exponential"})
     assert not stray, stray

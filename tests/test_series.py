@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsmkit.series as series_module
+import glsmkit.validate as validate_module
 from glsmkit.cli import _series_output
 from glsmkit.latexout import render_latex
-from glsmkit.model import InternalError, model_from_dict
+from glsmkit.model import InternalError, model_from_dict, parse_model
 from glsmkit.rings import CohClass, InfiniteRingError, RingMismatchError, build_ring, class_from_character, class_of
 from glsmkit.scalars import Cyclo
 from glsmkit.sectors import (
+    BudgetExceededError,
     DegenerateStabilityError,
     effective_degrees,
     inertia_sectors,
@@ -37,12 +39,13 @@ from glsmkit.series import (
     series_compare,
     series_from_json,
     series_to_json,
+    single_character_insertion,
     t_exponents,
     twist_novikov,
     z_partial,
 )
 
-from conftest import corpus, small_torus_models
+from conftest import RANK2, corpus, small_torus_models
 
 F = Fraction
 
@@ -206,6 +209,25 @@ def test_laurent_mul_refuses_mismatched_rings_with_a_zero_operand(m_quintic, m_c
             a.mul(b)
     with pytest.raises(RingMismatchError):
         zero_a.scale_class(ring_b.one())
+
+
+def test_laurent_add_refuses_mismatched_rings_with_disjoint_supports(m_quintic, m_cubic):
+    # no z-exponent is shared, so no two classes are added: only the ring check can refuse
+    ring_a = ring_at(m_quintic, (F(0),))
+    ring_b = ring_at(m_cubic, (F(-1, 3),))
+    with pytest.raises(RingMismatchError):
+        LaurentZ.one(ring_a).add(lz(ring_b, {1: ring_b.one()}))
+    with pytest.raises(RingMismatchError):
+        lz(ring_b, {-1: ring_b.one()}).add(LaurentZ.one(ring_a))
+
+
+def test_laurent_add_refuses_mismatched_rings_with_a_zero_operand(m_quintic, m_cubic):
+    ring_a = ring_at(m_quintic, (F(0),))
+    ring_b = ring_at(m_cubic, (F(-1, 3),))
+    zero_a, zero_b = lz(ring_a, {}), lz(ring_b, {})
+    for a, b in ((zero_a, LaurentZ.one(ring_b)), (LaurentZ.one(ring_a), zero_b), (zero_a, zero_b)):
+        with pytest.raises(RingMismatchError):
+            a.add(b)
 
 
 # --- hyper_factor -----------------------------------------------------------
@@ -408,6 +430,87 @@ def test_glsm_hypothesis_violation():
     with pytest.raises(HypothesisError) as err:
         glsm_i_function(m, q_bound=F(1))
     assert err.value.certificate[0] > 0 and err.value.certificate[1] > 0
+
+
+def test_hypothesis_lp_runs_once_per_model(monkeypatch, m_rank2):
+    calls = []
+    real = validate_module.invariants_trivial
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(validate_module, "invariants_trivial", counting)
+    validate_module.glsm_hypothesis.cache_clear()
+    for _ in range(3):
+        s = glsm_i_function(m_rank2, q_bound=F(1))
+        assert compact_type_report(s, m_rank2)["hypothesis_holds"]
+    # an equal model parsed again shares the decision
+    assert compact_type_report(s, parse_model(json.dumps(RANK2)))["hypothesis_holds"]
+    assert calls == [m_rank2]
+    refused = model_from_dict(
+        {"r": 3, "k": 1, "weights": [[1, -1, 2]], "r_charges": [0, 0, 2], "d_w": 2, "theta": ["1"], "potential": None}
+    )
+    for _ in range(2):
+        with pytest.raises(HypothesisError):
+            glsm_i_function(refused, q_bound=F(1))
+    assert calls == [m_rank2, refused]
+    result = validate_module.glsm_hypothesis(refused)
+    assert result is validate_module.glsm_hypothesis(refused)
+    with pytest.raises(AttributeError):
+        result.trivial = True  # callers share one instance, so it is frozen
+
+
+OCTIC = parse_model(
+    json.dumps(
+        {
+            "r": 7,
+            "k": 2,
+            "weights": [[0, 0, 1, 1, 1, 1, -4], [1, 1, 0, 0, 0, -2, 0]],
+            "r_charges": [0, 0, 0, 0, 0, 0, 1],
+            "d_w": 1,
+            "theta": ["1", "1"],
+            "potential": "x1^8*x6^4*p1+x2^8*x6^4*p1+x3^4*p1+x4^4*p1+x5^4*p1",
+            "variables": ["x1", "x2", "x3", "x4", "x5", "x6", "p1"],
+            "assert_critical_proper": True,
+        }
+    )
+)
+
+
+def _glsm_minus_derivative(m, q_bound, t_order) -> list[dict]:
+    """series_compare of glsm_i_function against z_partial of big_i_function along the R-charged columns.
+
+    With t_order >= 1 the series carry one insertion t1 * rho_1.
+    """
+    etas, insertions = ((m.column(0),), (single_character_insertion("t1", 0, 1),)) if t_order else ((), ())
+    glsm = glsm_i_function(m, etas, insertions, q_bound, t_order)
+    big = big_i_function(m, etas, insertions, q_bound, t_order)
+    charged = [m.column(i) for i in m.r_charged_indices()]
+    return series_compare(glsm, z_partial(big, charged, "by_multiplication"))
+
+
+@pytest.mark.parametrize("q_bound, t_order", [(F(3), 0), (F(2), 1)])
+@pytest.mark.parametrize("m", corpus() + [OCTIC], ids=["p1", "quintic", "cubic", "rank2", "octic"])
+def test_glsm_i_function_is_z_partial_of_big_i_function(m, q_bound, t_order):
+    # the glsm series is the ambient one differentiated once along each R-charged coordinate
+    assert _glsm_minus_derivative(m, q_bound, t_order) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_torus_models(), st.data())
+def test_glsm_i_function_is_z_partial_of_big_i_function_on_random_models(m, data):
+    charges = data.draw(st.lists(st.integers(0, 2), min_size=m.r, max_size=m.r).filter(any))
+    m = replace(m, r_charges=tuple(charges), d_w=2)
+    try:
+        diff = _glsm_minus_derivative(m, F(1), data.draw(st.integers(0, 1)))
+    except (HypothesisError, DegenerateStabilityError, BudgetExceededError):
+        return
+    except ValueError as e:
+        if "sector is empty" not in str(e):
+            raise
+        return
+    assert diff == []
 
 
 def test_glsm_quintic_degree_terms_divisible(m_quintic):

@@ -106,6 +106,31 @@ def test_hybrid_build():
     assert m.potential.as_dict() == {(3, 1): F(1)}
 
 
+@pytest.mark.parametrize(
+    "hybrid, ci",
+    [
+        (
+            HybridSpec(x_weights=(1,), p_weights=(3,), sections=("x1^3",)),
+            CiSpec(ambient_r=1, k=1, ambient_weights=((1,),), theta=(F(-1),), taus=((3,),), sections=("x1^3",)),
+        ),
+        (
+            HybridSpec(x_weights=(1,), p_weights=(3,)),
+            CiSpec(ambient_r=1, k=1, ambient_weights=((1,),), theta=(F(-1),), taus=((3,),)),
+        ),
+        (
+            HybridSpec(x_weights=(1, 1), p_weights=(2,)),
+            CiSpec(ambient_r=2, k=1, ambient_weights=((1, 1),), theta=(F(-1),), taus=((2,),)),
+        ),
+        (
+            HybridSpec(x_weights=(1, 1, 1), p_weights=(2, 2)),
+            CiSpec(ambient_r=3, k=1, ambient_weights=((1, 1, 1),), theta=(F(-1),), taus=((2,), (2,))),
+        ),
+    ],
+)
+def test_hybrid_model_is_the_negative_phase_of_the_sections_model(hybrid, ci):
+    assert hybrid_build(hybrid) == ci_build(ci)
+
+
 def test_ci_build_quintic():
     m = ci_build(QUINTIC_CI)
     assert m.weights == ((1, 1, 1, 1, 1, -5),)
