@@ -99,8 +99,11 @@ def _parse_insertions(model: GLSMModel, specs: tuple[str, ...]):
         if "=" not in spec:
             raise InputError(f"--insert expects NAME=POLY, got {spec!r}")
         name, poly_text = spec.split("=", 1)
+        name = name.strip()
+        if any(name == seen for seen, _terms in parsed):
+            raise InputError(f"--insert names the variable {name!r} more than once")
         terms = parse_monomial_expression(poly_text, names)
-        parsed.append((name.strip(), terms))
+        parsed.append((name, terms))
         for exps in terms:
             for i, e in enumerate(exps):
                 if e and model.column(i) not in etas:
@@ -160,10 +163,18 @@ def formats(*names):
     return click.option("--format", "fmt", type=click.Choice(["json", *names]), default="json")
 
 
+def _nonneg_rational(_ctx, param, value: str) -> Fraction:
+    """The value of a rational option that must be at least 0, such as --qbound."""
+    q = parse_rational(value)
+    if q < 0:
+        raise InputError(f"{param.opts[0]} must be nonnegative, got {value!r}")
+    return q
+
+
 def truncation(command):
-    """--qbound (maximal theta-degree) and --torder (nonnegative insertion order) of a series."""
+    """--qbound (nonnegative maximal theta-degree) and --torder (nonnegative insertion order) of a series."""
     command = click.option("--torder", type=click.IntRange(min=0), default=0)(command)
-    return click.option("--qbound", required=True)(command)
+    return click.option("--qbound", "q_bound", required=True, callback=_nonneg_rational)(command)
 
 
 # kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order); the
@@ -230,13 +241,15 @@ def sectors(file, out, fmt):
 
 @cli.command()
 @click.argument("file", type=click.Path())
-@click.option("--qbound", required=True, help="maximal theta-degree (rational)")
+@click.option(
+    "--qbound", "q_bound", required=True, callback=_nonneg_rational, help="maximal theta-degree (nonnegative rational)"
+)
 @common_out
 @formats("text")
-def effective(file, qbound, out, fmt):
+def effective(file, q_bound, out, fmt):
     """Enumerate criterion-effective degrees up to the theta-degree bound."""
     model = parse_model(_read_file(file))
-    degs = effective_degrees(model, parse_rational(qbound))
+    degs = effective_degrees(model, q_bound)
     payload = {
         "effectivity": "criterion",
         "degrees": [
@@ -269,10 +282,9 @@ def _cached_series(key: str, compute, no_cache: bool, parse: bool = True) -> tup
     return text, series
 
 
-def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache):
+def _series_command(mode: str, file, q_bound, torder, insert, out, fmt, no_cache):
     model = parse_model(_read_file(file))
     etas, insertions = _parse_insertions(model, insert)
-    q_bound = parse_rational(qbound)
     fn = big_i_function if mode == "ifun" else glsm_i_function
     text, series = _cached_series(
         _series_key(model, mode, q_bound, torder, insert),
@@ -290,9 +302,9 @@ def _series_command(mode: str, file, qbound, torder, insert, out, fmt, no_cache)
 @common_out
 @formats("latex", "text")
 @common_nocache
-def ifun(file, qbound, torder, insert, out, fmt, no_cache):
+def ifun(file, q_bound, torder, insert, out, fmt, no_cache):
     """Truncated big I-function (ambient state space)."""
-    _series_command("ifun", file, qbound, torder, insert, out, fmt, no_cache)
+    _series_command("ifun", file, q_bound, torder, insert, out, fmt, no_cache)
 
 
 @cli.command("glsm-ifun")
@@ -302,9 +314,9 @@ def ifun(file, qbound, torder, insert, out, fmt, no_cache):
 @common_out
 @formats("latex", "text")
 @common_nocache
-def glsm_ifun(file, qbound, torder, insert, out, fmt, no_cache):
+def glsm_ifun(file, q_bound, torder, insert, out, fmt, no_cache):
     """Truncated I-function of the model with potential (glsm state space)."""
-    _series_command("glsm-ifun", file, qbound, torder, insert, out, fmt, no_cache)
+    _series_command("glsm-ifun", file, q_bound, torder, insert, out, fmt, no_cache)
 
 
 @cli.command()
@@ -316,11 +328,10 @@ def glsm_ifun(file, qbound, torder, insert, out, fmt, no_cache):
 @common_out
 @formats("latex", "text")
 @common_nocache
-def dz(file, rho, qbound, torder, insert, method, out, fmt, no_cache):
+def dz(file, rho, q_bound, torder, insert, method, out, fmt, no_cache):
     """z-shifted derivative of the cached big I-function along characters."""
     model = parse_model(_read_file(file))
     etas, insertions = _parse_insertions(model, insert)
-    q_bound = parse_rational(qbound)
     rho_list = _parse_rho_list(model, rho)
     _, series = _cached_series(
         _series_key(model, "ifun", q_bound, torder, insert),
@@ -350,12 +361,11 @@ def check_ct(series_file, out):
 @click.option("--crosscheck/--no-crosscheck", default=True)
 @common_out
 @formats("latex")
-def specialize(kind, file, qbound, torder, crosscheck, out, fmt):
+def specialize(kind, file, q_bound, torder, crosscheck, out, fmt):
     """Build a family model, its direct series, and the engine cross-check."""
     spec = families.specialization_from_model_file(_read_file(file))
     if spec.kind != kind:
         raise InputError(f"specialize {kind} was given a file whose specialization kind is {spec.kind!r}")
-    q_bound = parse_rational(qbound)
     direct, check = (getattr(families, name) for name in FAMILIES[kind])
     series = direct(spec, q_bound, torder)
     report = check(spec, q_bound, torder, direct=series) if crosscheck else None

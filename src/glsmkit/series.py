@@ -221,7 +221,7 @@ class GradedSeries:
         return replace(self, terms=terms, vanished=tuple(sorted(vanished)))
 
 
-def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> LaurentZ:
+def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: dict | None = None) -> LaurentZ:
     """Per-degree hypergeometric factor in the sector ring of d.
 
     With x = <d,rho_i>, coordinate i contributes one factor
@@ -256,6 +256,18 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     the groups are keyed on them.  Each group's scale stays an integer
     numerator and denominator; their products form the degree's one
     Fraction scale, which multiplies each bucket's class.
+
+    Each P is read from a prefix table.  With x = num/den in lowest terms,
+    every range's p_k fill a prefix of one residue class: |p|
+    runs up from first = num mod den (or den) over (0, num] or (0, num-den]
+    when x > 0, and up from first = -num mod den over (num, 0] or [num, 0]
+    when x <= 0.  So a group's P^count is entry len(nus) of the prefix table
+    T[k] = prod_{i<k} (+-(first + den i) + den u)^count, truncated at u^top,
+    keyed on (den, first, sign, count, top); numerator entries keep only
+    degree <= min(k count, top).  Each table is extended as far as the
+    longest range read from it.  `tables` holds them: `_assemble` passes
+    one dict for all degrees of a series, and it is dropped with the call.
+    Without it, each call uses tables of its own.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -273,6 +285,8 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
         if nus:
             key = (col, xn, nus)
             groups[key] = groups.get(key, 0) + 1
+    if tables is None:
+        tables = {}
     top = ring.top
     poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
     scale_num = scale_den = 1
@@ -280,7 +294,7 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     for (col, xn, nus), count in groups.items():
         g = gcd(xn, den)
         inverted = xn > 0
-        coeffs, num, dnm = _gamma_series(xn // g, den // g, nus, count, inverted, top)
+        coeffs, num, dnm = _gamma_series(xn // g, den // g, nus, count, inverted, top, tables)
         poly = _times_linear_series(poly, coeffs, col, top)
         if not poly:
             return LaurentZ(ring, ())
@@ -295,25 +309,30 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing) -> Lauren
     return LaurentZ.from_dict(ring, {e: class_of(ring, terms).scale(scale) for e, terms in by_z.items()})
 
 
-def _gamma_series(num: int, den: int, nus: range, count: int, inverted: bool, top: int) -> tuple[list[int], int, int]:
+def _gamma_series(
+    num: int, den: int, nus: range, count: int, inverted: bool, top: int, tables: dict
+) -> tuple[list[int], int, int]:
     """Integer coefficients of P(u), or of 1/P(u), up to u^top, and the scale of hyper_factor's closed form.
 
     x = num / den in lowest terms, and P is the product over nus, taken count
-    times.  The scale is returned as its integer numerator and denominator.
+    times.  P is entry len(nus) of the prefix table keyed on (den, first,
+    sign, count, top), extended here as far as needed.  The scale is
+    returned as its integer numerator and denominator.
     """
     n = len(nus) * count
-    size = top + 1 if inverted else min(n, top) + 1
-    once = [1] + [0] * (size - 1)
-    for nu in nus:
-        p = num - den * nu
-        for j in range(size - 1, 0, -1):
-            once[j] = p * once[j] + den * once[j - 1]
-        once[0] *= p
-    poly = once
-    for _ in range(count - 1):
-        poly = [sum([poly[i] * once[j - i] for i in range(j + 1)]) for j in range(size)]
+    if inverted:  # p in (0, num]: first = num mod den, or den
+        key = (den, num % den or den, 1, count, top)
+        start = [1] + [0] * top
+    else:  # p in (num, 0] or [num, 0]: first = (-num) mod den
+        key = (den, -num % den, -1, count, top)
+        start = [1]
+    table = tables.setdefault(key, [start])
+    while len(table) <= len(nus):
+        _extend_prefix(table, key)
+    poly = table[len(nus)]
     if not inverted:
         return poly, 1, den**n
+    size = top + 1
     p0 = poly[0]
     if p0 == 0:
         raise InternalError("denominator factor with zero scalar part")
@@ -323,6 +342,18 @@ def _gamma_series(num: int, den: int, nus: range, count: int, inverted: bool, to
     for j in range(1, size):
         inv.append(-sum([poly[i] * inv[j - i] for i in range(1, j + 1)]) // p0)
     return inv, den**n, p0**size
+
+
+def _extend_prefix(table: list[list[int]], key: tuple) -> None:
+    """Append T[k+1] = T[k] * (sign*(first + den*k) + den*u)^count, truncated at u^top, where k + 1 = len(table)."""
+    den, first, sign, count, top = key
+    p = sign * (first + den * (len(table) - 1))
+    row = table[-1] + [0] * min(count, top + 1 - len(table[-1]))
+    for _ in range(count):
+        for j in range(len(row) - 1, 0, -1):
+            row[j] = p * row[j] + den * row[j - 1]
+        row[0] *= p
+    table.append(row)
 
 
 def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
@@ -426,9 +457,10 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         terms={},
     )
     vanished: list[TermKey] = []
+    tables: dict = {}  # hyper_factor's prefix tables, shared by the degrees of this series
     degrees = effective_degrees(m, series.q_bound)
     for d, ring in zip(degrees, sector_rings(m, degrees)):
-        hyper = hyper_factor(m, d, mode, ring)
+        hyper = hyper_factor(m, d, mode, ring, tables)
         if hyper.is_zero():
             vanished.extend((d, alpha) for alpha in t_exponents(len(series.insertions), t_order))
             continue
@@ -605,14 +637,18 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     """Exact termwise diff on the intersection of the truncation regions.
 
     variable_map may rename insertion variables of `b` ({"old": "new"} with
-    names matched against a's insertion names).  Returns a list of difference
-    records; empty means equal on the common region.
+    names matched against a's insertion names).  Refuses with ValueError when
+    either side, after the renaming, names one variable more than once.
+    Returns a list of difference records; empty means equal on the common
+    region.
     """
     if a.model_key != b.model_key:
         raise ValueError("series belong to different models")
     rename = variable_map or {}
     names_a = [ins.name for ins in a.insertions]
     names_b = [rename.get(ins.name, ins.name) for ins in b.insertions]
+    if len(set(names_a)) < len(names_a) or len(set(names_b)) < len(names_b):
+        raise ValueError("a series names one insertion variable more than once")
     if sorted(names_a) != sorted(names_b):
         raise ValueError("insertion variables do not match")
     perm = [names_b.index(n) for n in names_a]

@@ -351,6 +351,40 @@ def test_negative_torder_exits_2(run, model_file, model, argv):
     assert err.startswith("error: ") and "--torder" in err
 
 
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        (P1, ["ifun"]),
+        (P1, ["glsm-ifun"]),
+        (P1, ["dz", "--rho", "rho1"]),
+        (FJRW_SPEC, ["specialize", "fjrw"]),
+        (P1, ["effective"]),
+    ],
+    ids=["ifun", "glsm-ifun", "dz", "specialize", "effective"],
+)
+def test_negative_qbound_exits_2(run, model_file, model, argv):
+    code, out, err = run(*argv, model_file(model), "--qbound", "-1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "--qbound" in err
+
+
+def test_repeated_insert_name_exits_2(run, model_file, tmp_path):
+    code, out, err = run(
+        "ifun", model_file(QUINTIC), "--qbound", "1", "--torder", "1", "--insert", "t=rho1", "--insert", "t=2*rho1"
+    )
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: --insert names the variable 't' more than once\n"
+    # a --map that sends two variables to one name is refused as well
+    a = tmp_path / "a.series"
+    argv = ["ifun", model_file(P1), "--qbound", "1", "--torder", "1", "--insert", "t=rho1", "--insert", "u=2*rho1"]
+    run(*argv, "--out", str(a))
+    code, out, err = run("compare", str(a), str(a), "--map", "u=t")
+    assert code == 2, err
+    assert "more than once" in err
+
+
 @pytest.fixture
 def argvs(run, model_file, tmp_path):
     """A working argv, without --format, of every subcommand that renders an artifact."""

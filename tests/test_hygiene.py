@@ -13,7 +13,7 @@ forms; ideal membership is linear algebra on the staircase basis), on any
 module reading a `.forms` attribute outside `rings.class_of` (the one reader
 of that table: class products, divisor classes and the engine's per-degree
 factors all go through it), and on the engine's `hyper_factor` (or its
-helpers `_gamma_series` and `_times_linear_series`) naming `linear_z_factor`
+helpers `_gamma_series`, `_extend_prefix` and `_times_linear_series`) naming `linear_z_factor`
 or `invert_linear_z_factor` (the engine multiplies each coordinate group out
 in closed form, while the direct series keep the per-factor products, so the
 two sides of a cross-check compute factors by different algorithms), or
@@ -30,8 +30,10 @@ model), and on `specialize` constructing a `GLSMModel` outside `fjrw_build`
 and `ci_build`, a `GradedSeries` outside `_empty_series`, or naming
 `t_exponents` outside `_insertion_exponential` (the hybrid model is a phase
 of the sections model, and the direct series share one skeleton and one
-insertion exponential).  The package `__init__` is exempt from the
-unused-import check: it exists to re-export.
+insertion exponential).  One rule reads a test module: the GKZ recurrence
+oracle in `tests/test_series.py` names none of the engine's factor routines,
+so it stays independent of the code it checks.  The package `__init__` is
+exempt from the unused-import check: it exists to re-export.
 """
 
 import ast
@@ -100,18 +102,22 @@ def test_specialize_does_not_import_engine_factors():
     assert not imported & {"hyper_factor", "exp_factor"}, imported
 
 
-HYPER_FACTOR = {"hyper_factor", "_gamma_series", "_times_linear_series"}
+HYPER_FACTOR = {"hyper_factor", "_gamma_series", "_extend_prefix", "_times_linear_series"}
 
 
-def _named_in_hyper_factor(targets):
-    tree = ast.parse((SRC / "series.py").read_text(encoding="utf-8"))
+def _named_in_functions(path, functions, targets):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     return {
         f"{node.name}: {getattr(inner, 'id', getattr(inner, 'attr', None))}"
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in HYPER_FACTOR
+        if isinstance(node, ast.FunctionDef) and node.name in functions
         for inner in ast.walk(node)
         if getattr(inner, "id", getattr(inner, "attr", None)) in targets
     }
+
+
+def _named_in_hyper_factor(targets):
+    return _named_in_functions(SRC / "series.py", HYPER_FACTOR, targets)
 
 
 def test_hyper_factor_does_not_use_per_factor_products():
@@ -121,6 +127,16 @@ def test_hyper_factor_does_not_use_per_factor_products():
 
 def test_hyper_factor_reduces_once_without_ring_products():
     named = _named_in_hyper_factor({"mul", "class_from_character"})
+    assert not named, named
+
+
+def test_gkz_oracle_does_not_use_engine_factors():
+    oracle = {"_gkz_relations", "_times_gkz_factors", "test_gkz_recurrence", "test_gkz_recurrence_on_the_corpus"}
+    path = Path(__file__).resolve().parent / "test_series.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert oracle <= defined, oracle - defined
+    named = _named_in_functions(path, oracle, HYPER_FACTOR | {"exp_factor", "invert_linear_z_factor"})
     assert not named, named
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -340,6 +341,113 @@ def test_mode_relation_corpus(m_p1, m_quintic, m_cubic, m_rank2):
                     linear_z_factor(ring, class_from_character(ring, m.column(i)), pairing(d, m.column(i)))
                 )
             assert lhs == rhs, (m.var_names(), d)
+
+
+def test_prefix_tables_extend_once_per_factor_of_the_longest_range(m_quintic, monkeypatch):
+    # x1..x5 read (H + a z)^-5 over a in (0, d]: one table, 24 factors at d = 24.  p reads
+    # (-5H + a z) over a in [-5d, 0]: one table, 121 factors at d = 24.  A walk per degree
+    # takes sum_{d <= 24} (d + 5d + 1) = 1,825 steps instead of 145.
+    extended = []
+    extend = series_module._extend_prefix
+
+    def counting(table, key):
+        extended.append(key)
+        return extend(table, key)
+
+    monkeypatch.setattr(series_module, "_extend_prefix", counting)
+    glsm_i_function(m_quintic, q_bound=F(24))
+    steps = Counter(extended)
+    assert {key[:4]: n for key, n in steps.items()} == {(1, 1, 1, 5): 24, (1, 0, -1, 1): 121}
+
+
+@st.composite
+def _charged_torus_models(draw):
+    """small_torus_models with random R-charges, so that glsm mode moves some ranges."""
+    m = draw(small_torus_models())
+    charges = draw(st.lists(st.integers(0, 2), min_size=m.r, max_size=m.r))
+    return replace(m, r_charges=tuple(charges), d_w=2)
+
+
+def _times_gkz_factors(value, m, d, l, mode, ring, raising):
+    """value times the factors (rho_i + a z) of the coordinates with l_i > 0 (raising) or with l_i < 0.
+
+    With x = <d, rho_i> and l_i = <l, rho_i>, a runs over x + Z in (x - l_i, x]
+    when l_i > 0 and in (x, x - l_i] when l_i < 0; in glsm mode the R-charged
+    coordinates take [x - l_i, x) and [x, x - l_i) instead.
+    """
+    for i in range(m.r):
+        li = int(pairing(l, m.column(i)))
+        if li == 0 or (li > 0) != raising:
+            continue
+        x = pairing(d, m.column(i))
+        below = 1 if mode == "glsm" and m.r_charges[i] != 0 else 0
+        values = [x - j - below for j in range(li)] if li > 0 else [x + j + 1 - below for j in range(-li)]
+        cls = class_from_character(ring, m.column(i))
+        for a in values:
+            value = value.mul(linear_z_factor(ring, cls, a))
+    return value
+
+
+def _gkz_relations(m, mode):
+    """Check the GKZ recurrence on the q <= 2 series of m; the number of relations checked.
+
+    For l = +-e_a, whenever d and d - l are both effective (terms or vanished),
+        I_d prod_{l_i>0} prod_{a in (x-l_i, x]} (rho_i + a z)
+            = I_{d-l} prod_{l_i<0} prod_{a in (x, x-l_i]} (rho_i + a z),
+    with the glsm ranges of `_times_gkz_factors`: an oracle for hyper_factor
+    from the weights alone, written without the engine's factor helpers.  A
+    model the series refuses gives 0.
+    """
+    build = glsm_i_function if mode == "glsm" else big_i_function
+    try:
+        s = build(m, q_bound=F(2))
+    except (HypothesisError, DegenerateStabilityError, BudgetExceededError, InfiniteRingError):
+        return 0
+    except ValueError as e:
+        if "sector is empty" not in str(e):
+            raise
+        return 0
+    values = {d: value for (d, _alpha), value in s.terms.items()}
+    values.update((d, None) for d, _alpha in s.vanished)
+    checked = 0
+    for d, here in values.items():
+        ring = ring_at(m, d)
+        for a in range(m.k):
+            for step in (1, -1):
+                l = tuple(F(step if b == a else 0) for b in range(m.k))
+                prev = tuple(x - y for x, y in zip(d, l))
+                if prev not in values:
+                    continue
+                there = values[prev]
+                lhs = _times_gkz_factors(lz(ring, {}) if here is None else here, m, d, l, mode, ring, True)
+                rhs = _times_gkz_factors(lz(ring, {}) if there is None else there, m, d, l, mode, ring, False)
+                assert lhs == rhs, (mode, d, l)
+                checked += 1
+    return checked
+
+
+# the weighted line P(1,2): fractional degrees d = 1/2, 3/2, ... put x = d > 0 off the integers
+P12 = model_from_dict(
+    {"r": 2, "k": 1, "weights": [[1, 2]], "r_charges": [0] * 2, "d_w": 1, "theta": ["1"], "potential": None}
+)
+
+
+def _gkz_corpus():
+    """The corpus and P(1,2), and each with every coordinate R-charged (glsm ranges at x > 0 too)."""
+    models = corpus() + [P12]
+    return models + [replace(m, r_charges=(1,) * m.r, d_w=2) for m in models]
+
+
+@pytest.mark.parametrize("mode", ["ambient", "glsm"])
+def test_gkz_recurrence_on_the_corpus(mode):
+    for m in _gkz_corpus():
+        assert _gkz_relations(m, mode) > 0, m.var_names()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.sampled_from(_gkz_corpus()), _charged_torus_models()), st.sampled_from(["ambient", "glsm"]))
+def test_gkz_recurrence(m, mode):
+    _gkz_relations(m, mode)
 
 
 # --- exp_factor -------------------------------------------------------------
@@ -684,6 +792,18 @@ def test_series_compare_flat_rename(m_p1):
     with pytest.raises(ValueError, match="insertion variables"):
         series_compare(a, b)
     assert series_compare(a, b, {"s1": "t1"}) == []
+
+
+def test_series_compare_refuses_repeated_names(m_p1):
+    # both variables named t would be read from the other side's first position
+    etas, _ = t_insertion()
+    once, twice = Insertion.from_terms("t", {(1,): F(1)}), Insertion.from_terms("t", {(1,): F(2)})
+    s = big_i_function(m_p1, etas, (once, twice), F(1), 1)
+    with pytest.raises(ValueError, match="more than once"):
+        series_compare(s, s)
+    a = big_i_function(m_p1, etas, (once, replace(twice, name="u")), F(1), 1)
+    with pytest.raises(ValueError, match="more than once"):
+        series_compare(a, a, {"u": "t"})
 
 
 def test_map_terms_moves_zero_results_to_vanished(m_p1):
