@@ -19,7 +19,15 @@ from . import ENGINE_VERSION
 from . import specialize as families
 from .cache import cache_get, cache_put, job_key
 from .latexout import render_latex
-from .model import GLSMModel, InputError, InternalError, model_to_dict, parse_model, parse_monomial_expression
+from .model import (
+    GLSMModel,
+    InputError,
+    InternalError,
+    model_to_dict,
+    parse_model,
+    parse_monomial_expression,
+    variable_name,
+)
 from .multipoly import Monomial
 from .rationallp import LPInternalError
 from .rings import RingMismatchError
@@ -99,7 +107,7 @@ def _parse_insertions(model: GLSMModel, specs: tuple[str, ...]):
         if "=" not in spec:
             raise InputError(f"--insert expects NAME=POLY, got {spec!r}")
         name, poly_text = spec.split("=", 1)
-        name = name.strip()
+        name = variable_name(name.strip(), "--insert NAME")
         if any(name == seen for seen, _terms in parsed):
             raise InputError(f"--insert names the variable {name!r} more than once")
         terms = parse_monomial_expression(poly_text, names)
@@ -156,6 +164,9 @@ def _series_output(series: GradedSeries, fmt: str) -> str:
 
 common_out = click.option("--out", type=click.Path(dir_okay=False), default=None, help="write the artifact to a file")
 common_nocache = click.option("--no-cache", is_flag=True, default=False, help="bypass the result cache")
+common_insert = click.option(
+    "--insert", multiple=True, help="NAME=POLY: a variable NAME ([A-Za-z][A-Za-z0-9_]*), POLY over rho1..rhoR"
+)
 
 
 def formats(*names):
@@ -298,7 +309,7 @@ def _series_command(mode: str, file, q_bound, torder, insert, out, fmt, no_cache
 @cli.command()
 @click.argument("file", type=click.Path())
 @truncation
-@click.option("--insert", multiple=True, help="NAME=POLY with POLY over rho1..rhoR")
+@common_insert
 @common_out
 @formats("latex", "text")
 @common_nocache
@@ -310,7 +321,7 @@ def ifun(file, q_bound, torder, insert, out, fmt, no_cache):
 @cli.command("glsm-ifun")
 @click.argument("file", type=click.Path())
 @truncation
-@click.option("--insert", multiple=True)
+@common_insert
 @common_out
 @formats("latex", "text")
 @common_nocache
@@ -323,7 +334,7 @@ def glsm_ifun(file, q_bound, torder, insert, out, fmt, no_cache):
 @click.argument("file", type=click.Path())
 @click.option("--rho", required=True, help="semicolon-separated characters: rhoI or comma-separated integers")
 @truncation
-@click.option("--insert", multiple=True)
+@common_insert
 @click.option("--method", type=click.Choice(["by_multiplication", "by_insertion", "verify"]), default="verify")
 @common_out
 @formats("latex", "text")

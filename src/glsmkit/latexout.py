@@ -10,16 +10,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Cyclo
+from .scalars import Cyclo, format_rational
 from .series import GradedSeries
 
 
-def _frac(q: Fraction, inline: bool = False) -> str:
+def _frac(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
-    if inline:
-        sign = "-" if q < 0 else ""
-        return f"{sign}{abs(q.numerator)}/{q.denominator}"
     sign = "-" if q < 0 else ""
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
@@ -93,9 +90,9 @@ def render_latex(s: GradedSeries) -> str:
         factors = []
         if any(x != 0 for x in d):
             if len(d) == 1:
-                factors.append(f"q^{{{_frac(d[0], inline=True)}}}")
+                factors.append(f"q^{{{format_rational(d[0])}}}")
             else:
-                exps = ",".join(_frac(x, inline=True) for x in d)
+                exps = ",".join(format_rational(x) for x in d)
                 factors.append(f"q^{{({exps})}}")
         for ins, e in zip(s.insertions, alpha):
             if e == 1:
@@ -103,7 +100,7 @@ def render_latex(s: GradedSeries) -> str:
             elif e > 1:
                 factors.append(f"{ins.name}^{{{e}}}")
         zpart = _zpart(value)
-        sector = "\\mathbb{1}_{(" + ",".join(_frac(x, inline=True) for x in value.ring.sector.lam) + ")}"
+        sector = "\\mathbb{1}_{(" + ",".join(format_rational(x) for x in value.ring.sector.lam) + ")}"
         if zpart == "1":
             factors.append(sector)
         else:

@@ -2,8 +2,8 @@
 
 The model file is JSON with integer weights, "p/q" rationals, and the
 potential written in a small monomial grammar (see README).  Parsing enforces
-structural validity (dimensions, reduced rationals, grammar); the axioms of
-the definition are checked separately by :mod:`glsmkit.validate`.
+structural validity (JSON types, dimensions, reduced rationals, grammar);
+the axioms of the definition are checked separately by :mod:`glsmkit.validate`.
 """
 
 from __future__ import annotations
@@ -177,44 +177,113 @@ def parse_model(text: str) -> GLSMModel:
     return model_from_dict(data)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_field(data: dict, key: str, where: str):
+    """data[key] of the JSON object `where`; InputError when `data` is no object or lacks the key."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where} must be a JSON object, got {json.dumps(data)}")
+    if key not in data:
+        raise InputError(f"{where} missing required key {key!r}")
+    return data[key]
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer (not a bool, not a float)."""
+    if not _is_int(value):
+        raise InputError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{field} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def json_ints(value, field: str) -> tuple[int, ...]:
+    """A JSON list of integers."""
+    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+        raise InputError(f"{field} must be a list of integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
+def json_int_rows(value, field: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON list of lists of integers."""
+    return tuple(json_ints(row, field) for row in json_list(value, field))
+
+
+def json_rationals(value, field: str) -> tuple[Fraction, ...]:
+    """A JSON list of rationals, each a JSON integer or a "p/q" string."""
+    out = []
+    for x in json_list(value, field):
+        if _is_int(x):
+            out.append(Fraction(x))
+        elif isinstance(x, str):
+            try:
+                out.append(parse_rational(x))
+            except ValueError as e:
+                raise InputError(f"{field}: {e}") from None
+        else:
+            raise InputError(f'{field} entries must be integers or "p/q" strings, got {json.dumps(x)}')
+    return tuple(out)
+
+
+def json_bool(data: dict, key: str) -> bool:
+    """The optional flag data[key], false when absent."""
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise InputError(f"{key} must be true or false, got {json.dumps(value)}")
+    return value
+
+
+def json_names(value, field: str) -> tuple[str, ...] | None:
+    """An optional JSON list of strings; None when null or absent (an empty list is absent too)."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{field} must be a list of strings or null, got {json.dumps(value)}")
+    return tuple(value) or None
+
+
+def variable_name(name: str, what: str) -> str:
+    """name, when it is a variable name ([A-Za-z][A-Za-z0-9_]*)."""
+    if not _NAME_RE.fullmatch(name):
+        raise InputError(f"invalid {what} {name!r}: expected a letter, then letters, digits or '_'")
+    return name
+
+
 def model_from_dict(data: dict) -> GLSMModel:
+    """A structurally valid model from its JSON object; InputError names the malformed field."""
     if not isinstance(data, dict):
         raise InputError("model file must contain a JSON object")
-    for key in ("r", "k", "weights", "r_charges", "d_w", "theta"):
-        if key not in data:
-            raise InputError(f"model file missing required key {key!r}")
-    r = data["r"]
-    k = data["k"]
-    if not (isinstance(r, int) and isinstance(k, int)) or r < 1 or k < 1:
+    r, k, weights, r_charges, d_w, theta = (
+        json_field(data, key, "model file") for key in ("r", "k", "weights", "r_charges", "d_w", "theta")
+    )
+    if not (_is_int(r) and _is_int(k)) or r < 1 or k < 1:
         raise InputError("r and k must be positive integers")
-    weights = data["weights"]
-    if len(weights) != k or any(not isinstance(row, list) for row in weights):
+    weights = json_int_rows(weights, "weights")
+    if len(weights) != k:
         raise InputError("dimension mismatch: weights must be a k x r integer matrix")
     if any(len(row) != r for row in weights):
         raise InputError("dimension mismatch: weights rows must have length r")
-    if any(not isinstance(x, int) for row in weights for x in row):
-        raise InputError("weights entries must be integers")
-    r_charges = data["r_charges"]
+    r_charges = json_ints(r_charges, "r_charges")
     if len(r_charges) != r:
         raise InputError("dimension mismatch: weights column count != length of r_charges")
-    if any(not isinstance(c, int) for c in r_charges):
-        raise InputError("r_charges entries must be integers")
-    d_w = data["d_w"]
-    if not isinstance(d_w, int):
-        raise InputError("d_w must be an integer")
-    theta_raw = data["theta"]
-    if len(theta_raw) != k:
+    d_w = json_int(d_w, "d_w")
+    theta = json_rationals(theta, "theta")
+    if len(theta) != k:
         raise InputError("dimension mismatch: theta must have length k")
-    theta = tuple(parse_rational(t) if isinstance(t, str) else Fraction(t) for t in theta_raw)
-    variables = tuple(data.get("variables") or ())
+    variables = json_names(data.get("variables"), "variables") or ()
     if variables:
         if len(variables) != r:
             raise InputError("dimension mismatch: variables must list r names")
         if len(set(variables)) != r:
             raise InputError("variable names must be distinct")
         for v in variables:
-            if not _NAME_RE.fullmatch(v):
-                raise InputError(f"invalid variable name {v!r}")
+            variable_name(v, "variable name")
     names = list(variables) if variables else [f"x{i + 1}" for i in range(r)]
     pot_raw = data.get("potential")
     potential = None
@@ -225,12 +294,12 @@ def model_from_dict(data: dict) -> GLSMModel:
     return GLSMModel(
         r=r,
         k=k,
-        weights=tuple(tuple(row) for row in weights),
-        r_charges=tuple(r_charges),
+        weights=weights,
+        r_charges=r_charges,
         d_w=d_w,
         theta=theta,
         potential=potential,
-        assert_critical_proper=bool(data.get("assert_critical_proper", False)),
+        assert_critical_proper=json_bool(data, "assert_critical_proper"),
         variables=variables,
     )
 

@@ -87,7 +87,7 @@ def linear_form(xi, ngens: int) -> Poly:
     return out
 
 
-_SECTOR_RINGS = 128  # one chain's rings: every sector of one model (66 at most in the phase-scan pool)
+_SECTOR_RINGS = 128  # the ring memo's entries: one table per (model, fixed support), shared by its sectors
 
 
 @lru_cache(maxsize=_SECTOR_RINGS)
@@ -120,12 +120,12 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
     }
 
 
-@lru_cache(maxsize=_SECTOR_RINGS)
 def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
     """Presentation of the sector's cohomology with exact rational Groebner data.
 
-    The ring memo: each (model, sector) ring is built once and shared, and
-    sectors with one fixed support share one table from `_ring_table`.
+    The sector's label on the table of its fixed support, from the ring
+    layer's one memo, `_ring_table`: two calls give distinct rings that are
+    equal, hash equal and share one `forms`.
     """
     return SectorRing(sector=g, **_ring_table(m, g.fixed_support))
 

@@ -500,6 +500,30 @@ def glsm_i_function(m: GLSMModel, etas=(), insertions=(), q_bound=Fraction(0), t
 # --------------------------------------------------------------------------
 
 
+def times_characters(s: GradedSeries, characters) -> GradedSeries:
+    """Each degree-d term times prod_{xi in characters(d)} (class(xi) + <d,xi> z).
+
+    The product is formed once per degree and shared by its t-exponents; a
+    term whose product is empty is kept as it is.  At <d,xi> = 0 the factor
+    is class(xi) alone.  Only comparisons and `z_partial` call this: the
+    direct series keep their own products, so a cross-check stays independent.
+    """
+    products: dict[Degree, LaurentZ | None] = {}
+
+    def multiply(d, _alpha, value):
+        if d not in products:
+            ring = value.ring
+            product = None
+            for xi in characters(d):
+                factor = linear_z_factor(ring, class_from_character(ring, xi), pairing(d, xi))
+                product = factor if product is None else product.mul(factor)
+            products[d] = product
+        product = products[d]
+        return value if product is None else value.mul(product)
+
+    return s.map_terms(multiply)
+
+
 def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> GradedSeries:
     """z-shifted degree-weighted multiplication operator, two implementations.
 
@@ -520,19 +544,7 @@ def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> G
             raise InternalError(f"z_partial methods disagree at {len(diff)} positions")
         return a
     if method == "by_multiplication":
-        multipliers: dict[Degree, LaurentZ] = {}  # degree -> its multiplier, shared by its t-exponents
-
-        def multiply(d, _alpha, value):
-            mult = multipliers.get(d)
-            if mult is None:
-                ring = value.ring
-                mult = LaurentZ.one(ring)
-                for rho in rho_list:
-                    mult = mult.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
-                multipliers[d] = mult
-            return value.mul(mult)
-
-        return s.map_terms(multiply)
+        return times_characters(s, lambda _d: rho_list)
     if method == "by_insertion":
         etas = list(s.etas)
         positions = []

@@ -21,9 +21,23 @@ from fractions import Fraction
 from math import ceil, factorial, floor, lcm
 
 from .lattice import nonneg_vectors
-from .model import GLSMModel, InputError, InternalError, PotentialPolynomial, parse_monomial_expression
+from .model import (
+    GLSMModel,
+    InputError,
+    InternalError,
+    PotentialPolynomial,
+    json_bool,
+    json_field,
+    json_int,
+    json_int_rows,
+    json_ints,
+    json_list,
+    json_names,
+    json_rationals,
+    parse_monomial_expression,
+)
 from .rings import class_from_character, ideal_membership
-from .scalars import format_rational, half_turn, parse_rational
+from .scalars import format_rational, half_turn
 from .sectors import Degree, age, effective_degrees, pairing
 from .series import (
     GradedSeries,
@@ -35,6 +49,7 @@ from .series import (
     series_compare,
     single_character_insertion,
     t_exponents,
+    times_characters,
     twist_novikov,
 )
 
@@ -221,17 +236,7 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: Graded
     if direct is None:
         direct = fjrw_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
-
-    def times(characters):
-        def fn(d, _alpha, value):
-            ring = value.ring
-            for rho in characters:
-                value = value.mul(linear_z_factor(ring, class_from_character(ring, rho), pairing(d, rho)))
-            return value
-
-        return fn
-
-    diff = series_compare(engine.map_terms(times(etas)), direct.map_terms(times(charged)))
+    diff = series_compare(times_characters(engine, lambda _d: etas), times_characters(direct, lambda _d: charged))
     return _family_report("fjrw", engine, direct, diff)
 
 
@@ -353,14 +358,8 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0, *, direct: Gr
     if direct is None:
         direct = hybrid_direct_series(spec, q_bound, t_order)
     charged = [model.column(i) for i in model.r_charged_indices()]
-
-    def with_endpoints(d, _alpha, value):
-        for rho in charged:
-            if pairing(d, rho) == 0:
-                value = value.scale_class(class_from_character(value.ring, rho))
-        return value
-
-    return _family_report("hybrid", engine, direct, series_compare(engine, direct.map_terms(with_endpoints)))
+    endpoints = times_characters(direct, lambda d: [rho for rho in charged if pairing(d, rho) == 0])
+    return _family_report("hybrid", engine, direct, series_compare(engine, endpoints))
 
 
 # --------------------------------------------------------------------------
@@ -385,6 +384,8 @@ class CiSpec:
     def __post_init__(self):
         if len(self.ambient_weights) != self.k or any(len(row) != self.ambient_r for row in self.ambient_weights):
             raise InputError("dimension mismatch: ambient weights must be k x r")
+        if len(self.theta) != self.k:
+            raise InputError("dimension mismatch: theta must have length k")
         for tau in self.taus:
             if len(tau) != self.k:
                 raise InputError("dimension mismatch: each tau is a length-k character")
@@ -522,35 +523,46 @@ def ci_compare(
 
 
 def specialization_from_dict(data: dict):
-    """Parse the "specialize" sub-object of a model file."""
+    """Parse the "specialize" sub-object of a model file; InputError names a malformed field."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError('"specialize" must be an object with a "kind"')
     kind = data["kind"]
+
+    def get(key):
+        return json_field(data, key, '"specialize"')
+
     if kind == "fjrw":
+        potential = data.get("potential")
+        if potential is not None and not isinstance(potential, str):
+            raise InputError("potential must be a string or null")
         return FjrwSpec(
-            n=int(data["n"]),
-            d_w=int(data["d_w"]),
-            r_charges=tuple(int(c) for c in data["r_charges"]),
-            group_data=tuple((int(g["order"]), tuple(int(a) for a in g["action"])) for g in data["group"]),
-            potential=data.get("potential"),
+            n=json_int(get("n"), "n"),
+            d_w=json_int(get("d_w"), "d_w"),
+            r_charges=json_ints(get("r_charges"), "r_charges"),
+            group_data=tuple(
+                (json_int(json_field(g, "order", "group entry"), "group order"),
+                 json_ints(json_field(g, "action", "group entry"), "group action"))
+                for g in json_list(get("group"), "group")
+            ),
+            potential=potential,
         )
     if kind == "hybrid":
         return HybridSpec(
-            x_weights=tuple(int(w) for w in data["x_weights"]),
-            p_weights=tuple(int(d) for d in data["p_weights"]),
-            sections=tuple(data["sections"]) if data.get("sections") else None,
+            x_weights=json_ints(get("x_weights"), "x_weights"),
+            p_weights=json_ints(get("p_weights"), "p_weights"),
+            sections=json_names(data.get("sections"), "sections"),
         )
     if kind == "ci":
-        amb = data["ambient"]
+        amb = get("ambient")
         return CiSpec(
-            ambient_r=int(amb["r"]),
-            k=int(amb["k"]),
-            ambient_weights=tuple(tuple(int(x) for x in row) for row in amb["weights"]),
-            theta=tuple(parse_rational(t) if isinstance(t, str) else F(t) for t in amb["theta"]),
-            taus=tuple(tuple(int(x) for x in tau) for tau in data["taus"]),
-            sections=tuple(data["sections"]) if data.get("sections") else None,
-            semipositive_asserted=bool(data.get("semipositive_asserted", False)),
-            pairing_nondegenerate_asserted=bool(data.get("pairing_nondegenerate_asserted", False)),
+            ambient_r=json_int(json_field(amb, "r", "ambient"), "ambient r"),
+            k=json_int(json_field(amb, "k", "ambient"), "ambient k"),
+            ambient_weights=json_int_rows(json_field(amb, "weights", "ambient"), "ambient weights"),
+            theta=json_rationals(json_field(amb, "theta", "ambient"), "ambient theta"),
+            taus=json_int_rows(get("taus"), "taus"),
+            sections=json_names(data.get("sections"), "sections"),
+            semipositive_asserted=json_bool(data, "semipositive_asserted"),
+            pairing_nondegenerate_asserted=json_bool(data, "pairing_nondegenerate_asserted"),
         )
     raise InputError(f"unknown specialization kind {kind!r}")
 
@@ -560,6 +572,6 @@ def specialization_from_model_file(text: str):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"model JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    if "specialize" not in data:
+    if not isinstance(data, dict) or "specialize" not in data:
         raise InputError('model file has no "specialize" section')
     return specialization_from_dict(data["specialize"])

@@ -141,11 +141,11 @@ class InvariantsResult:
         return self.trivial
 
 
-def invariants_trivial(m: GLSMModel, keep, include_r_charge: bool = False) -> InvariantsResult:
+def invariants_trivial(m: GLSMModel, keep) -> InvariantsResult:
     """Is the only torus-invariant monomial supported on `keep` the constant?
 
     Gordan duality: trivial iff some rational functional is >= 1 on every
-    kept column (of the weight matrix, plus the R-charge row if requested).
+    kept column of the weight matrix.
     The negative case converts the dual certificate into a nonzero
     nonnegative integer exponent vector.  The series' hypothesis asks this
     once per model, through `glsm_hypothesis`.
@@ -153,13 +153,7 @@ def invariants_trivial(m: GLSMModel, keep, include_r_charge: bool = False) -> In
     keep = sorted(set(keep))
     if not keep:
         return InvariantsResult(True, (), None)
-    cols = []
-    for i in keep:
-        col = list(m.column(i))
-        if include_r_charge:
-            col.append(m.r_charges[i])
-        cols.append(col)
-    witness, cert = positive_functional(cols)
+    witness, cert = positive_functional([list(m.column(i)) for i in keep])
     if witness is not None:
         return InvariantsResult(True, tuple(witness), None)
     ints = scale_to_integers(list(cert))

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import strategies as st
 
+from glsmkit import rings
 from glsmkit.model import model_from_dict, parse_model
 
 QUINTIC = {
@@ -107,3 +108,22 @@ def small_torus_models(draw):
     return model_from_dict(
         {"r": r, "k": k, "weights": weights, "r_charges": [0] * r, "d_w": 1, "theta": theta, "potential": None}
     )
+
+
+@pytest.fixture
+def groebner_reductions(monkeypatch):
+    """Empties the ring memo and returns the list of Groebner reductions run after that.
+
+    `rings._ring_table` is the only caller of `groebner_basis`, so every
+    entry is one reduction of one (model, fixed support), memo or no memo.
+    """
+    calls = []
+    real = rings.groebner_basis
+
+    def counting(gens):
+        calls.append(gens)
+        return real(gens)
+
+    monkeypatch.setattr(rings, "groebner_basis", counting)
+    rings._ring_table.cache_clear()
+    return calls

@@ -385,6 +385,64 @@ def test_repeated_insert_name_exits_2(run, model_file, tmp_path):
     assert "more than once" in err
 
 
+@pytest.mark.parametrize("name", ["", "1t", "t-1", "_aux"], ids=["empty", "digit", "dash", "underscore"])
+@pytest.mark.parametrize(
+    "argv", [["ifun"], ["glsm-ifun"], ["dz", "--rho", "rho1"]], ids=["ifun", "glsm-ifun", "dz"]
+)
+def test_insert_name_must_be_a_variable_name(run, model_file, argv, name):
+    code, out, err = run(*argv, model_file(P1), "--qbound", "1", "--insert", f"{name}=rho1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith(f"error: invalid --insert NAME {name!r}")
+
+
+def test_insert_declared_once():
+    helps = {p.help for name in ("ifun", "glsm-ifun", "dz") for p in cli.commands[name].params if p.name == "insert"}
+    assert len(helps) == 1 and "NAME=POLY" in helps.pop()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("theta", 5),
+        ("r_charges", None),
+        ("weights", None),
+        ("variables", 5),
+        ("theta", [None]),
+        ("theta", [[1]]),
+        ("theta", [1.5]),
+        ("theta", [True]),
+    ],
+    ids=["theta-int", "r_charges-null", "weights-null", "variables-int", "theta-null", "theta-list", "theta-float",
+         "theta-bool"],
+)
+def test_malformed_model_field_exits_2(run, model_file, field, value):
+    bad = dict(P1)
+    bad[field] = value
+    code, out, err = run("validate", model_file(bad))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, field",
+    [
+        ("ci", "taus", None, "taus"),
+        ("hybrid", "p_weights", [2.5], "p_weights"),
+        ("ci", "ambient", {"r": 5, "k": 1, "weights": [[1, 1, 1, 1, 1]], "theta": ["1", "2"]}, "theta"),
+    ],
+    ids=["ci-taus-null", "hybrid-p_weights-float", "ci-theta-too-long"],
+)
+def test_malformed_specialize_field_exits_2(run, model_file, kind, key, value, field):
+    spec = dict({"ci": CI_SPEC, "hybrid": HYBRID_SPEC}[kind]["specialize"])
+    spec[key] = value
+    code, out, err = run("specialize", kind, model_file({"specialize": spec}), "--qbound", "1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+
+
 @pytest.fixture
 def argvs(run, model_file, tmp_path):
     """A working argv, without --format, of every subcommand that renders an artifact."""

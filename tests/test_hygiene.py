@@ -19,10 +19,13 @@ in closed form, while the direct series keep the per-factor products, so the
 two sides of a cross-check compute factors by different algorithms), or
 naming `mul` or `class_from_character` (it multiplies integer polynomials
 and reduces once, through `class_of`), and on a `rings` parameter in
-`series` or `specialize` or a `rings` field on `GradedSeries` (ring memos
-live in `rings`: `build_ring` per sector and `_ring_table` per fixed
-support), and on an `lcm(...)` call reading `.denominator` anywhere but
-`lattice.common_denominator` (how a rational vector becomes integer
+`series` or `specialize` or a `rings` field on `GradedSeries`, or on an
+`lru_cache` in `rings` anywhere but on `_ring_table` (the ring layer has one
+memo, one table per (model, fixed support); `build_ring` labels a table with
+its sector), on the direct series or their insertion exponential naming
+`times_characters` (the degree-factor product of the comparisons stays on
+the comparison side), and on an `lcm(...)` call reading `.denominator`
+anywhere but `lattice.common_denominator` (how a rational vector becomes integer
 numerators over one denominator is decided in one place), on any module
 naming `invariants_trivial` but its definition, `validate.glsm_hypothesis`
 and the package re-export (the series' hypothesis is decided once per
@@ -212,6 +215,28 @@ def test_one_ring_memo():
                     if isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "rings"
                 ]
     assert not stray, stray
+
+
+def test_one_lru_cache_in_rings_on_ring_table():
+    tree = ast.parse((SRC / "rings.py").read_text(encoding="utf-8"))
+    memoised = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for deco in node.decorator_list
+        if "lru_cache" in {getattr(inner, "id", getattr(inner, "attr", None)) for inner in ast.walk(deco)}
+    ]
+    named = sum(getattr(node, "id", getattr(node, "attr", None)) == "lru_cache" for node in ast.walk(tree))
+    assert memoised == ["_ring_table"], memoised
+    assert named == 1, named  # the decorator; a wrapping call such as lru_cache()(build_ring) would name it again
+
+
+def test_direct_series_do_not_use_the_comparison_product():
+    direct = {"fjrw_direct_series", "hybrid_direct_series", "ci_ambient_series", "_insertion_exponential"}
+    tree = ast.parse((SRC / "specialize.py").read_text(encoding="utf-8"))
+    assert direct <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named = _named_in_functions(SRC / "specialize.py", direct, {"times_characters"})
+    assert not named, named
 
 
 def test_denominators_cleared_only_by_common_denominator():

@@ -55,6 +55,13 @@ def test_zero_denominator_rejected():
         parse_model(json.dumps(bad))
 
 
+def test_theta_takes_integers_and_rational_strings():
+    for raw, expected in ((-1, Fraction(-1)), ("3/2", Fraction(3, 2)), ("-2", Fraction(-2))):
+        good = dict(P1)
+        good["theta"] = [raw]
+        assert parse_model(json.dumps(good)).theta == (expected,)
+
+
 def test_json_syntax_error_position():
     with pytest.raises(InputError, match="line"):
         parse_model("{\n  \"r\": 2,,\n}")

@@ -317,12 +317,23 @@ def test_sectors_with_one_fixed_support_share_a_table(m_rank2):
 
 
 @pytest.mark.parametrize("index", range(4), ids=["p1", "quintic", "cubic", "rank2"])
-def test_one_ring_table_per_fixed_support(index):
+def test_one_ring_table_per_fixed_support(index, groebner_reductions):
     m = corpus()[index]
     labels = inertia_sectors(m)
-    _ring_table.cache_clear()
-    build_ring.cache_clear()
-    for g in labels:
-        build_ring(m, g)
-    assert build_ring.cache_info().misses == len(labels)
-    assert _ring_table.cache_info().misses == len({g.fixed_support for g in labels})
+    for _ in range(2):
+        for g in labels:
+            build_ring(m, g)
+    supports = len({g.fixed_support for g in labels})
+    assert len(groebner_reductions) == _ring_table.cache_info().misses == supports
+
+
+def test_build_ring_twice_gives_equal_rings_on_one_table(m_quintic):
+    # build_ring keeps no memo of its own: each call labels the memoised table afresh
+    for g in inertia_sectors(m_quintic):
+        r1, r2 = build_ring(m_quintic, g), build_ring(m_quintic, g)
+        assert r1 is not r2
+        assert r1 == r2 and hash(r1) == hash(r2)
+        assert r1.forms is r2.forms
+        h1, h2 = class_from_character(r1, (1,)), class_from_character(r2, (1,))
+        assert h1 + h2 == h1.scale(F(2))
+        assert (h1 * h2).poly == (h1 * h1).poly

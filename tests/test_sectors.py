@@ -117,9 +117,8 @@ def test_effective_degrees_reads_each_inverse_from_the_support_table(monkeypatch
     assert calls == []
 
 
-def test_sector_rings_built_once_per_model_chain(m_rank2):
-    # the chain's own ring builds and both series share one ring per sector
-    build_ring.cache_clear()
+def test_sector_rings_built_once_per_model_chain(m_rank2, groebner_reductions):
+    # the chain's own ring builds and both series share one reduction per fixed support
     validate_model(m_rank2)
     labels = inertia_sectors(m_rank2)
     for g in labels:
@@ -127,7 +126,8 @@ def test_sector_rings_built_once_per_model_chain(m_rank2):
     effective_degrees(m_rank2, F(2))
     big_i_function(m_rank2, q_bound=F(2))
     glsm_i_function(m_rank2, q_bound=F(2))
-    assert build_ring.cache_info().misses == len(labels) == 9
+    assert len(labels) == 9
+    assert len(groebner_reductions) == len({g.fixed_support for g in labels}) == 4
 
 
 def test_semistable_supports_minimality(m_rank2):

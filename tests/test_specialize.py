@@ -4,8 +4,9 @@ import pytest
 
 from glsmkit import specialize
 from glsmkit.model import InputError
-from glsmkit.rings import build_ring, class_from_character
+from glsmkit.rings import class_from_character
 from glsmkit.scalars import format_rational
+from glsmkit.sectors import inertia_sectors
 from glsmkit.series import Insertion, LaurentZ, invert_linear_z_factor, linear_z_factor
 from glsmkit.specialize import (
     CiSpec,
@@ -184,12 +185,11 @@ def test_fjrw_crosscheck_rank2():
     assert report["equal"], report["diff"]
 
 
-def test_crosscheck_shares_the_engine_rings():
-    # the direct series reuse the engine series' sector rings: 9 sectors, 9 builds
-    build_ring.cache_clear()
+def test_crosscheck_shares_the_engine_rings(groebner_reductions):
+    # the direct series reuse the engine series' ring tables: one reduction per fixed support
     report = fjrw_crosscheck(RANK2_SPEC, F(4, 3), t_order=0)
     assert report["equal"], report["diff"]
-    assert build_ring.cache_info().misses == 9
+    assert len(groebner_reductions) == len({g.fixed_support for g in inertia_sectors(fjrw_build(RANK2_SPEC))}) == 4
 
 
 # --- hybrid direct series ----------------------------------------------------

@@ -184,18 +184,12 @@ def test_invariants_empty_keep(m_quintic):
 
 
 def test_invariants_with_r_charge():
-    # x alone: torus weight 1 trivial; adding R-charge row keeps it trivial
+    # x^3 p has torus weight 0, whatever the R-charges
     m = model_from(weights=[[1, -3]], r_charges=[1, 0], d_w=3)
-    assert invariants_trivial(m, [0], include_r_charge=True).trivial
-    # p has torus weight -3 and R-charge 0: still no invariant monomial
-    assert invariants_trivial(m, [1], include_r_charge=True).trivial
-    # but x*p^? : x^3 p has torus weight 0 yet R-charge 3 != 0
-    res = invariants_trivial(m, [0, 1], include_r_charge=False)
+    res = invariants_trivial(m, [0, 1])
     assert not res.trivial
     qa = sum(res.certificate[i] * m.weights[0][i] for i in range(2))
     assert qa == 0
-    res2 = invariants_trivial(m, [0, 1], include_r_charge=True)
-    assert res2.trivial
 
 
 def test_invariants_bruteforce_agreement(m_quintic, m_cubic, m_rank2):
