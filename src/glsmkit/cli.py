@@ -29,7 +29,6 @@ from .model import (
     variable_name,
 )
 from .multipoly import Monomial
-from .rationallp import LPInternalError
 from .rings import RingMismatchError
 from .scalars import format_rational, parse_rational
 from .sectors import DegenerateStabilityError, effective_degrees, inertia_sectors, theta_degree
@@ -92,6 +91,8 @@ def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
         if not 0 <= idx < model.r:
             raise InputError(f"rho index out of range in {item!r}")
         out.append(model.column(idx))
+    if not out:
+        raise InputError(f"--rho names no character, got {text!r}")
     for vec in out:
         if len(vec) != model.k:
             raise InputError("character vectors must have length k")
@@ -137,6 +138,8 @@ def _parse_map(text: str) -> dict[str, str]:
         old, sep, new = pair.partition("=")
         if not sep:
             raise InputError(f"--map expects old=new pairs, got {pair!r}")
+        if old in rename:
+            raise InputError(f"--map renames {old!r} more than once")
         rename[old] = new
     return rename
 
@@ -432,7 +435,7 @@ def main(argv=None):
         return e.exit_code
     except click.Abort:
         return EXIT_INPUT
-    except (InternalError, LPInternalError, RingMismatchError, AssertionError) as e:
+    except (InternalError, RingMismatchError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, KeyError) as e:

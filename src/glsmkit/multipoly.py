@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Scalar
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Scalar]
@@ -24,13 +24,13 @@ def grevlex_key(mono: Monomial):
 
 
 def poly_const(nvars: int, c) -> Poly:
-    if scalar_is_zero(c):
+    if not c:
         return {}
     return {(0,) * nvars: c}
 
 
 def poly_monomial(mono: Monomial, c) -> Poly:
-    if scalar_is_zero(c):
+    if not c:
         return {}
     return {mono: c}
 
@@ -39,7 +39,7 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     out = dict(f)
     for mono, c in g.items():
         s = out.get(mono, 0) + c
-        if scalar_is_zero(s):
+        if not s:
             out.pop(mono, None)
         else:
             out[mono] = s
@@ -55,12 +55,12 @@ def poly_sub(f: Poly, g: Poly) -> Poly:
 
 
 def poly_scale(f: Poly, c) -> Poly:
-    if scalar_is_zero(c):
+    if not c:
         return {}
     out = {}
     for mono, v in f.items():
         s = v * c
-        if not scalar_is_zero(s):
+        if s:
             out[mono] = s
     return out
 
@@ -71,7 +71,7 @@ def poly_mul(f: Poly, g: Poly) -> Poly:
         for m2, c2 in g.items():
             mono = tuple(a + b for a, b in zip(m1, m2))
             s = out.get(mono, 0) + c1 * c2
-            if scalar_is_zero(s):
+            if not s:
                 out.pop(mono, None)
             else:
                 out[mono] = s
@@ -113,7 +113,7 @@ def normal_form(f: Poly, basis: list[Poly]) -> Poly:
                         continue
                     tgt = tuple(a + b for a, b in zip(m2, shift))
                     s = work.get(tgt, 0) - factor * c2
-                    if scalar_is_zero(s):
+                    if not s:
                         work.pop(tgt, None)
                     else:
                         work[tgt] = s

@@ -5,7 +5,9 @@ terminates) covering two query shapes: feasibility of strict-positivity
 systems <l, c_i> >= 1 whose infeasibility certificates are Gordan-dual
 nonnegative integer vectors (the invariant-monomial test), and cone
 membership (``cone_contains``, an independent oracle: the semistable-support
-search decides membership by one exact linear solve instead).
+search decides membership by one exact linear solve instead).  An answer
+that fails its own certificate check raises the package's one
+`model.InternalError` (exit code 3 on the command line).
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lattice import common_denominator
-
-
-class LPInternalError(RuntimeError):
-    """Simplex produced an answer that fails its own certificate check."""
+from .model import InternalError
 
 
 def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction]):
@@ -65,7 +64,7 @@ def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction]):
                     best = ratio
                     leave = i
         if leave is None:
-            raise LPInternalError("phase-1 objective unbounded below")
+            raise InternalError("phase-1 objective unbounded below")
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
         for i in range(m):
@@ -86,18 +85,18 @@ def _phase_one(a_rows: list[list[Fraction]], b: list[Fraction]):
         for i in range(m):
             val = sum(a_rows[i][j] * x[j] for j in range(n))
             if val != b[i]:
-                raise LPInternalError("feasible point fails the equations")
+                raise InternalError("feasible point fails the equations")
         if any(v < 0 for v in x):
-            raise LPInternalError("feasible point has a negative coordinate")
+            raise InternalError("feasible point has a negative coordinate")
         return "feasible", x
 
     # duals: reduced cost of artificial j is 1 - y_j
     y = [sign[j] * (Fraction(1) - obj[n + j]) for j in range(m)]
     for j in range(n):
         if sum(y[i] * a_rows[i][j] for i in range(m)) > 0:
-            raise LPInternalError("Farkas certificate fails y^T A <= 0")
+            raise InternalError("Farkas certificate fails y^T A <= 0")
     if sum(y[i] * b[i] for i in range(m)) <= 0:
-        raise LPInternalError("Farkas certificate fails y^T b > 0")
+        raise InternalError("Farkas certificate fails y^T b > 0")
     return "infeasible", y
 
 
@@ -137,14 +136,14 @@ def positive_functional(columns: list) -> tuple[list[Fraction] | None, list[Frac
     if status == "feasible":
         lam = [out[j] - out[k + j] for j in range(k)]
         if any(sum(lam[t] * Fraction(c[t]) for t in range(k)) < 1 for c in columns):
-            raise LPInternalError("functional witness fails an inequality")
+            raise InternalError("functional witness fails an inequality")
         return lam, None
     y = out
     if any(v < 0 for v in y) or all(v == 0 for v in y):
-        raise LPInternalError("Gordan certificate not a nonzero nonnegative vector")
+        raise InternalError("Gordan certificate not a nonzero nonnegative vector")
     for t in range(k):
         if sum(y[i] * Fraction(columns[i][t]) for i in range(m)) != 0:
-            raise LPInternalError("Gordan certificate fails sum(y_c * c) = 0")
+            raise InternalError("Gordan certificate fails sum(y_c * c) = 0")
     return None, y
 
 

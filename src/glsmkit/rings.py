@@ -35,7 +35,7 @@ from .multipoly import (
     poly_scale,
     staircase_monomials,
 )
-from .scalars import Scalar, scalar_from_json, scalar_is_zero, scalar_to_json
+from .scalars import Scalar, scalar_from_json, scalar_to_json
 from .sectors import SectorLabel, support_sr_generators
 
 
@@ -209,7 +209,7 @@ def class_of(ring: SectorRing, terms) -> CohClass:
         for stair, v in form.items():
             prev = out.get(stair)
             out[stair] = c * v if prev is None else prev + c * v
-    return CohClass(ring, {stair: c for stair, c in out.items() if not scalar_is_zero(c)})
+    return CohClass(ring, {stair: c for stair, c in out.items() if c})
 
 
 def class_from_character(ring: SectorRing, xi) -> CohClass:
@@ -235,8 +235,8 @@ def ideal_membership(ring: SectorRing, factors: list[CohClass]):
     def contains(a: CohClass) -> bool:
         a._check(p)
         vec = [a.poly.get(t, 0) for t in ring.staircase]
-        used = [(vec[col], row) for row, col in zip(rows, pivots) if not scalar_is_zero(vec[col])]
-        return all(scalar_is_zero(d * x - sum([c * row[j] for c, row in used])) for j, x in enumerate(vec))
+        used = [(vec[col], row) for row, col in zip(rows, pivots) if vec[col]]
+        return not any(d * x - sum([c * row[j] for c, row in used]) for j, x in enumerate(vec))
 
     return contains
 
@@ -291,7 +291,7 @@ def class_from_json(ring: SectorRing, data: dict) -> CohClass:
     for key, val in data.items():
         mono = parse_monomial_key(key, ring.ngens)
         s = scalar_from_json(val)
-        if not scalar_is_zero(s):
+        if s:
             poly[mono] = s
     if any(mono not in ring.staircase for mono in poly):
         # stored classes are normal forms; anything else is a corrupt file

@@ -5,7 +5,8 @@ Every coefficient in the toolkit is either a ``fractions.Fraction`` or a
 power basis 1, zeta, ..., zeta^(phi(N)-1) and kept reduced modulo the N-th
 cyclotomic polynomial.  Cyclo values that reduce to a rational collapse back
 to ``Fraction`` automatically, so purely rational computations never see the
-extension field.
+extension field.  Both kinds of scalar are falsy exactly when they are zero,
+which is the toolkit's one zero test.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class Cyclo:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def as_rational(self) -> Fraction | None:
         if all(c == 0 for c in self.coeffs[1:]):
@@ -238,12 +239,6 @@ def half_turn(exponent: Fraction) -> Scalar:
     """
     exponent = Fraction(exponent)
     return Cyclo.root_of_unity(2 * exponent.denominator, exponent.numerator)
-
-
-def scalar_is_zero(v: Scalar) -> bool:
-    if isinstance(v, Cyclo):
-        return v.is_zero()
-    return v == 0
 
 
 def scalar_to_json(v: Scalar):

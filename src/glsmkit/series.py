@@ -7,6 +7,13 @@ operators, Novikov sign twists, compact-type reports, and exact comparison.
 
 Every coefficient is a z-Laurent polynomial whose coefficients live in the
 sector ring attached to the term's degree.
+
+Every series starts as `empty_series`: the engine, the JSON reader and the
+special families' direct series all fill that one container.  The
+comparison cuts both sides to their common region with
+`GradedSeries.restrict`, and the reader refuses a payload whose schema,
+state, model hash, theta-degrees or sector lambdas disagree with its model,
+or that lists a (degree, t-exponent) key twice.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .lattice import common_denominator, nonneg_vectors
-from .model import GLSMModel, InternalError, model_from_dict, model_hash, model_to_dict
+from .model import GLSMModel, InputError, InternalError, model_from_dict, model_hash, model_to_dict
 from .rings import (
     CohClass,
     RingMismatchError,
@@ -446,16 +453,25 @@ def sector_rings(m: GLSMModel, degrees) -> list[SectorRing]:
     return out
 
 
-def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
-    series = GradedSeries(
-        model=m,
-        state="glsm" if mode == "glsm" else "ambient",
+def empty_series(model: GLSMModel, state: str, etas, insertions, q_bound, t_order: int) -> GradedSeries:
+    """The series with no terms that the engine, the reader and the direct series fill.
+
+    The one `GradedSeries` constructor: it normalises the characters to
+    tuples and the bound to a Fraction.
+    """
+    return GradedSeries(
+        model=model,
+        state=state,
         etas=tuple(tuple(e) for e in etas),
         insertions=tuple(insertions),
         q_bound=Fraction(q_bound),
         t_order=t_order,
         terms={},
     )
+
+
+def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
+    series = empty_series(m, mode, etas, insertions, q_bound, t_order)
     vanished: list[TermKey] = []
     tables: dict = {}  # hyper_factor's prefix tables, shared by the degrees of this series
     degrees = effective_degrees(m, series.q_bound)
@@ -650,13 +666,17 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
 
     variable_map may rename insertion variables of `b` ({"old": "new"} with
     names matched against a's insertion names).  Refuses with ValueError when
-    either side, after the renaming, names one variable more than once.
-    Returns a list of difference records; empty means equal on the common
-    region.
+    the map renames a variable that `b` does not name, or when either side,
+    after the renaming, names one variable more than once.  Both
+    sides are cut to the common region by `GradedSeries.restrict`.  Returns a
+    list of difference records; empty means equal on the common region.
     """
     if a.model_key != b.model_key:
         raise ValueError("series belong to different models")
     rename = variable_map or {}
+    unknown = sorted(set(rename) - {ins.name for ins in b.insertions})
+    if unknown:
+        raise ValueError(f"variable map (--map) renames {unknown}, which the second series does not name")
     names_a = [ins.name for ins in a.insertions]
     names_b = [rename.get(ins.name, ins.name) for ins in b.insertions]
     if len(set(names_a)) < len(names_a) or len(set(names_b)) < len(names_b):
@@ -666,17 +686,8 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     perm = [names_b.index(n) for n in names_a]
     qb = min(a.q_bound, b.q_bound)
     to = min(a.t_order, b.t_order)
-
-    def keys(s: GradedSeries, permute: bool):
-        out = {}
-        for (d, alpha), v in s.terms.items():
-            if theta_degree(s.model, d) <= qb and sum(alpha) <= to:
-                key = (d, tuple(alpha[perm[i]] for i in range(len(perm))) if permute else alpha)
-                out[key] = v
-        return out
-
-    left = keys(a, False)
-    right = keys(b, True)
+    left = a.restrict(qb, to).terms
+    right = {(d, tuple([alpha[p] for p in perm])): v for (d, alpha), v in b.restrict(qb, to).terms.items()}
     diffs = []
     for key in sorted(set(left) | set(right)):
         lv = left.get(key)
@@ -702,6 +713,9 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     return diffs
 
 
+SERIES_SCHEMA = "glsmkit/series/v1"
+
+
 def series_to_dict(s: GradedSeries) -> dict:
     terms = []
     for td, d, alpha in s.graded_keys():
@@ -716,7 +730,7 @@ def series_to_dict(s: GradedSeries) -> dict:
             }
         )
     return {
-        "schema": "glsmkit/series/v1",
+        "schema": SERIES_SCHEMA,
         "state": s.state,
         "model": model_to_dict(s.model),
         "model_hash": s.model_key,
@@ -745,7 +759,21 @@ def series_to_json(s: GradedSeries) -> str:
 
 
 def series_from_dict(data: dict) -> GradedSeries:
+    """The series of a stored payload; InputError names a field that disagrees with what it records.
+
+    The fields the writer derives are checked against the model without
+    serializing anything again: the schema, the state, the model hash, each
+    term's theta-degree and sector lambda, and that no (degree, t-exponent)
+    key is listed twice among the terms and the vanished keys.
+    """
+    if data.get("schema") != SERIES_SCHEMA:
+        raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
+    state = data.get("state")
+    if state not in ("ambient", "glsm"):
+        raise InputError(f'series state must be "ambient" or "glsm", got {json.dumps(state)}')
     m = model_from_dict(data["model"])
+    if data.get("model_hash") != model_hash(m):
+        raise InputError("series model_hash is not the hash of its model")
     etas = tuple(tuple(int(x) for x in e) for e in data.get("etas", []))
     insertions = tuple(
         Insertion.from_terms(
@@ -756,27 +784,26 @@ def series_from_dict(data: dict) -> GradedSeries:
     )
     q_bound = parse_rational(data["truncation"]["q_bound"])
     t_order = int(data["truncation"]["t_order"])
-    series = GradedSeries(
-        model=m,
-        state=data["state"],
-        etas=etas,
-        insertions=insertions,
-        q_bound=q_bound,
-        t_order=t_order,
-        terms={},
-        vanished=tuple(
-            (
-                tuple(parse_rational(x) for x in item["degree"]),
-                tuple(item["t_exponent"]),
-            )
-            for item in data.get("vanished", [])
-        ),
+    series = empty_series(m, state, etas, insertions, q_bound, t_order)
+    series.vanished = tuple(
+        (tuple(parse_rational(x) for x in item["degree"]), tuple(item["t_exponent"]))
+        for item in data.get("vanished", [])
     )
     degrees = [tuple(parse_rational(x) for x in item["degree"]) for item in data["terms"]]
+    # the writer lists the terms of one degree together: each run of equal fields is checked once
+    checked = None  # the last (degree, theta_degree, sector_lambda) found to agree
     for d, ring, item in zip(degrees, sector_rings(m, degrees), data["terms"]):
-        alpha = tuple(item["t_exponent"])
+        fields = (item["degree"], item.get("theta_degree"), item.get("sector_lambda"))
+        if fields != checked:
+            if fields[1] != format_rational(theta_degree(m, d)):
+                raise InputError(f"series term at degree {item['degree']}: theta_degree does not match the degree")
+            if fields[2] != [format_rational(x) for x in ring.sector.lam]:
+                raise InputError(f"series term at degree {item['degree']}: sector_lambda does not match the degree")
+            checked = fields
         coeffs = {int(e): class_from_json(ring, cmap) for e, cmap in item["z"].items()}
-        series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)
+        series.terms[(d, tuple(item["t_exponent"]))] = LaurentZ.from_dict(ring, coeffs)
+    if len(set(series.terms) | set(series.vanished)) < len(data["terms"]) + len(series.vanished):
+        raise InputError("series terms and vanished list a (degree, t_exponent) key twice")
     return series
 
 

@@ -9,8 +9,11 @@ closed formulas with bare Laurent arithmetic (no reuse of the engine's factor
 routines), so the cross-checks exercise two genuinely independent paths.  The
 hybrid and complete-intersection series share one insertion exponential,
 `_insertion_exponential`, which is separate from the engine's `exp_factor`.
-All three start from one empty series, `_empty_series`, and the affine and
-hybrid cross-checks share one report, `_family_report`.
+All three start from the engine's empty container, `series.empty_series`,
+and share nothing else with it but the sector rings.  The affine and hybrid
+cross-checks share one report, `_family_report`; the complete-intersection
+comparison forms each sector ring's Euler classes, their membership test and
+its age phase once.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .sectors import Degree, age, effective_degrees, pairing
 from .series import (
     GradedSeries,
     LaurentZ,
+    empty_series,
     glsm_i_function,
     invert_linear_z_factor,
     linear_z_factor,
@@ -139,19 +143,6 @@ def _light_insertions(etas) -> tuple:
     return etas, tuple(single_character_insertion(f"t{j + 1}", j, len(etas)) for j in range(len(etas)))
 
 
-def _empty_series(model: GLSMModel, state: str, etas, insertions, q_bound, t_order: int) -> GradedSeries:
-    """The series a direct series fills term by term."""
-    return GradedSeries(
-        model=model,
-        state=state,
-        etas=tuple(tuple(e) for e in etas),
-        insertions=tuple(insertions),
-        q_bound=F(q_bound),
-        t_order=t_order,
-        terms={},
-    )
-
-
 def fjrw_insertions(spec: FjrwSpec):
     """The single light insertion t * (character of weight -r_1 on p_1)."""
     s = len(spec.group_data)
@@ -170,7 +161,7 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     q_bound = F(q_bound)
     model = fjrw_build(spec)
     orders = [order for order, _ in spec.group_data]
-    series = _empty_series(model, "glsm", *fjrw_insertions(spec), q_bound, t_order)
+    series = empty_series(model, "glsm", *fjrw_insertions(spec), q_bound, t_order)
     scale = lcm(*orders)  # sum_j d_j / r_j <= q_bound, times L = lcm of the orders
     found = []  # (generator exponents, engine degree, rotation numbers)
     for tup in nonneg_vectors([scale // r for r in orders], floor(q_bound * scale)):
@@ -319,7 +310,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
     q_bound = F(q_bound)
     model = hybrid_build(spec)
     d_lcm = lcm(*spec.p_weights)
-    series = _empty_series(model, "glsm", *hybrid_insertions(spec), q_bound, t_order)
+    series = empty_series(model, "glsm", *hybrid_insertions(spec), q_bound, t_order)
     degrees: list[Degree] = [(F(-k, d_lcm),) for k in range(floor(q_bound * d_lcm) + 1)]
     for k, (d_eng, ring) in enumerate(zip(degrees, sector_rings(model, degrees))):
         h = class_from_character(ring, (-1,))
@@ -431,7 +422,7 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     for each t-exponent alpha.
     """
     model = ci_build(spec)
-    series = _empty_series(model, "ambient", etas, insertions, q_bound, t_order)
+    series = empty_series(model, "ambient", etas, insertions, q_bound, t_order)
     degrees = effective_degrees(model, series.q_bound)
     for d, ring in zip(degrees, sector_rings(model, degrees)):
         value = LaurentZ.one(ring)
@@ -476,24 +467,25 @@ def ci_compare(
     """
     model = ci_build(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
-    eulers: dict = {}  # sector ring -> (its Euler classes, membership test of their product's ideal)
+    eulers: dict = {}  # sector ring -> (its Euler classes, membership test of their product's ideal, age phase)
 
     def euler_data(ring):
         data = eulers.get(ring)
         if data is None:
-            factors = [class_from_character(ring, tau) for tau in spec.taus if age(model, ring.sector, tau) == 0]
-            data = eulers[ring] = (factors, ideal_membership(ring, factors) if factors else None)
+            ages = [age(model, ring.sector, tau) for tau in spec.taus]
+            factors = [class_from_character(ring, tau) for tau, a in zip(spec.taus, ages) if a == 0]
+            contains = ideal_membership(ring, factors) if factors else None
+            data = eulers[ring] = (factors, contains, half_turn(sum(ages, F(0))))
         return data
 
     def checked_phase(d, _alpha, value):
-        g = value.ring.sector
-        contains = euler_data(value.ring)[1]
+        _factors, contains, phase = euler_data(value.ring)
         if contains and not all(contains(cls) for _z, cls in value.coeffs):
             raise InternalError(
                 "engine term not divisible by its sector Euler factor at degree "
                 + str([format_rational(x) for x in d])
             )
-        return value.scale(half_turn(sum((age(model, g, tau) for tau in spec.taus), F(0))))
+        return value.scale(phase)
 
     def with_euler_classes(d, _alpha, value):
         for cls in euler_data(value.ring)[0]:

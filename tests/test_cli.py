@@ -539,3 +539,67 @@ def test_specialize_calls_family_functions_through_their_module(run, model_file,
         assert calls[1][2]["direct"] is calls[0][3]
     code, _out, err = run("specialize", "quintic", model_file(FJRW_SPEC), "--qbound", "2")
     assert code == 2 and "'fjrw', 'hybrid', 'ci'" in err
+
+
+@pytest.mark.parametrize("rho", [";", " ", "; ;"], ids=["semicolon", "blank", "semicolons"])
+def test_rho_naming_no_character_exits_2(run, model_file, rho):
+    code, out, err = run("dz", model_file(P1), "--rho", rho, "--qbound", "2")
+    assert code == 2, err
+    assert out == ""
+    assert err == f"error: --rho names no character, got {rho!r}\n"
+
+
+def test_map_renaming_one_name_twice_exits_2(run, model_file, tmp_path):
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "1", "--torder", "1", "--insert", "a=rho1", "--out", str(a))
+    # the last pair used to win, and the first was dropped without a word
+    code, out, err = run("compare", str(a), str(a), "--map", "a=b,a=a")
+    assert code == 2, err
+    assert out == ""
+    assert err == "error: --map renames 'a' more than once\n"
+
+
+def test_map_naming_an_unknown_variable_exits_2(run, model_file, tmp_path):
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "1", "--torder", "1", "--insert", "t=rho1", "--out", str(a))
+    code, out, err = run("compare", str(a), str(a), "--map", "zz=t")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "--map" in err and "'zz'" in err
+
+
+def _second_of_its_degree(data):
+    """The term at degree 1 and t-exponent (1,): the second of the terms of its degree."""
+    return data["terms"][3]
+
+
+STORED_SERIES_FAULTS = {
+    "schema": (lambda data: data.update(schema="bogus"), "schema"),
+    "state": (lambda data: data.update(state="quantum"), "state"),
+    "model_hash": (lambda data: data.update(model_hash="0" * 64), "model_hash"),
+    "theta_degree": (lambda data: _second_of_its_degree(data).update(theta_degree="7"), "theta_degree"),
+    "sector_lambda": (lambda data: _second_of_its_degree(data).update(sector_lambda=["1/2"]), "sector_lambda"),
+    "repeated_term": (lambda data: data["terms"].append(dict(_second_of_its_degree(data))), "key twice"),
+    "term_also_vanished": (
+        lambda data: data["vanished"].append({"degree": ["1"], "t_exponent": [1]}),
+        "key twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(STORED_SERIES_FAULTS))
+def test_stored_series_with_a_field_that_disagrees_exits_2(run, model_file, tmp_path, fault):
+    # each of these files was rendered, and compared equal to the original, before the reader checked them
+    edit, field = STORED_SERIES_FAULTS[fault]
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "2", "--torder", "1", "--insert", "t=rho1", "--out", str(a))
+    data = json.loads(a.read_text(encoding="utf-8"))
+    assert (_second_of_its_degree(data)["degree"], _second_of_its_degree(data)["t_exponent"]) == (["1"], [1])
+    edit(data)
+    bad = tmp_path / "bad.series"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (["render-latex", str(bad)], ["compare", str(a), str(bad)], ["check-ct", str(bad)]):
+        code, out, err = run(*argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith("error: ") and field in err, err

@@ -29,14 +29,19 @@ anywhere but `lattice.common_denominator` (how a rational vector becomes integer
 numerators over one denominator is decided in one place), on any module
 naming `invariants_trivial` but its definition, `validate.glsm_hypothesis`
 and the package re-export (the series' hypothesis is decided once per
-model), and on `specialize` constructing a `GLSMModel` outside `fjrw_build`
-and `ci_build`, a `GradedSeries` outside `_empty_series`, or naming
-`t_exponents` outside `_insertion_exponential` (the hybrid model is a phase
-of the sections model, and the direct series share one skeleton and one
-insertion exponential).  One rule reads a test module: the GKZ recurrence
-oracle in `tests/test_series.py` names none of the engine's factor routines,
-so it stays independent of the code it checks.  The package `__init__` is
-exempt from the unused-import check: it exists to re-export.
+model), on `specialize` constructing a `GLSMModel` outside `fjrw_build`
+and `ci_build` or naming `t_exponents` outside `_insertion_exponential`, and
+on `series` or `specialize` constructing a `GradedSeries` anywhere but
+`series.empty_series` (the hybrid model is a phase of the sections model,
+the engine, the reader and the direct series start from one empty series,
+and the direct series share one insertion exponential), on `series_compare`
+naming `theta_degree` (both truncation regions are cut by
+`GradedSeries.restrict`), and on any module but `model` defining a class
+whose name ends in `InternalError` (one internal-error type, exit code 3).
+One rule reads a test module: the GKZ recurrence oracle in
+`tests/test_series.py` names none of the engine's factor routines, so it
+stays independent of the code it checks.  The package `__init__` is exempt
+from the unused-import check: it exists to re-export.
 """
 
 import ast
@@ -277,6 +282,23 @@ def test_hypothesis_lp_named_only_by_glsm_hypothesis():
 
 def test_direct_series_share_one_model_one_skeleton_one_exponential():
     stray = _calls_outside("specialize.py", "GLSMModel", {"fjrw_build", "ci_build"})
-    stray += _calls_outside("specialize.py", "GradedSeries", {"_empty_series"})
+    stray += _calls_outside("specialize.py", "GradedSeries", set())
+    stray += _calls_outside("series.py", "GradedSeries", {"empty_series"})
     stray += _named_outside("specialize.py", "t_exponents", {"_insertion_exponential"})
+    assert not stray, stray
+
+
+def test_series_compare_cuts_regions_only_through_restrict():
+    named = _named_in_functions(SRC / "series.py", {"series_compare"}, {"theta_degree"})
+    assert not named, named
+
+
+def test_one_internal_error_type():
+    stray = [
+        f"{path.name}: {node.name}"
+        for path in MODULES
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name.endswith("InternalError")
+    ]
     assert not stray, stray

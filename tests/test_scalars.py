@@ -16,6 +16,12 @@ from glsmkit.scalars import (
 )
 
 
+def test_cyclo_is_falsy_exactly_when_zero():
+    assert not Cyclo(8, (Fraction(0),) * 4)
+    assert Cyclo.root_of_unity(8, 1)
+    assert Cyclo(8, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+
+
 def test_parse_rational_basic():
     assert parse_rational("3/6") == Fraction(1, 2)
     assert parse_rational("-5") == Fraction(-5)

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
 import pytest
 import sympy
@@ -448,6 +449,17 @@ def test_gkz_recurrence_on_the_corpus(mode):
 @given(st.one_of(st.sampled_from(_gkz_corpus()), _charged_torus_models()), st.sampled_from(["ambient", "glsm"]))
 def test_gkz_recurrence(m, mode):
     _gkz_relations(m, mode)
+
+
+PHASE_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "phase_pool.json"
+
+
+def test_gkz_recurrence_on_a_phase_pool_sample():
+    # every tenth model of the benchmark's random pool that passes validation, in both modes
+    pool = json.loads(PHASE_POOL.read_text(encoding="utf-8"))["models"][::10]
+    models = [m for m in map(model_from_dict, pool) if validate_module.validate_model(m).overall]
+    assert len(models) > len(pool) // 2
+    assert sum(_gkz_relations(m, mode) for m in models for mode in ("ambient", "glsm")) > len(models)
 
 
 # --- exp_factor -------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from glsmkit import specialize
 from glsmkit.model import InputError
 from glsmkit.rings import class_from_character
-from glsmkit.scalars import format_rational
+from glsmkit.scalars import Cyclo, format_rational
 from glsmkit.sectors import inertia_sectors
 from glsmkit.series import Insertion, LaurentZ, invert_linear_z_factor, linear_z_factor
 from glsmkit.specialize import (
@@ -390,3 +390,31 @@ def test_crosscheck_compares_against_the_given_direct_series(direct, check, spec
     assert {(tuple(r["degree"]), tuple(r["t_exponent"])) for r in report["diff"]} == {
         (tuple(format_rational(x) for x in key[0]), key[1])
     }
+
+
+# P(1,1,2)[3], P(1,1,1,2)[3], P(1,1,2,2)[5] and P(1,2,3)[4]: twisted sectors with fractional ages
+FRACTIONAL_AGES = [((1, 1, 2), 3), ((1, 1, 1, 2), 3), ((1, 1, 2, 2), 5), ((1, 2, 3), 4)]
+
+
+@pytest.mark.parametrize("weights, tau", FRACTIONAL_AGES, ids=["112_3", "1112_3", "1122_5", "123_4"])
+def test_ci_compare_with_fractional_ages(monkeypatch, weights, tau):
+    # the age phase of a twisted sector is a non-rational root of unity; it is formed
+    # once per sector ring, and each age of a ring is computed once
+    spec = CiSpec(ambient_r=len(weights), k=1, ambient_weights=(weights,), theta=(F(1),), taus=((tau,),))
+    ages, phases = [], []
+    real_age, real_half_turn = specialize.age, specialize.half_turn
+
+    def counting_age(m, g, xi):
+        ages.append((g.lam, tuple(xi)))
+        return real_age(m, g, xi)
+
+    def recording_half_turn(exponent):
+        phases.append(real_half_turn(exponent))
+        return phases[-1]
+
+    monkeypatch.setattr(specialize, "age", counting_age)
+    monkeypatch.setattr(specialize, "half_turn", recording_half_turn)
+    report = ci_compare(spec, F(3))
+    assert report["equal"], report["diff"]
+    assert any(isinstance(p, Cyclo) for p in phases), phases
+    assert ages and len(ages) == len(set(ages)), ages
