@@ -6,7 +6,9 @@ inputs share a slot and any change to the inputs or the code invalidates it.
 Each entry `<key>.json` holds the text exactly; the sha256 of that text is
 stored beside it in `<key>.sha256`, and an entry whose text does not match
 its digest (truncated, tampered, half written) is a miss.  The text goes to a
-temp file first and is renamed into place.
+temp file first and is renamed into place.  A directory that cannot be read
+makes every lookup a miss; one that cannot be written is an input error
+that names `GLSMKIT_CACHE_DIR`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 from functools import cache
 from pathlib import Path
 
-from .model import GLSMModel, serialize_model
+from .model import GLSMModel, InputError, serialize_model
 
 CACHE_ENV = "GLSMKIT_CACHE_DIR"
 
@@ -65,9 +67,19 @@ def cache_get(key: str) -> str | None:
 
 
 def cache_put(key: str, text: str) -> None:
+    """Store the text of `key`; InputError when the cache directory cannot be written."""
     directory = cache_dir()
+    try:
+        _store(directory, key, text.encode("utf-8"))
+    except OSError as e:
+        raise InputError(
+            f"cannot write the result cache in {directory}: {e.strerror or e}; "
+            f"set {CACHE_ENV} to a writable directory or pass --no-cache"
+        ) from None
+
+
+def _store(directory: Path, key: str, data: bytes) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    data = text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:

@@ -74,6 +74,11 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _report(payload, lines: list[str], fmt: str, out: str | None):
+    """Emit a report: its JSON payload, or with --format text its lines."""
+    _emit("\n".join(lines) + "\n" if fmt == "text" else _dump(payload), out)
+
+
 def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
     out = []
     for item in text.split(";"):
@@ -185,10 +190,14 @@ def _nonneg_rational(_ctx, param, value: str) -> Fraction:
     return q
 
 
+qbound = click.option(
+    "--qbound", "q_bound", required=True, callback=_nonneg_rational, help="maximal theta-degree (nonnegative rational)"
+)
+
+
 def truncation(command):
-    """--qbound (nonnegative maximal theta-degree) and --torder (nonnegative insertion order) of a series."""
-    command = click.option("--torder", type=click.IntRange(min=0), default=0)(command)
-    return click.option("--qbound", "q_bound", required=True, callback=_nonneg_rational)(command)
+    """--qbound and --torder (nonnegative insertion order) of a series."""
+    return qbound(click.option("--torder", type=click.IntRange(min=0), default=0)(command))
 
 
 # kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order); the
@@ -217,13 +226,9 @@ def validate(file, out, fmt):
     model = parse_model(_read_file(file))
     report = validate_model(model)
     payload = report.to_dict()
-    if fmt == "text":
-        lines = [f"overall: {payload['overall']}"]
-        for c in payload["checks"]:
-            lines.append(f"  [{c['status']}] {c['name']}: {c['detail']}")
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(_dump(payload), out)
+    lines = [f"overall: {payload['overall']}"]
+    lines += [f"  [{c['status']}] {c['name']}: {c['detail']}" for c in payload["checks"]]
+    _report(payload, lines, fmt, out)
     if not report.overall:
         raise ValidationFailure("model failed validation")
 
@@ -246,18 +251,12 @@ def sectors(file, out, fmt):
             for g in secs
         ]
     }
-    if fmt == "text":
-        lines = [f"({', '.join(format_rational(x) for x in g.lam)})" for g in secs]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        _emit(_dump(payload), out)
+    _report(payload, [f"({', '.join(format_rational(x) for x in g.lam)})" for g in secs], fmt, out)
 
 
 @cli.command()
 @click.argument("file", type=click.Path())
-@click.option(
-    "--qbound", "q_bound", required=True, callback=_nonneg_rational, help="maximal theta-degree (nonnegative rational)"
-)
+@qbound
 @common_out
 @formats("text")
 def effective(file, q_bound, out, fmt):
@@ -274,10 +273,7 @@ def effective(file, q_bound, out, fmt):
             for d in degs
         ],
     }
-    if fmt == "text":
-        _emit("\n".join(str([format_rational(x) for x in d]) for d in degs) + "\n", out)
-    else:
-        _emit(_dump(payload), out)
+    _report(payload, [str([format_rational(x) for x in d]) for d in degs], fmt, out)
 
 
 def _cached_series(key: str, compute, no_cache: bool, parse: bool = True) -> tuple[str, GradedSeries | None]:
@@ -362,7 +358,7 @@ def dz(file, rho, q_bound, torder, insert, method, out, fmt, no_cache):
 def check_ct(series_file, out):
     """Compact-type report of a stored series; exit 1 on violations."""
     series = series_from_json(_read_file(series_file))
-    report = compact_type_report(series, series.model)
+    report = compact_type_report(series)
     _emit(_dump(report), out)
     if not report["hypothesis_holds"] or report["violations"]:
         raise ValidationFailure("compact-type check failed")
@@ -403,10 +399,8 @@ def compare(series_a, series_b, subst, out, fmt):
     a = series_from_json(_read_file(series_a))
     b = series_from_json(_read_file(series_b))
     diff = series_compare(a, b, _parse_map(subst) if subst else None)
-    if fmt == "text":
-        _emit(("equal on common truncation\n" if not diff else f"{len(diff)} differences\n"), out)
-    else:
-        _emit(_dump({"equal": not diff, "diff": diff}), out)
+    text = f"{len(diff)} differences" if diff else "equal on common truncation"
+    _report({"equal": not diff, "diff": diff}, [text], fmt, out)
     if diff:
         raise ValidationFailure("series differ")
 

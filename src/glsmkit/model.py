@@ -168,24 +168,33 @@ def format_potential(p: PotentialPolynomial, names: tuple[str, ...]) -> str:
     return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
+def load_json(text: str, what: str):
+    """The JSON value of a `what` file's text; InputError gives the line and column of a syntax error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what} JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
+
+
 def parse_model(text: str) -> GLSMModel:
     """Parse model-file JSON into a structurally valid GLSMModel."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"model JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
-    return model_from_dict(data)
+    return model_from_dict(load_json(text, "model"))
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def json_object(value, field: str) -> dict:
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise InputError(f"{field} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def json_field(data: dict, key: str, where: str):
     """data[key] of the JSON object `where`; InputError when `data` is no object or lacks the key."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where} must be a JSON object, got {json.dumps(data)}")
-    if key not in data:
+    if key not in json_object(data, where):
         raise InputError(f"{where} missing required key {key!r}")
     return data[key]
 
@@ -215,20 +224,21 @@ def json_int_rows(value, field: str) -> tuple[tuple[int, ...], ...]:
     return tuple(json_ints(row, field) for row in json_list(value, field))
 
 
+def json_rational(value, field: str) -> Fraction:
+    """A rational: a JSON integer or a "p/q" string."""
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ValueError as e:
+            raise InputError(f"{field}: {e}") from None
+    if _is_int(value):
+        return Fraction(value)
+    raise InputError(f'{field}: expected an integer or a "p/q" string, got {json.dumps(value)}')
+
+
 def json_rationals(value, field: str) -> tuple[Fraction, ...]:
     """A JSON list of rationals, each a JSON integer or a "p/q" string."""
-    out = []
-    for x in json_list(value, field):
-        if _is_int(x):
-            out.append(Fraction(x))
-        elif isinstance(x, str):
-            try:
-                out.append(parse_rational(x))
-            except ValueError as e:
-                raise InputError(f"{field}: {e}") from None
-        else:
-            raise InputError(f'{field} entries must be integers or "p/q" strings, got {json.dumps(x)}')
-    return tuple(out)
+    return tuple(json_rational(x, field) for x in json_list(value, field))
 
 
 def json_bool(data: dict, key: str) -> bool:

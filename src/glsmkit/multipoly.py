@@ -171,6 +171,10 @@ _STAIRCASE_CAP = 10000  # most monomials a staircase box may hold
 class InfiniteStaircaseError(ValueError):
     """Some variable has no pure power among the leading terms: the quotient is infinite-dimensional."""
 
+    def __init__(self, variable: int):
+        self.variable = variable  # the variable's 0-based index
+        super().__init__(f"quotient ring is infinite-dimensional along generator index {variable}")
+
 
 def staircase_monomials(basis: list[Poly], nvars: int) -> list[Monomial]:
     """Monomials outside the leading-term ideal of the basis, sorted.
@@ -185,7 +189,7 @@ def staircase_monomials(basis: list[Poly], nvars: int) -> list[Monomial]:
     for v in range(nvars):
         pure = [lm[v] for lm in lms if all(lm[w] == 0 for w in range(nvars) if w != v)]
         if not pure:
-            raise InfiniteStaircaseError(f"quotient ring is infinite-dimensional along generator index {v}")
+            raise InfiniteStaircaseError(v)
         bounds.append(min(pure))
     box = prod(bounds)
     if box > _STAIRCASE_CAP:

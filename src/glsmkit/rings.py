@@ -103,7 +103,10 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
     try:
         stairs = staircase_monomials(basis, m.k)
     except InfiniteStaircaseError as e:
-        raise InfiniteRingError(str(e).replace("generator index", "generator H") + " (no pure power among leading terms)") from None
+        raise InfiniteRingError(
+            f"quotient ring is infinite-dimensional along generator H{e.variable + 1}"
+            " (no pure power among leading terms)"
+        ) from None
     top = sum(stairs[-1])
     inside = set(stairs)
     # staircase monomials are their own normal forms; the grading zeroes everything above top
@@ -249,7 +252,7 @@ def divides_ideal(a: CohClass, factors: list[CohClass]) -> bool:
 # --- serialization on the staircase basis ----------------------------------
 
 
-def monomial_key(mono, ngens: int) -> str:
+def monomial_key(mono) -> str:
     parts = []
     for a, e in enumerate(mono):
         if e == 1:
@@ -282,7 +285,7 @@ def parse_monomial_key(key: str, ngens: int):
 def class_to_json(c: CohClass) -> dict:
     out = {}
     for mono, coeff in sorted(c.poly.items()):
-        out[monomial_key(mono, c.ring.ngens)] = scalar_to_json(coeff)
+        out[monomial_key(mono)] = scalar_to_json(coeff)
     return out
 
 

@@ -165,7 +165,7 @@ def sector_of_degree(m: GLSMModel, d: Degree) -> SectorLabel:
     return sector_from_lambda(m, tuple(-x for x in d))
 
 
-def age(m: GLSMModel, g: SectorLabel, xi) -> Fraction:
+def age(g: SectorLabel, xi) -> Fraction:
     """Fractional rotation number of the sector element on the character xi."""
     return frac_mod1(pairing(tuple(g.lam), xi))
 

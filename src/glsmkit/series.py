@@ -9,11 +9,14 @@ Every coefficient is a z-Laurent polynomial whose coefficients live in the
 sector ring attached to the term's degree.
 
 Every series starts as `empty_series`: the engine, the JSON reader and the
-special families' direct series all fill that one container.  The
+special families' direct series all fill that one container.  A series
+carries its model, and the compact-type report reads it there.  The
 comparison cuts both sides to their common region with
-`GradedSeries.restrict`, and the reader refuses a payload whose schema,
-state, model hash, theta-degrees or sector lambdas disagree with its model,
-or that lists a (degree, t-exponent) key twice.
+`GradedSeries.restrict`.  The reader reads every field through the
+`model.json_*` readers and refuses, naming the field, a payload that is not
+JSON or has a field of the wrong type or length, or whose schema, state,
+model hash, theta-degrees or sector lambdas disagree with its model, or
+that lists a (degree, t-exponent) key twice.
 """
 
 from __future__ import annotations
@@ -24,7 +27,23 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from .lattice import common_denominator, nonneg_vectors
-from .model import GLSMModel, InputError, InternalError, model_from_dict, model_hash, model_to_dict
+from .model import (
+    GLSMModel,
+    InputError,
+    InternalError,
+    json_field,
+    json_int,
+    json_int_rows,
+    json_ints,
+    json_list,
+    json_object,
+    json_rational,
+    json_rationals,
+    load_json,
+    model_from_dict,
+    model_hash,
+    model_to_dict,
+)
 from .rings import (
     CohClass,
     RingMismatchError,
@@ -37,7 +56,7 @@ from .rings import (
     ideal_membership,
     term_products,
 )
-from .scalars import Cyclo, Scalar, format_rational, parse_rational
+from .scalars import Cyclo, Scalar, format_rational
 from .sectors import Degree, effective_degrees, pairing, sector_of_degree, theta_degree
 from .validate import glsm_hypothesis
 
@@ -228,7 +247,7 @@ class GradedSeries:
         return replace(self, terms=terms, vanished=tuple(sorted(vanished)))
 
 
-def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: dict | None = None) -> LaurentZ:
+def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: dict) -> LaurentZ:
     """Per-degree hypergeometric factor in the sector ring of d.
 
     With x = <d,rho_i>, coordinate i contributes one factor
@@ -274,7 +293,6 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
     degree <= min(k count, top).  Each table is extended as far as the
     longest range read from it.  `tables` holds them: `_assemble` passes
     one dict for all degrees of a series, and it is dropped with the call.
-    Without it, each call uses tables of its own.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -292,8 +310,6 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
         if nus:
             key = (col, xn, nus)
             groups[key] = groups.get(key, 0) + 1
-    if tables is None:
-        tables = {}
     top = ring.top
     poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
     scale_num = scale_den = 1
@@ -381,14 +397,7 @@ def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
     return {mono: v for mono, v in acc.items() if v}
 
 
-def exp_factor(
-    m: GLSMModel,
-    d: Degree,
-    etas,
-    insertions,
-    t_order: int,
-    ring: SectorRing,
-) -> dict[tuple[int, ...], LaurentZ]:
+def exp_factor(d: Degree, etas, insertions, t_order: int, ring: SectorRing) -> dict[tuple[int, ...], LaurentZ]:
     """Multi-variable exponential factor, truncated at total insertion order.
 
     Expands exp(z^{-1} sum_j t^j p_j(eta_s + z <d, eta_s>)), evaluating each
@@ -483,7 +492,7 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         if not series.insertions:
             series.terms[(d, ())] = hyper
             continue
-        exps = exp_factor(m, d, series.etas, series.insertions, t_order, ring)
+        exps = exp_factor(d, series.etas, series.insertions, t_order, ring)
         for alpha, coeff in sorted(exps.items()):
             value = coeff.mul(hyper)
             if value.is_zero():
@@ -613,11 +622,12 @@ def twist_novikov(s: GradedSeries, tau_list) -> GradedSeries:
 # --------------------------------------------------------------------------
 
 
-def compact_type_report(s: GradedSeries, m: GLSMModel) -> dict:
-    """Hypothesis test plus literal endpoint-factor divisibility per term.
+def compact_type_report(s: GradedSeries) -> dict:
+    """Hypothesis test plus literal endpoint-factor divisibility per term, on the series' own model.
 
     Everything beyond these two checks is reported as unverified.
     """
+    m = s.model
     charged = m.r_charged_indices()
     hyp = glsm_hypothesis(m)
     violations = []
@@ -759,40 +769,67 @@ def series_to_json(s: GradedSeries) -> str:
 
 
 def series_from_dict(data: dict) -> GradedSeries:
-    """The series of a stored payload; InputError names a field that disagrees with what it records.
+    """The series of a stored payload; InputError names a field that is malformed or disagrees with what it records.
 
-    The fields the writer derives are checked against the model without
-    serializing anything again: the schema, the state, the model hash, each
-    term's theta-degree and sector lambda, and that no (degree, t-exponent)
-    key is listed twice among the terms and the vanished keys.
+    Every field is read through the `model.json_*` readers, rationals as a
+    JSON integer or a "p/q" string.  Each degree has k entries, each
+    t-exponent one entry per insertion and each insertion's powers one
+    entry per eta.  The fields the writer derives are checked against the
+    model without serializing anything again: the schema, the state, the
+    model hash, each term's theta-degree and sector lambda, and that no
+    (degree, t-exponent) key is listed twice among the terms and the
+    vanished keys.
     """
-    if data.get("schema") != SERIES_SCHEMA:
+    if json_object(data, "series file").get("schema") != SERIES_SCHEMA:
         raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
     state = data.get("state")
     if state not in ("ambient", "glsm"):
         raise InputError(f'series state must be "ambient" or "glsm", got {json.dumps(state)}')
-    m = model_from_dict(data["model"])
+    m = model_from_dict(json_field(data, "model", "series file"))
     if data.get("model_hash") != model_hash(m):
         raise InputError("series model_hash is not the hash of its model")
-    etas = tuple(tuple(int(x) for x in e) for e in data.get("etas", []))
-    insertions = tuple(
-        Insertion.from_terms(
-            ins["name"],
-            {tuple(t["powers"]): parse_rational(t["coeff"]) for t in ins["poly"]},
-        )
-        for ins in data.get("insertions", [])
-    )
-    q_bound = parse_rational(data["truncation"]["q_bound"])
-    t_order = int(data["truncation"]["t_order"])
+    etas = json_int_rows(data.get("etas", []), "series etas")
+    if any(len(eta) != m.k for eta in etas):
+        raise InputError(f"series etas must each have k = {m.k} entries, got {json.dumps(data['etas'])}")
+    insertions = []
+    for ins in json_list(data.get("insertions", []), "series insertions"):
+        name = json_field(ins, "name", "series insertion")
+        if not isinstance(name, str):
+            raise InputError(f"series insertion name must be a string, got {json.dumps(name)}")
+        poly = {}
+        for term in json_list(json_field(ins, "poly", "series insertion"), f"series insertion {name!r} poly"):
+            powers = json_ints(json_field(term, "powers", "series insertion term"), f"series insertion {name!r} powers")
+            if len(powers) != len(etas):
+                raise InputError(
+                    f"series insertion {name!r} powers must have one entry per eta ({len(etas)}), got {list(powers)}"
+                )
+            poly[powers] = json_rational(json_field(term, "coeff", "series insertion term"), "series insertion coeff")
+        insertions.append(Insertion.from_terms(name, poly))
+    truncation = json_field(data, "truncation", "series file")
+    q_bound = json_rational(json_field(truncation, "q_bound", "series truncation"), "series truncation q_bound")
+    t_order = json_int(json_field(truncation, "t_order", "series truncation"), "series truncation t_order")
+    if q_bound < 0 or t_order < 0:
+        raise InputError(f"series truncation must be nonnegative, got {json.dumps(truncation)}")
     series = empty_series(m, state, etas, insertions, q_bound, t_order)
-    series.vanished = tuple(
-        (tuple(parse_rational(x) for x in item["degree"]), tuple(item["t_exponent"]))
-        for item in data.get("vanished", [])
-    )
-    degrees = [tuple(parse_rational(x) for x in item["degree"]) for item in data["terms"]]
+
+    def read_key(item, where: str) -> TermKey:
+        d = json_rationals(json_field(item, "degree", where), f"{where} degree")
+        if len(d) != m.k:
+            raise InputError(f"{where} degree must have k = {m.k} entries, got {json.dumps(item['degree'])}")
+        alpha = json_ints(json_field(item, "t_exponent", where), f"{where} t_exponent")
+        if len(alpha) != len(insertions):
+            raise InputError(
+                f"{where} t_exponent must have one entry per insertion ({len(insertions)}), got {list(alpha)}"
+            )
+        return d, alpha
+
+    vanished = json_list(data.get("vanished", []), "series vanished")
+    series.vanished = tuple(read_key(item, f"series vanished[{n}]") for n, item in enumerate(vanished))
+    items = json_list(json_field(data, "terms", "series file"), "series terms")
+    keys = [read_key(item, f"series terms[{n}]") for n, item in enumerate(items)]
     # the writer lists the terms of one degree together: each run of equal fields is checked once
     checked = None  # the last (degree, theta_degree, sector_lambda) found to agree
-    for d, ring, item in zip(degrees, sector_rings(m, degrees), data["terms"]):
+    for n, ((d, alpha), ring, item) in enumerate(zip(keys, sector_rings(m, [d for d, _alpha in keys]), items)):
         fields = (item["degree"], item.get("theta_degree"), item.get("sector_lambda"))
         if fields != checked:
             if fields[1] != format_rational(theta_degree(m, d)):
@@ -800,12 +837,18 @@ def series_from_dict(data: dict) -> GradedSeries:
             if fields[2] != [format_rational(x) for x in ring.sector.lam]:
                 raise InputError(f"series term at degree {item['degree']}: sector_lambda does not match the degree")
             checked = fields
-        coeffs = {int(e): class_from_json(ring, cmap) for e, cmap in item["z"].items()}
-        series.terms[(d, tuple(item["t_exponent"]))] = LaurentZ.from_dict(ring, coeffs)
-    if len(set(series.terms) | set(series.vanished)) < len(data["terms"]) + len(series.vanished):
+        coeffs = {}
+        for e, cmap in json_object(json_field(item, "z", f"series terms[{n}]"), f"series terms[{n}] z").items():
+            try:
+                zexp = int(e)
+            except ValueError:
+                raise InputError(f"series terms[{n}] z exponent must be an integer, got {json.dumps(e)}") from None
+            coeffs[zexp] = class_from_json(ring, json_object(cmap, f"series terms[{n}] z[{e}]"))
+        series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)
+    if len(set(series.terms) | set(series.vanished)) < len(items) + len(series.vanished):
         raise InputError("series terms and vanished list a (degree, t_exponent) key twice")
     return series
 
 
 def series_from_json(text: str) -> GradedSeries:
-    return series_from_dict(json.loads(text))
+    return series_from_dict(load_json(text, "series"))

@@ -8,17 +8,19 @@ The hybrid model is the theta < 0 phase of the rank-one sections model, so
 closed formulas with bare Laurent arithmetic (no reuse of the engine's factor
 routines), so the cross-checks exercise two genuinely independent paths.  The
 hybrid and complete-intersection series share one insertion exponential,
-`_insertion_exponential`, which is separate from the engine's `exp_factor`.
-All three start from the engine's empty container, `series.empty_series`,
-and share nothing else with it but the sector rings.  The affine and hybrid
-cross-checks share one report, `_family_report`; the complete-intersection
-comparison forms each sector ring's Euler classes, their membership test and
-its age phase once.
+`_insertion_exponential`, which is separate from the engine's `exp_factor`
+and forms each term as one product that starts at the degree's
+hypergeometric factor.  All three start from the engine's empty container,
+`series.empty_series`, and share nothing else with it but the sector rings.
+The affine and hybrid cross-checks share one report, `_family_report`; the
+complete-intersection comparison forms each sector ring's Euler classes,
+their membership test and its age phase once.  Each cross-check refuses a
+given direct series whose model, etas, insertions or truncation differ from
+the engine series', so both sides always cover one region.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, lcm
@@ -37,6 +39,7 @@ from .model import (
     json_list,
     json_names,
     json_rationals,
+    load_json,
     parse_monomial_expression,
 )
 from .rings import class_from_character, ideal_membership
@@ -194,6 +197,18 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     return series
 
 
+def _check_direct(engine: GradedSeries, direct: GradedSeries) -> None:
+    """Refuse a direct series whose model, etas, insertions or truncation differ from the engine series'.
+
+    The comparison cuts both sides to their common region, so a direct
+    series of a smaller region would otherwise be compared on that region
+    alone and read equal.
+    """
+    for field in ("model", "etas", "insertions", "q_bound", "t_order"):
+        if getattr(direct, field) != getattr(engine, field):
+            raise ValueError(f"the direct series' {field} differs from the engine series'")
+
+
 def _family_report(family: str, engine: GradedSeries, direct: GradedSeries, diff: list[dict]) -> dict:
     """The affine and hybrid cross-check report: the distinct (degree, t_exponent) positions of the diff, in order."""
     positions = []
@@ -219,13 +234,15 @@ def fjrw_crosscheck(spec: FjrwSpec, q_bound, t_order: int = 0, *, direct: Graded
 
     `direct` is the display side, `fjrw_direct_series(spec, q_bound,
     t_order)`, for a caller that has already computed it; when omitted it is
-    computed here.
+    computed here.  A `direct` of another model, etas, insertions or
+    truncation is refused with ValueError.
     """
     model = fjrw_build(spec)
     etas, insertions = fjrw_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
     if direct is None:
         direct = fjrw_direct_series(spec, q_bound, t_order)
+    _check_direct(engine, direct)
     charged = [model.column(i) for i in model.r_charged_indices()]
     diff = series_compare(times_characters(engine, lambda _d: etas), times_characters(direct, lambda _d: charged))
     return _family_report("fjrw", engine, direct, diff)
@@ -271,12 +288,13 @@ def hybrid_insertions(spec: HybridSpec):
     return _light_insertions((-d,) for d in spec.p_weights)
 
 
-def _insertion_exponential(series: GradedSeries, d: Degree, ring) -> dict[tuple[int, ...], LaurentZ]:
-    """alpha -> prod_j (z^-1 p_j(eta + <d, eta> z))^alpha_j / alpha_j! for the series' insertions.
+def _insertion_exponential(series: GradedSeries, d: Degree, ring, base: LaurentZ) -> dict[tuple[int, ...], LaurentZ]:
+    """alpha -> base * prod_j (z^-1 p_j(eta + <d, eta> z))^alpha_j / alpha_j! for the series' insertions.
 
     Each character eta_s is evaluated as class(eta_s) + <d, eta_s> z in bare
-    Laurent arithmetic; the factor of every t-exponent up to the series'
-    t_order is the product of its powers, one factor at a time.
+    Laurent arithmetic; the term of every t-exponent up to the series'
+    t_order is one product that starts at `base`, the degree's
+    hypergeometric factor, and takes the powers one factor at a time.
     """
     evals = [linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in series.etas]
     shifted = []
@@ -291,7 +309,7 @@ def _insertion_exponential(series: GradedSeries, d: Degree, ring) -> dict[tuple[
         shifted.append(acc.shift(-1))
     out = {}
     for alpha in t_exponents(len(shifted), series.t_order):
-        factor = LaurentZ.one(ring)
+        factor = base
         for j, e in enumerate(alpha):
             for _ in range(e):
                 factor = factor.mul(shifted[j])
@@ -325,8 +343,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                 hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
         if hyper.is_zero():
             continue
-        for alpha, factor in _insertion_exponential(series, d_eng, ring).items():
-            value = factor.mul(hyper)
+        for alpha, value in _insertion_exponential(series, d_eng, ring, hyper).items():
             if not value.is_zero():
                 series.terms[(d_eng, alpha)] = value
     return series
@@ -341,13 +358,15 @@ def hybrid_crosscheck(spec: HybridSpec, q_bound, t_order: int = 0, *, direct: Gr
 
     `direct` is the display side, `hybrid_direct_series(spec, q_bound,
     t_order)`, for a caller that has already computed it; when omitted it is
-    computed here.
+    computed here.  A `direct` of another model, etas, insertions or
+    truncation is refused with ValueError.
     """
     model = hybrid_build(spec)
     etas, insertions = hybrid_insertions(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
     if direct is None:
         direct = hybrid_direct_series(spec, q_bound, t_order)
+    _check_direct(engine, direct)
     charged = [model.column(i) for i in model.r_charged_indices()]
     endpoints = times_characters(direct, lambda d: [rho for rho in charged if pairing(d, rho) == 0])
     return _family_report("hybrid", engine, direct, series_compare(engine, endpoints))
@@ -443,8 +462,7 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue
-        for alpha, factor in _insertion_exponential(series, d, ring).items():
-            term = factor.mul(value)
+        for alpha, term in _insertion_exponential(series, d, ring, value).items():
             if not term.is_zero():
                 series.terms[(d, alpha)] = term
     return series
@@ -463,7 +481,8 @@ def ci_compare(
 
     `direct` is the right-hand side, `ci_ambient_series(spec, q_bound,
     t_order, etas, insertions)`, for a caller that has already computed it;
-    when omitted it is computed here.
+    when omitted it is computed here.  A `direct` of another model, etas,
+    insertions or truncation is refused with ValueError.
     """
     model = ci_build(spec)
     engine = glsm_i_function(model, etas, insertions, q_bound, t_order)
@@ -472,7 +491,7 @@ def ci_compare(
     def euler_data(ring):
         data = eulers.get(ring)
         if data is None:
-            ages = [age(model, ring.sector, tau) for tau in spec.taus]
+            ages = [age(ring.sector, tau) for tau in spec.taus]
             factors = [class_from_character(ring, tau) for tau, a in zip(spec.taus, ages) if a == 0]
             contains = ideal_membership(ring, factors) if factors else None
             data = eulers[ring] = (factors, contains, half_turn(sum(ages, F(0))))
@@ -487,7 +506,7 @@ def ci_compare(
             )
         return value.scale(phase)
 
-    def with_euler_classes(d, _alpha, value):
+    def with_euler_classes(_d, _alpha, value):
         for cls in euler_data(value.ring)[0]:
             value = value.scale_class(cls.scale(F(-1)))
         return value
@@ -495,6 +514,7 @@ def ci_compare(
     normalized = twist_novikov(engine.map_terms(checked_phase), list(spec.taus))
     if direct is None:
         direct = ci_ambient_series(spec, q_bound, t_order, etas, insertions)
+    _check_direct(engine, direct)
     diff = series_compare(normalized, direct.map_terms(with_euler_classes))
     return {
         "family": "ci",
@@ -560,10 +580,7 @@ def specialization_from_dict(data: dict):
 
 
 def specialization_from_model_file(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"model JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    data = load_json(text, "model")
     if not isinstance(data, dict) or "specialize" not in data:
         raise InputError('model file has no "specialize" section')
     return specialization_from_dict(data["specialize"])

@@ -143,8 +143,8 @@ def test_criterion_4_mode_relation():
                 from glsmkit.rings import build_ring
 
                 ring = build_ring(m, sector_of_degree(m, d))
-                lhs = hyper_factor(m, d, "glsm", ring)
-                rhs = hyper_factor(m, d, "ambient", ring)
+                lhs = hyper_factor(m, d, "glsm", ring, {})
+                rhs = hyper_factor(m, d, "ambient", ring, {})
                 for i in m.r_charged_indices():
                     rhs = rhs.mul(
                         linear_z_factor(
@@ -238,12 +238,12 @@ def test_criterion_8_compact_type_report():
     with criterion(8, "compact-type report", 5.0):
         for m in corpus():
             s = glsm_i_function(m, q_bound=F(2))
-            rep = compact_type_report(s, m)
+            rep = compact_type_report(s)
             assert rep["hypothesis_holds"], m.var_names()
             assert rep["violations"] == [], (m.var_names(), rep["violations"])
         quintic = corpus()[1]
         ambient = big_i_function(quintic, q_bound=F(2))
-        rep = compact_type_report(ambient, quintic)
+        rep = compact_type_report(ambient)
         assert rep["violations"], "ambient series must fail the divisibility check"
 
 

@@ -603,3 +603,84 @@ def test_stored_series_with_a_field_that_disagrees_exits_2(run, model_file, tmp_
         assert code == 2, (argv, err)
         assert out == ""
         assert err.startswith("error: ") and field in err, err
+
+
+# each edit of a P1 `ifun --qbound 2` file, and the message naming its field; an edit changes the
+# payload in place, or returns the new top-level list or the new text
+MALFORMED_SERIES = {
+    "top_level_list": (lambda data: [data], "series file must be a JSON object"),
+    "t_exponent_int": (
+        lambda data: data["terms"][1].update(t_exponent=5),
+        "series terms[1] t_exponent must be a list",
+    ),
+    "degree_int": (lambda data: data["terms"][1].update(degree=1), "series terms[1] degree must be a list"),
+    "z_list": (lambda data: data["terms"][1].update(z=[1]), "series terms[1] z must be a JSON object"),
+    "etas_int": (lambda data: data.update(etas=5), "series etas must be a list"),
+    "vanished_degree_int": (
+        lambda data: data["vanished"].append({"degree": 5, "t_exponent": []}),
+        "series vanished[0] degree must be a list",
+    ),
+    "no_truncation": (lambda data: data.pop("truncation"), "series file missing required key 'truncation'"),
+    "t_order_string": (
+        lambda data: data["truncation"].update(t_order="x"),
+        "series truncation t_order must be an integer",
+    ),
+    "not_json": (lambda data: "not json", "series JSON syntax error at line 1 column 1"),
+    "negative_q_bound": (
+        lambda data: data["truncation"].update(q_bound="-1"),
+        "series truncation must be nonnegative",
+    ),
+    "eta_of_wrong_length": (lambda data: data.update(etas=[[1, 1]]), "series etas must each have k = 1 entries"),
+    "t_exponent_without_insertion": (
+        lambda data: data["terms"][1].update(t_exponent=[1]),
+        "series terms[1] t_exponent must have one entry per insertion (0)",
+    ),
+    "powers_without_eta": (
+        lambda data: data["insertions"].append({"name": "t", "poly": [{"powers": [1], "coeff": "1"}]}),
+        "series insertion 't' powers must have one entry per eta (0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED_SERIES))
+def test_malformed_series_file_exits_2_naming_the_field(run, model_file, tmp_path, fault):
+    # each of these files ended in a traceback, was accepted, or was refused without naming the field
+    edit, message = MALFORMED_SERIES[fault]
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "2", "--out", str(a))
+    data = json.loads(a.read_text(encoding="utf-8"))
+    edited = edit(data)
+    bad = tmp_path / "bad.series"
+    bad.write_text(edited if isinstance(edited, str) else json.dumps(edited if isinstance(edited, list) else data))
+    for argv in (["render-latex", str(bad)], ["compare", str(a), str(bad)], ["check-ct", str(bad)]):
+        code, out, err = run(*argv)
+        assert code == 2, (argv, err)
+        assert out == ""
+        assert err.startswith("error: ") and message in err, err
+
+
+def test_series_q_bound_may_be_a_json_integer(run, model_file, tmp_path):
+    # rationals in a series file follow the model file's rule: a JSON integer or a "p/q" string
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "2", "--out", str(a))
+    data = json.loads(a.read_text(encoding="utf-8"))
+    data["truncation"]["q_bound"] = 2
+    b = tmp_path / "b.series"
+    b.write_text(json.dumps(data), encoding="utf-8")
+    assert run("render-latex", str(b)) == run("render-latex", str(a))
+    assert run("compare", str(a), str(b))[0] == 0
+
+
+def test_unusable_cache_directory_exits_2(run, model_file, tmp_path, monkeypatch):
+    # a regular file where the cache directory should be: the store used to end in a traceback
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("GLSMKIT_CACHE_DIR", str(blocker))
+    path = model_file(P1)
+    code, out, err = run("ifun", path, "--qbound", "1")
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "GLSMKIT_CACHE_DIR" in err and "--no-cache" in err, err
+    code, out, err = run("ifun", path, "--qbound", "1", "--no-cache")
+    assert code == 0, err
+    assert json.loads(out)["truncation"] == {"q_bound": "1", "t_order": 0}

@@ -37,8 +37,10 @@ the engine, the reader and the direct series start from one empty series,
 and the direct series share one insertion exponential), on `series_compare`
 naming `theta_degree` (both truncation regions are cut by
 `GradedSeries.restrict`), and on any module but `model` defining a class
-whose name ends in `InternalError` (one internal-error type, exit code 3).
-One rule reads a test module: the GKZ recurrence oracle in
+whose name ends in `InternalError` (one internal-error type, exit code 3),
+and on a parameter of any function or lambda that its body never reads,
+except `self`, `cls` and names that start with `_` (a value the caller
+passes is used, or it is not asked for).  One rule reads a test module: the GKZ recurrence oracle in
 `tests/test_series.py` names none of the engine's factor routines, so it
 stays independent of the code it checks.  The package `__init__` is exempt
 from the unused-import check: it exists to re-export.
@@ -301,4 +303,27 @@ def test_one_internal_error_type():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef) and node.name.endswith("InternalError")
     ]
+    assert not stray, stray
+
+
+def test_every_parameter_is_read():
+    stray = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                inner.id
+                for stmt in body
+                for inner in ast.walk(stmt)
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+            }
+            stray += [
+                f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
+                for p in params
+                if p not in read and p not in ("self", "cls") and not p.startswith("_")
+            ]
     assert not stray, stray

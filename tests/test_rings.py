@@ -193,6 +193,17 @@ def test_infinite_ring_error():
         build_ring(m, sector_of_degree(m, (F(0), F(0))))
 
 
+def test_infinite_ring_error_names_the_generator():
+    # the same wall model: H2 has no pure power; the message used to read "generator H 1"
+    m = model_from_dict(
+        {"r": 3, "k": 2, "weights": [[1, 0, 1], [0, 1, 1]], "r_charges": [0, 0, 0], "d_w": 1, "theta": ["1", "1"]}
+    )
+    message = "quotient ring is infinite-dimensional along generator H2 (no pure power among leading terms)"
+    with pytest.raises(InfiniteRingError) as caught:
+        build_ring(m, sector_of_degree(m, (F(0), F(0))))
+    assert str(caught.value) == message
+
+
 def test_class_json_roundtrip(m_quintic):
     ring = ring_of(m_quintic)
     h = class_from_character(ring, (1,))

@@ -238,14 +238,14 @@ def test_laurent_add_refuses_mismatched_rings_with_a_zero_operand(m_quintic, m_c
 def test_hyper_factor_p1_degree1(m_p1):
     ring = ring_at(m_p1, (F(1),))
     h = class_from_character(ring, (1,))
-    value = hyper_factor(m_p1, (F(1),), "ambient", ring)
+    value = hyper_factor(m_p1, (F(1),), "ambient", ring, {})
     assert value == lz(ring, {-2: ring.one(), -3: h.scale(F(-2))})
 
 
 def test_hyper_factor_cubic_glsm(m_cubic):
     d = (F(-1, 3),)
     ring = ring_at(m_cubic, d)
-    value = hyper_factor(m_cubic, d, "glsm", ring)
+    value = hyper_factor(m_cubic, d, "glsm", ring, {})
     assert value == lz(ring, {0: ring.one().scale(F(-1, 3))})
 
 
@@ -253,14 +253,14 @@ def test_hyper_factor_degree0(m_p1, m_quintic, m_cubic):
     for m in (m_p1, m_quintic, m_cubic):
         d = (F(0),) * m.k
         ring = ring_at(m, d)
-        assert hyper_factor(m, d, "ambient", ring) == LaurentZ.one(ring)
+        assert hyper_factor(m, d, "ambient", ring, {}) == LaurentZ.one(ring)
     # glsm mode at degree zero carries the R-charged endpoint classes
     ring5 = ring_at(m_quintic, (F(0),))
     h = class_from_character(ring5, (1,))
-    assert hyper_factor(m_quintic, (F(0),), "glsm", ring5) == lz(ring5, {0: h.scale(F(-5))})
+    assert hyper_factor(m_quintic, (F(0),), "glsm", ring5, {}) == lz(ring5, {0: h.scale(F(-5))})
     # for a model with no R-charged coordinate the two modes agree
     ring1 = ring_at(m_p1, (F(0),))
-    assert hyper_factor(m_p1, (F(0),), "glsm", ring1) == LaurentZ.one(ring1)
+    assert hyper_factor(m_p1, (F(0),), "glsm", ring1, {}) == LaurentZ.one(ring1)
 
 
 def test_hyper_factor_quintic_ambient_oracle(m_quintic):
@@ -275,7 +275,7 @@ def test_hyper_factor_quintic_ambient_oracle(m_quintic):
     den = LaurentZ.one(ring)
     for _ in range(5):
         den = den.mul(invert_linear_z_factor(ring, h, F(1)))
-    assert hyper_factor(m_quintic, d, "ambient", ring) == num.mul(den)
+    assert hyper_factor(m_quintic, d, "ambient", ring, {}) == num.mul(den)
 
 
 def test_hyper_factor_one_product_per_coordinate_group(m_quintic, monkeypatch):
@@ -292,7 +292,7 @@ def test_hyper_factor_one_product_per_coordinate_group(m_quintic, monkeypatch):
     monkeypatch.setattr(LaurentZ, "mul", counted)
     for mode in ("ambient", "glsm"):
         calls.clear()
-        hyper_factor(m_quintic, d, mode, ring)
+        hyper_factor(m_quintic, d, mode, ring, {})
         assert len(calls) <= 2, mode
 
 
@@ -327,7 +327,7 @@ def test_hyper_factor_matches_per_factor_product(m, data):
     m = replace(m, r_charges=tuple(data.draw(st.lists(st.integers(0, 2), min_size=m.r, max_size=m.r))))
     d = tuple(data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=m.k, max_size=m.k)))
     mode = data.draw(st.sampled_from(["ambient", "glsm"]))
-    assert hyper_factor(m, d, mode, ring) == _per_factor_product(m, d, mode, ring)
+    assert hyper_factor(m, d, mode, ring, {}) == _per_factor_product(m, d, mode, ring)
 
 
 def test_mode_relation_corpus(m_p1, m_quintic, m_cubic, m_rank2):
@@ -335,8 +335,8 @@ def test_mode_relation_corpus(m_p1, m_quintic, m_cubic, m_rank2):
     for m in (m_p1, m_quintic, m_cubic, m_rank2):
         for d in effective_degrees(m, F(3)):
             ring = ring_at(m, d)
-            lhs = hyper_factor(m, d, "glsm", ring)
-            rhs = hyper_factor(m, d, "ambient", ring)
+            lhs = hyper_factor(m, d, "glsm", ring, {})
+            rhs = hyper_factor(m, d, "ambient", ring, {})
             for i in m.r_charged_indices():
                 rhs = rhs.mul(
                     linear_z_factor(ring, class_from_character(ring, m.column(i)), pairing(d, m.column(i)))
@@ -475,7 +475,7 @@ def test_exp_factor_torder0(m_p1):
     d = (F(1),)
     ring = ring_at(m_p1, d)
     etas, insertions = t_insertion()
-    out = exp_factor(m_p1, d, etas, insertions, 0, ring)
+    out = exp_factor(d, etas, insertions, 0, ring)
     assert out == {(0,): LaurentZ.one(ring)}
 
 
@@ -484,7 +484,7 @@ def test_exp_factor_p1_example(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(m_p1, d, etas, insertions, 2, ring)
+    out = exp_factor(d, etas, insertions, 2, ring)
     assert out[(1,)] == lz(ring, {0: ring.one(), -1: h})
     assert out[(2,)] == lz(ring, {0: ring.one().scale(F(1, 2)), -1: h})
 
@@ -494,7 +494,7 @@ def test_exp_factor_degree0(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(m_p1, d, etas, insertions, 1, ring)
+    out = exp_factor(d, etas, insertions, 1, ring)
     assert out[(1,)] == lz(ring, {-1: h})
 
 
@@ -522,7 +522,7 @@ def test_big_i_quintic_degree1_oracle(m_quintic):
     d = (F(1),)
     value = s.terms[(d, ())]
     ring = value.ring
-    assert value == hyper_factor(m_quintic, d, "ambient", ring)
+    assert value == hyper_factor(m_quintic, d, "ambient", ring, {})
 
 
 # --- glsm_i_function --------------------------------------------------------
@@ -564,9 +564,10 @@ def test_hypothesis_lp_runs_once_per_model(monkeypatch, m_rank2):
     validate_module.glsm_hypothesis.cache_clear()
     for _ in range(3):
         s = glsm_i_function(m_rank2, q_bound=F(1))
-        assert compact_type_report(s, m_rank2)["hypothesis_holds"]
+        assert compact_type_report(s)["hypothesis_holds"]
     # an equal model parsed again shares the decision
-    assert compact_type_report(s, parse_model(json.dumps(RANK2)))["hypothesis_holds"]
+    again = glsm_i_function(parse_model(json.dumps(RANK2)), q_bound=F(1))
+    assert compact_type_report(again)["hypothesis_holds"]
     assert calls == [m_rank2]
     refused = model_from_dict(
         {"r": 3, "k": 1, "weights": [[1, -1, 2]], "r_charges": [0, 0, 2], "d_w": 2, "theta": ["1"], "potential": None}
@@ -769,14 +770,14 @@ def test_twist_twice_equals_double(m_cubic):
 def test_compact_type_glsm_corpus(m_p1, m_quintic, m_cubic, m_rank2):
     for m in (m_p1, m_quintic, m_cubic, m_rank2):
         s = glsm_i_function(m, q_bound=F(2))
-        rep = compact_type_report(s, m)
+        rep = compact_type_report(s)
         assert rep["hypothesis_holds"]
         assert rep["violations"] == []
 
 
 def test_compact_type_ambient_negative_control(m_quintic):
     s = big_i_function(m_quintic, q_bound=F(2))
-    rep = compact_type_report(s, m_quintic)
+    rep = compact_type_report(s)
     assert rep["hypothesis_holds"]
     assert rep["violations"], "ambient series must fail the endpoint divisibility somewhere"
     zero_degree = [v for v in rep["violations"] if v["degree"] == ["0"]]
@@ -785,7 +786,7 @@ def test_compact_type_ambient_negative_control(m_quintic):
 
 def test_compact_type_counts_vanishing(m_cubic):
     s = glsm_i_function(m_cubic, q_bound=F(3))
-    rep = compact_type_report(s, m_cubic)
+    rep = compact_type_report(s)
     assert rep["structurally_vanishing"] >= 1
 
 
@@ -925,8 +926,8 @@ def test_compact_type_report_ignores_cyclotomic_phases(model, make, phase, check
     assert any(
         isinstance(c, Cyclo) for value in phased.terms.values() for _z, cls in value.coeffs for c in cls.poly.values()
     )
-    report = compact_type_report(phased, m)
-    assert report == compact_type_report(s, m)
+    report = compact_type_report(phased)
+    assert report == compact_type_report(s)
     assert report["divisibility_checked"] == checked
 
 
@@ -952,6 +953,6 @@ def test_compact_type_report_pinned(model, make, phase, etas, t_order, checked, 
         s = _zeta6_times(s)
     elif phase == "twist":
         s = twist_novikov(s, [(1,)])
-    report = compact_type_report(s, m)
+    report = compact_type_report(s)
     assert report["divisibility_checked"] == checked
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest

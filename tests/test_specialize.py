@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -392,6 +393,19 @@ def test_crosscheck_compares_against_the_given_direct_series(direct, check, spec
     }
 
 
+@pytest.mark.parametrize("direct, check, spec, q_bound, t_order", CROSSCHECKS, ids=["fjrw", "hybrid", "ci"])
+def test_crosscheck_refuses_a_direct_series_of_another_region(direct, check, spec, q_bound, t_order):
+    # the comparison cuts both sides to their common region: a smaller direct series used to read "equal"
+    with pytest.raises(ValueError, match="q_bound"):
+        check(spec, q_bound, t_order, direct=direct(spec, q_bound - 1, t_order))
+    if t_order:
+        with pytest.raises(ValueError, match="t_order"):
+            check(spec, q_bound, t_order, direct=direct(spec, q_bound, t_order - 1))
+    series = direct(spec, q_bound, t_order)
+    with pytest.raises(ValueError, match="etas"):
+        check(spec, q_bound, t_order, direct=replace(series, etas=series.etas + ((1,) * series.model.k,)))
+
+
 # P(1,1,2)[3], P(1,1,1,2)[3], P(1,1,2,2)[5] and P(1,2,3)[4]: twisted sectors with fractional ages
 FRACTIONAL_AGES = [((1, 1, 2), 3), ((1, 1, 1, 2), 3), ((1, 1, 2, 2), 5), ((1, 2, 3), 4)]
 
@@ -404,9 +418,9 @@ def test_ci_compare_with_fractional_ages(monkeypatch, weights, tau):
     ages, phases = [], []
     real_age, real_half_turn = specialize.age, specialize.half_turn
 
-    def counting_age(m, g, xi):
+    def counting_age(g, xi):
         ages.append((g.lam, tuple(xi)))
-        return real_age(m, g, xi)
+        return real_age(g, xi)
 
     def recording_half_turn(exponent):
         phases.append(real_half_turn(exponent))
