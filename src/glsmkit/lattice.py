@@ -20,10 +20,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

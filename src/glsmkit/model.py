@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, is_json_int, parse_rational, rational_from_json
 
 
 class InputError(ValueError):
@@ -181,10 +181,6 @@ def parse_model(text: str) -> GLSMModel:
     return model_from_dict(load_json(text, "model"))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def json_object(value, field: str) -> dict:
     """A JSON object."""
     if not isinstance(value, dict):
@@ -201,7 +197,7 @@ def json_field(data: dict, key: str, where: str):
 
 def json_int(value, field: str) -> int:
     """A JSON integer (not a bool, not a float)."""
-    if not _is_int(value):
+    if not is_json_int(value):
         raise InputError(f"{field} must be an integer, got {json.dumps(value)}")
     return value
 
@@ -214,7 +210,7 @@ def json_list(value, field: str) -> list:
 
 def json_ints(value, field: str) -> tuple[int, ...]:
     """A JSON list of integers."""
-    if not isinstance(value, list) or not all(_is_int(x) for x in value):
+    if not isinstance(value, list) or not all(is_json_int(x) for x in value):
         raise InputError(f"{field} must be a list of integers, got {json.dumps(value)}")
     return tuple(value)
 
@@ -225,15 +221,11 @@ def json_int_rows(value, field: str) -> tuple[tuple[int, ...], ...]:
 
 
 def json_rational(value, field: str) -> Fraction:
-    """A rational: a JSON integer or a "p/q" string."""
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as e:
-            raise InputError(f"{field}: {e}") from None
-    if _is_int(value):
-        return Fraction(value)
-    raise InputError(f'{field}: expected an integer or a "p/q" string, got {json.dumps(value)}')
+    """A rational: a JSON integer or a "p/q" string (`scalars.rational_from_json`)."""
+    try:
+        return rational_from_json(value)
+    except ValueError as e:
+        raise InputError(f"{field}: {e}") from None
 
 
 def json_rationals(value, field: str) -> tuple[Fraction, ...]:
@@ -272,7 +264,7 @@ def model_from_dict(data: dict) -> GLSMModel:
     r, k, weights, r_charges, d_w, theta = (
         json_field(data, key, "model file") for key in ("r", "k", "weights", "r_charges", "d_w", "theta")
     )
-    if not (_is_int(r) and _is_int(k)) or r < 1 or k < 1:
+    if not (is_json_int(r) and is_json_int(k)) or r < 1 or k < 1:
         raise InputError("r and k must be positive integers")
     weights = json_int_rows(weights, "weights")
     if len(weights) != k:

@@ -23,12 +23,6 @@ def grevlex_key(mono: Monomial):
     return (sum(mono), tuple(-mono[i] for i in range(len(mono) - 1, -1, -1)))
 
 
-def poly_const(nvars: int, c) -> Poly:
-    if not c:
-        return {}
-    return {(0,) * nvars: c}
-
-
 def poly_monomial(mono: Monomial, c) -> Poly:
     if not c:
         return {}

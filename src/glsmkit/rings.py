@@ -17,6 +17,7 @@ staircase basis.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -263,22 +264,18 @@ def monomial_key(mono) -> str:
 
 
 def parse_monomial_key(key: str, ngens: int):
+    """The exponent vector of a key written by `monomial_key`; ValueError names a malformed key."""
     mono = [0] * ngens
     if key.strip() == "1":
         return tuple(mono)
     for part in key.split("*"):
-        part = part.strip()
-        if "^" in part:
-            name, e_s = part.split("^")
-            e = int(e_s)
-        else:
-            name, e = part, 1
-        if not name.startswith("H"):
+        found = re.fullmatch(r"H([0-9]+)(?:\^([0-9]+))?", part.strip())
+        if found is None:
             raise ValueError(f"invalid staircase monomial key {key!r}")
-        a = int(name[1:]) - 1
+        a = int(found[1]) - 1
         if not 0 <= a < ngens:
             raise ValueError(f"generator index out of range in {key!r}")
-        mono[a] += e
+        mono[a] += int(found[2] or 1)
     return tuple(mono)
 
 
@@ -290,13 +287,19 @@ def class_to_json(c: CohClass) -> dict:
 
 
 def class_from_json(ring: SectorRing, data: dict) -> CohClass:
+    """The class of a stored payload {monomial key: scalar}; ValueError names the malformed key or coefficient.
+
+    Stored classes are normal forms: a monomial outside the staircase is refused.
+    """
     poly: Poly = {}
     for key, val in data.items():
         mono = parse_monomial_key(key, ring.ngens)
-        s = scalar_from_json(val)
+        try:
+            s = scalar_from_json(val)
+        except ValueError as e:
+            raise ValueError(f"coefficient of {key}: {e}") from None
         if s:
+            if mono not in ring.staircase:
+                raise ValueError(f"monomial {key} lies outside the staircase")
             poly[mono] = s
-    if any(mono not in ring.staircase for mono in poly):
-        # stored classes are normal forms; anything else is a corrupt file
-        raise ValueError("class payload contains a monomial outside the staircase")
     return CohClass(ring, poly)

@@ -11,6 +11,7 @@ which is the toolkit's one zero test.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -247,13 +248,38 @@ def scalar_to_json(v: Scalar):
     return format_rational(v)
 
 
+def is_json_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def rational_from_json(value) -> Fraction:
+    """A stored rational: a JSON integer or a "p/q" string; ValueError otherwise."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if is_json_int(value):
+        return Fraction(value)
+    raise ValueError(f'expected an integer or a "p/q" string, got {json.dumps(value)}')
+
+
 def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        return parse_rational(obj)
-    if isinstance(obj, dict) and "zeta_order" in obj:
-        order = int(obj["zeta_order"])
-        coeffs = tuple(parse_rational(c) for c in obj["coeffs"])
-        if len(coeffs) != _euler_phi(order):
-            raise ValueError("cyclotomic coefficient vector has wrong length")
-        return make_cyclo(order, coeffs)
-    raise ValueError(f"invalid scalar payload {obj!r}")
+    """A stored scalar: a rational, or {"zeta_order": N, "coeffs": [phi(N) rationals]}.
+
+    The one reader of a scalar payload; ValueError names the malformed field.
+    """
+    if not isinstance(obj, dict):
+        return rational_from_json(obj)
+    order = obj.get("zeta_order")
+    if not is_json_int(order) or order < 1:
+        raise ValueError(f"zeta_order must be an integer >= 1, got {json.dumps(order)}")
+    coeffs = obj.get("coeffs")
+    # phi(N) >= sqrt(N/2): a larger order cannot match, and its cyclotomic polynomial is never built
+    if not isinstance(coeffs, list) or order > 2 * len(coeffs) ** 2 or len(coeffs) != _euler_phi(order):
+        raise ValueError(f"coeffs must be a list of phi({order}) rationals, got {json.dumps(coeffs)}")
+    values = []
+    for i, c in enumerate(coeffs):
+        try:
+            values.append(rational_from_json(c))
+        except ValueError as e:
+            raise ValueError(f"coeffs[{i}]: {e}") from None
+    return make_cyclo(order, tuple(values))

@@ -260,39 +260,37 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
     the ambient ranges.
 
     The factor is one polynomial per degree.  Let c = class(rho_i) =
-    sum_a rho_ia H_a, D the denominator of x and p_k = D*(x - nu_k) the
-    integer numerators of the n a-values.  With P(u) = prod_k (p_k + D u), an
-    integer polynomial,
-        prod_k (c + a_k z)      = sum_j P_j D^-n c^j z^(n-j),
-        prod_k (c + a_k z)^-1   = sum_j G_j D^n / P_0^(j+1) c^j z^(-n-j),
-    where G_0 = 1 and G_j = -sum_{i=1..j} P_i G_(j-i) P_0^(i-1) are the
-    integer numerators of the series 1/P(u).  Zero a-values in a numerator
-    only shift P.  Coordinates with equal columns and ranges are counted
-    first, and each group contributes one P on its a-values repeated count
-    times.  Every term pairs H-degree j with z^(+-n - j), so the product over
-    the groups is one integer polynomial in H_1..H_k times one rational scale,
-    with H^mu standing at z^(shift - |mu|), where shift sums the +-n.  The
-    ring's ideal is homogeneous, so every monomial above its top degree is
-    zero: the series and their product are truncated there.  The terms are
+    sum_a rho_ia H_a and a_k = x - nu_k the n a-values.  With
+    S(u) = prod_k (a_k + u) = sum_j S_j u^j and 1/S(u) = sum_j R_j u^j,
+        prod_k (c + a_k z)      = sum_j S_j c^j z^(n-j),
+        prod_k (c + a_k z)^-1   = sum_j R_j c^j z^(-n-j).
+    Coordinates with equal columns and ranges are counted first, and each
+    group contributes S or 1/S on its a-values repeated count times.  Every
+    term pairs H-degree j with z^(+-n - j), so the product over the groups
+    is one integer polynomial in H_1..H_k over one integer denominator, with
+    H^mu standing at z^(shift - |mu|), where shift sums the +-n.  The ring's
+    ideal is homogeneous, so every monomial above its top degree is zero:
+    the series and their product are truncated there.  The terms are
     bucketed by z-exponent, and `rings.class_of` reads each bucket's class
     off the ring's normal forms.
 
     Everything up to that point runs on integers: all r pairings are
     numerators over the lcm of d's denominators, computed in one pass, and
-    the groups are keyed on them.  Each group's scale stays an integer
-    numerator and denominator; their products form the degree's one
-    Fraction scale, which multiplies each bucket's class.
+    the groups are keyed on them.  Each group's series is integer numerators
+    over one denominator; one over the product of the denominators is the
+    degree's one Fraction scale, which multiplies each bucket's class.
 
-    Each P is read from a prefix table.  With x = num/den in lowest terms,
-    every range's p_k fill a prefix of one residue class: |p|
-    runs up from first = num mod den (or den) over (0, num] or (0, num-den]
-    when x > 0, and up from first = -num mod den over (num, 0] or [num, 0]
-    when x <= 0.  So a group's P^count is entry len(nus) of the prefix table
-    T[k] = prod_{i<k} (+-(first + den i) + den u)^count, truncated at u^top,
-    keyed on (den, first, sign, count, top); numerator entries keep only
-    degree <= min(k count, top).  Each table is extended as far as the
-    longest range read from it.  `tables` holds them: `_assemble` passes
-    one dict for all degrees of a series, and it is dropped with the call.
+    Each group's series is read from a prefix table.  With x = num/den in
+    lowest terms, every range's a-values fill a prefix of one residue class:
+    |den a| runs up from first = num mod den (or den) over (0, num] or
+    (0, num-den] when x > 0, and up from first = -num mod den over (num, 0]
+    or [num, 0] when x <= 0.  With sign 1 when x > 0 and -1 otherwise, the
+    group's series is entry len(nus) of the prefix table
+    T[k] = prod_{i<k} (sign (first + den i)/den + u)^(-sign count) mod u^(top+1),
+    keyed on (den, first, sign, count, top).  Each table is extended as far
+    as the longest range read from it.  `tables` holds them: `_assemble`
+    passes one dict for all degrees of a series, and it is dropped with the
+    call.
     """
     if mode not in ("ambient", "glsm"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -312,71 +310,70 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
             groups[key] = groups.get(key, 0) + 1
     top = ring.top
     poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
-    scale_num = scale_den = 1
+    scale_den = 1
     shift = 0
     for (col, xn, nus), count in groups.items():
         g = gcd(xn, den)
-        inverted = xn > 0
-        coeffs, num, dnm = _gamma_series(xn // g, den // g, nus, count, inverted, top, tables)
+        coeffs, dnm = _gamma_series(xn // g, den // g, nus, count, top, tables)
         poly = _times_linear_series(poly, coeffs, col, top)
         if not poly:
             return LaurentZ(ring, ())
-        scale_num *= num
         scale_den *= dnm
         n = len(nus) * count
-        shift += -n if inverted else n
-    scale = Fraction(scale_num, scale_den)
+        shift += -n if xn > 0 else n
+    scale = Fraction(1, scale_den)
     by_z: dict[int, list] = {}  # z-exponent -> (monomial, integer coefficient) terms
     for mono, v in poly.items():
         by_z.setdefault(shift - sum(mono), []).append((mono, v))
     return LaurentZ.from_dict(ring, {e: class_of(ring, terms).scale(scale) for e, terms in by_z.items()})
 
 
-def _gamma_series(
-    num: int, den: int, nus: range, count: int, inverted: bool, top: int, tables: dict
-) -> tuple[list[int], int, int]:
-    """Integer coefficients of P(u), or of 1/P(u), up to u^top, and the scale of hyper_factor's closed form.
+def _gamma_series(num: int, den: int, nus: range, count: int, top: int, tables: dict) -> tuple[list[int], int]:
+    """prod_{nu in nus} (x - nu + u)^count, inverted when x > 0, mod u^(top+1): integer numerators, one denominator.
 
-    x = num / den in lowest terms, and P is the product over nus, taken count
-    times.  P is entry len(nus) of the prefix table keyed on (den, first,
-    sign, count, top), extended here as far as needed.  The scale is
-    returned as its integer numerator and denominator.
+    x = num / den is in lowest terms.  The series is entry len(nus) of the
+    prefix table keyed on (den, first, sign, count, top), extended as needed.
     """
-    n = len(nus) * count
-    if inverted:  # p in (0, num]: first = num mod den, or den
+    if num > 0:  # a in (0, x]: first = num mod den, or den
         key = (den, num % den or den, 1, count, top)
-        start = [1] + [0] * top
-    else:  # p in (num, 0] or [num, 0]: first = (-num) mod den
+    else:  # a in (x, 0] or [x, 0]: first = (-num) mod den
         key = (den, -num % den, -1, count, top)
-        start = [1]
-    table = tables.setdefault(key, [start])
+    table = tables.setdefault(key, [([1] + [0] * top, 1)])
     while len(table) <= len(nus):
         _extend_prefix(table, key)
-    poly = table[len(nus)]
-    if not inverted:
-        return poly, 1, den**n
-    size = top + 1
-    p0 = poly[0]
-    if p0 == 0:
-        raise InternalError("denominator factor with zero scalar part")
-    # G_j / P_0^(j+1) over the common denominator P_0^size: c_j = G_j P_0^(size-1-j) satisfies
-    # c_0 = P_0^(size-1) and c_j = -sum_{i=1..j} P_i c_(j-i) / P_0, where every term is divisible by P_0
-    inv = [p0 ** (size - 1)]
-    for j in range(1, size):
-        inv.append(-sum([poly[i] * inv[j - i] for i in range(1, j + 1)]) // p0)
-    return inv, den**n, p0**size
+    return table[len(nus)]
 
 
-def _extend_prefix(table: list[list[int]], key: tuple) -> None:
-    """Append T[k+1] = T[k] * (sign*(first + den*k) + den*u)^count, truncated at u^top, where k + 1 = len(table)."""
+def _extend_prefix(table: list[tuple[list[int], int]], key: tuple) -> None:
+    """Append T[k+1] = T[k] * (a_k + u)^(-sign*count) mod u^(top+1), where k + 1 = len(table).
+
+    a_k = p / den with p = sign*(first + den*k).  A numerator step (sign -1)
+    multiplies the numerators by (p + den*u)^count and the denominator by
+    den^count.  An inverse step (sign 1, so p >= 1) divides by (p + den*u)
+    count times, b = p^(top+1) c / (p + den*u) with b_j = p^top c_j -
+    den b_(j-1) / p exact, then scales by den^count and reduces to lowest terms.
+    """
     den, first, sign, count, top = key
     p = sign * (first + den * (len(table) - 1))
-    row = table[-1] + [0] * min(count, top + 1 - len(table[-1]))
+    row, denom = table[-1]
+    row = list(row)
+    if sign < 0:
+        for _ in range(count):
+            for j in range(top, 0, -1):
+                row[j] = p * row[j] + den * row[j - 1]
+            row[0] *= p
+        table.append((row, denom * den**count))
+        return
+    lift = p**top
     for _ in range(count):
-        for j in range(len(row) - 1, 0, -1):
-            row[j] = p * row[j] + den * row[j - 1]
-        row[0] *= p
-    table.append(row)
+        row[0] *= lift
+        for j in range(1, top + 1):
+            row[j] = lift * row[j] - den * (row[j - 1] // p)
+    scale = den**count
+    row = [c * scale for c in row]
+    denom *= (lift * p) ** count
+    g = gcd(denom, *row)
+    table.append(([c // g for c in row], denom // g))
 
 
 def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
@@ -772,9 +769,10 @@ def series_from_dict(data: dict) -> GradedSeries:
     """The series of a stored payload; InputError names a field that is malformed or disagrees with what it records.
 
     Every field is read through the `model.json_*` readers, rationals as a
-    JSON integer or a "p/q" string.  Each degree has k entries, each
-    t-exponent one entry per insertion and each insertion's powers one
-    entry per eta.  The fields the writer derives are checked against the
+    JSON integer or a "p/q" string, and each class through
+    `rings.class_from_json`, whose refusal is prefixed with the term.  Each
+    degree has k entries, each t-exponent one entry per insertion and each
+    insertion's powers one entry per eta.  The fields the writer derives are checked against the
     model without serializing anything again: the schema, the state, the
     model hash, each term's theta-degree and sector lambda, and that no
     (degree, t-exponent) key is listed twice among the terms and the
@@ -843,7 +841,12 @@ def series_from_dict(data: dict) -> GradedSeries:
                 zexp = int(e)
             except ValueError:
                 raise InputError(f"series terms[{n}] z exponent must be an integer, got {json.dumps(e)}") from None
-            coeffs[zexp] = class_from_json(ring, json_object(cmap, f"series terms[{n}] z[{e}]"))
+            where = f"series terms[{n}] z[{e}]"
+            cmap = json_object(cmap, where)
+            try:
+                coeffs[zexp] = class_from_json(ring, cmap)
+            except ValueError as err:
+                raise InputError(f"{where}: {err}") from None
         series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)
     if len(set(series.terms) | set(series.vanished)) < len(items) + len(series.vanished):
         raise InputError("series terms and vanished list a (degree, t_exponent) key twice")

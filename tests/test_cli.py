@@ -605,6 +605,11 @@ def test_stored_series_with_a_field_that_disagrees_exits_2(run, model_file, tmp_
         assert err.startswith("error: ") and field in err, err
 
 
+def _class_at_degree_1_z_minus_3(payload):
+    """An edit replacing the class {"H1": "-2"} of a P1 `ifun --qbound 2` file's degree-1 term at z^-3."""
+    return lambda data: data["terms"][1]["z"].update({"-3": payload})
+
+
 # each edit of a P1 `ifun --qbound 2` file, and the message naming its field; an edit changes the
 # payload in place, or returns the new top-level list or the new text
 MALFORMED_SERIES = {
@@ -639,6 +644,54 @@ MALFORMED_SERIES = {
         lambda data: data["insertions"].append({"name": "t", "poly": [{"powers": [1], "coeff": "1"}]}),
         "series insertion 't' powers must have one entry per eta (0)",
     ),
+    "cyclotomic_coeffs_int": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 6, "coeffs": 5}}),
+        "series terms[1] z[-3]: coefficient of H1: coeffs must be a list of phi(6) rationals, got 5",
+    ),
+    "cyclotomic_coeffs_of_wrong_length": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 6, "coeffs": ["1"]}}),
+        "series terms[1] z[-3]: coefficient of H1: coeffs must be a list of phi(6) rationals",
+    ),
+    "zeta_order_far_above_its_coeffs": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 10**12, "coeffs": ["1", "2"]}}),
+        "series terms[1] z[-3]: coefficient of H1: coeffs must be a list of phi(1000000000000) rationals",
+    ),
+    "cyclotomic_coeff_float": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 6, "coeffs": [1.5, "2"]}}),
+        'series terms[1] z[-3]: coefficient of H1: coeffs[0]: expected an integer or a "p/q" string, got 1.5',
+    ),
+    "zeta_order_float": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 6.5, "coeffs": ["1", "2"]}}),
+        "series terms[1] z[-3]: coefficient of H1: zeta_order must be an integer >= 1, got 6.5",
+    ),
+    "zeta_order_bool": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": True, "coeffs": ["1"]}}),
+        "series terms[1] z[-3]: coefficient of H1: zeta_order must be an integer >= 1, got true",
+    ),
+    "zeta_order_string": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": "x", "coeffs": ["1", "2"]}}),
+        'series terms[1] z[-3]: coefficient of H1: zeta_order must be an integer >= 1, got "x"',
+    ),
+    "zeta_order_zero": (
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 0, "coeffs": []}}),
+        "series terms[1] z[-3]: coefficient of H1: zeta_order must be an integer >= 1, got 0",
+    ),
+    "coeff_bool": (
+        _class_at_degree_1_z_minus_3({"H1": True}),
+        'series terms[1] z[-3]: coefficient of H1: expected an integer or a "p/q" string, got true',
+    ),
+    "monomial_exponent": (
+        _class_at_degree_1_z_minus_3({"H1^x": "-2"}),
+        "series terms[1] z[-3]: invalid staircase monomial key 'H1^x'",
+    ),
+    "monomial_generator": (
+        _class_at_degree_1_z_minus_3({"Hx": "-2"}),
+        "series terms[1] z[-3]: invalid staircase monomial key 'Hx'",
+    ),
+    "monomial_outside_staircase": (
+        _class_at_degree_1_z_minus_3({"H1^2": "-2"}),
+        "series terms[1] z[-3]: monomial H1^2 lies outside the staircase",
+    ),
 }
 
 
@@ -669,6 +722,26 @@ def test_series_q_bound_may_be_a_json_integer(run, model_file, tmp_path):
     b.write_text(json.dumps(data), encoding="utf-8")
     assert run("render-latex", str(b)) == run("render-latex", str(a))
     assert run("compare", str(a), str(b))[0] == 0
+
+
+def test_series_class_coefficients_may_be_json_integers(run, model_file, tmp_path):
+    # a class coefficient, and each coordinate of a cyclotomic one, is a rational read by the same rule
+    a = tmp_path / "a.series"
+    run("ifun", model_file(P1), "--qbound", "2", "--out", str(a))
+    data = json.loads(a.read_text(encoding="utf-8"))
+    assert data["terms"][1]["z"]["-3"] == {"H1": "-2"}
+    _class_at_degree_1_z_minus_3({"H1": -2})(data)
+    b = tmp_path / "b.series"
+    b.write_text(json.dumps(data), encoding="utf-8")
+    assert run("render-latex", str(b)) == run("render-latex", str(a))
+    assert run("compare", str(a), str(b))[0] == 0
+    rendered = {}
+    for coeffs in ([1, 2], ["1", "2"]):
+        _class_at_degree_1_z_minus_3({"H1": {"zeta_order": 6, "coeffs": coeffs}})(data)
+        b.write_text(json.dumps(data), encoding="utf-8")
+        rendered[str(coeffs)] = run("render-latex", str(b))
+    assert rendered["[1, 2]"] == rendered["['1', '2']"]
+    assert rendered["[1, 2]"][0] == 0 and "2\\zeta_{6}" in rendered["[1, 2]"][1]
 
 
 def test_unusable_cache_directory_exits_2(run, model_file, tmp_path, monkeypatch):

@@ -18,7 +18,10 @@ or `invert_linear_z_factor` (the engine multiplies each coordinate group out
 in closed form, while the direct series keep the per-factor products, so the
 two sides of a cross-check compute factors by different algorithms), or
 naming `mul` or `class_from_character` (it multiplies integer polynomials
-and reduces once, through `class_of`), and on a `rings` parameter in
+and reduces once, through `class_of`), on `_gamma_series` or
+`_extend_prefix` naming `Fraction` or `InternalError` (every prefix-table
+entry is integer numerators over one integer denominator, and an inverted
+factor's scalar part is never zero), and on a `rings` parameter in
 `series` or `specialize` or a `rings` field on `GradedSeries`, or on an
 `lru_cache` in `rings` anywhere but on `_ring_table` (the ring layer has one
 memo, one table per (model, fixed support); `build_ring` labels a table with
@@ -40,10 +43,11 @@ naming `theta_degree` (both truncation regions are cut by
 whose name ends in `InternalError` (one internal-error type, exit code 3),
 and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
-passes is used, or it is not asked for).  One rule reads a test module: the GKZ recurrence oracle in
-`tests/test_series.py` names none of the engine's factor routines, so it
-stays independent of the code it checks.  The package `__init__` is exempt
-from the unused-import check: it exists to re-export.
+passes is used, or it is not asked for).  Two rules read a test module:
+the GKZ recurrence oracle and the Γ-table oracle in `tests/test_series.py`
+name none of the engine's factor routines, so they stay independent of the
+code they check.  The package `__init__` is exempt from the unused-import
+check: it exists to re-export.
 """
 
 import ast
@@ -140,6 +144,11 @@ def test_hyper_factor_reduces_once_without_ring_products():
     assert not named, named
 
 
+def test_gamma_tables_are_integer_only():
+    named = _named_in_functions(SRC / "series.py", {"_gamma_series", "_extend_prefix"}, {"Fraction", "InternalError"})
+    assert not named, named
+
+
 def test_gkz_oracle_does_not_use_engine_factors():
     oracle = {"_gkz_relations", "_times_gkz_factors", "test_gkz_recurrence", "test_gkz_recurrence_on_the_corpus"}
     path = Path(__file__).resolve().parent / "test_series.py"
@@ -147,6 +156,14 @@ def test_gkz_oracle_does_not_use_engine_factors():
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert oracle <= defined, oracle - defined
     named = _named_in_functions(path, oracle, HYPER_FACTOR | {"exp_factor", "invert_linear_z_factor"})
+    assert not named, named
+
+
+def test_gamma_table_oracle_does_not_use_engine_factors():
+    path = Path(__file__).resolve().parent / "test_series.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "_truncated_gamma_product" in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    named = _named_in_functions(path, {"_truncated_gamma_product"}, HYPER_FACTOR | {"invert_linear_z_factor"})
     assert not named, named
 
 

@@ -12,7 +12,6 @@ from glsmkit.lattice import (
     integer_inverse,
     integer_solve,
     invariant_factors,
-    mat_mul,
     nonneg_vectors,
     rational_rank,
     smith_normal_form,
@@ -45,7 +44,7 @@ def det(mat):
 
 def check_snf(mat):
     d, u, v = smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == d
+    assert sympy.Matrix(u) * sympy.Matrix(mat) * sympy.Matrix(v) == sympy.Matrix(d)
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]

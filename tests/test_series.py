@@ -3,7 +3,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 from pathlib import Path
 
 import pytest
@@ -47,7 +47,7 @@ from glsmkit.series import (
     z_partial,
 )
 
-from conftest import RANK2, corpus, small_torus_models
+from conftest import QUINTIC, RANK2, corpus, small_torus_models
 
 F = Fraction
 
@@ -359,6 +359,62 @@ def test_prefix_tables_extend_once_per_factor_of_the_longest_range(m_quintic, mo
     glsm_i_function(m_quintic, q_bound=F(24))
     steps = Counter(extended)
     assert {key[:4]: n for key, n in steps.items()} == {(1, 1, 1, 5): 24, (1, 0, -1, 1): 121}
+
+
+def _truncated_gamma_product(avalues, power, top):
+    """prod_a (a + u)^power mod u^(top+1) as Fraction coefficients: list products, then one inversion."""
+    out = [F(1)] + [F(0)] * top
+    for a in avalues:
+        for _ in range(abs(power)):
+            out = [out[j] * a + (out[j - 1] if j else 0) for j in range(top + 1)]
+    if power > 0:
+        return out
+    inverse = [1 / out[0]]
+    for j in range(1, top + 1):
+        inverse.append(-sum(out[i] * inverse[j - i] for i in range(1, j + 1)) / out[0])
+    return inverse
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6), st.sampled_from([1, -1]), st.integers(1, 5), st.integers(0, 5), st.integers(0, 12), st.data()
+)
+def test_gamma_tables_hold_the_truncated_series(den, sign, count, top, k, data):
+    # entry j of the table read for k factors is prod_{i<j} (a_i + u)^(-sign count) mod u^(top+1),
+    # a_i = sign (first + den i) / den; x and nus are chosen so that {x - nu : nu in nus} = {a_i : i < k}
+    residues = range(1, den + 1) if sign > 0 else range(den)
+    first = data.draw(st.sampled_from([r for r in residues if gcd(r, den) == 1]))
+    num = sign * (first + den * max(k - 1, 0))
+    nus = range(k) if sign > 0 else range(1 - k, 1)
+    tables: dict = {}
+    series_module._gamma_series(num, den, nus, count, top, tables)
+    ((key, table),) = tables.items()
+    assert len(table) == k + 1
+    for j, (numerators, denominator) in enumerate(table):
+        avalues = [F(sign * (first + den * i), den) for i in range(j)]
+        expected = _truncated_gamma_product(avalues, -sign * count, top)
+        assert [F(c, denominator) for c in numerators] == expected, (key, j)
+        if sign > 0:
+            assert denominator > 0 and gcd(denominator, *numerators) == 1, (key, j)
+
+
+# sha256 of series_to_json, recorded before the prefix tables held the inverse series themselves
+LARGE_Q_DIGESTS = {
+    "quintic_glsm_q160": (
+        QUINTIC, glsm_i_function, 160, "898151b15ef0ea694e6eb5e2196f883b9f0743dc4df03ed94b6541fa1e7b98ba"
+    ),
+    "rank2_ambient_q16": (
+        RANK2, big_i_function, 16, "d0cad3c3b0d4956ae33770158e9964cf58757aac9a942dfb1b05a7f4e00c1b71"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LARGE_Q_DIGESTS))
+def test_series_bytes_past_the_workloads_bound(case):
+    # the goldens stop at q <= 3 and the benchmark references at q <= 28
+    data, build, q_bound, digest = LARGE_Q_DIGESTS[case]
+    text = series_to_json(build(parse_model(json.dumps(data)), q_bound=F(q_bound)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @st.composite
