@@ -64,10 +64,20 @@ def _read_file(path: str) -> str:
 
 
 def _emit(text: str, out: str | None):
+    """Write an artifact to --out, or to the current sys.stdout.
+
+    Not through click.echo: click caches a wrapper per stream, and for a
+    StringIO that cache keeps the stream and all it holds alive, so every
+    captured stdout of an in-process call would outlive the call.
+    """
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as e:
+            raise InputError(f"cannot write --out {out}: {e.strerror or e}") from None
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def _dump(data) -> str:

@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -299,6 +303,20 @@ def test_out_writes_file(run, model_file, tmp_path):
     assert json.loads(target.read_text())["overall"] == "pass"
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "file_as_directory"])
+@pytest.mark.parametrize("command", ["ifun", "validate", "specialize"])
+def test_unwritable_out_exits_2_naming_it(run, argvs, tmp_path, command, where):
+    # a missing parent directory, or a regular file where the directory should be: the write
+    # used to end in a FileNotFoundError or NotADirectoryError traceback
+    if where == "file_as_directory":
+        (tmp_path / "blocker").write_text("", encoding="utf-8")
+    target = str(tmp_path / ("nonexistent" if where == "missing_directory" else "blocker") / "x.json")
+    code, out, err = run(*argvs[command], "--out", target)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and "--out" in err and target in err, err
+
+
 def test_glsm_hypothesis_violation_exit1(run, model_file):
     bad = {
         "r": 3,
@@ -459,6 +477,7 @@ def argvs(run, model_file, tmp_path):
         "check-ct": ["check-ct", str(series)],
         "specialize": ["specialize", "fjrw", model_file(FJRW_SPEC, "fjrw.json"), "--qbound", "2"],
         "compare": ["compare", str(series), str(series)],
+        "render-latex": ["render-latex", str(series)],
     }
 
 
@@ -508,6 +527,36 @@ def test_format_not_offered_exits_2(run, argvs, command, fmt):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "--format" in err
+
+
+CACHED_COMMANDS = ("ifun", "glsm-ifun", "dz")
+STDOUT_ARTIFACTS = [
+    (command, fmt, cached)
+    for command in cli.commands
+    for fmt in offered_formats(command) or [None]
+    for cached in (("miss", "hit") if command in CACHED_COMMANDS else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "command, fmt, cached",
+    STDOUT_ARTIFACTS,
+    ids=["-".join(part for part in case if part) for case in STDOUT_ARTIFACTS],
+)
+def test_in_process_call_keeps_no_captured_stdout(run, argvs, tmp_path, monkeypatch, command, fmt, cached):
+    # every call writes to a fresh StringIO; once main returns, nothing may hold it
+    monkeypatch.setenv("GLSMKIT_CACHE_DIR", str(tmp_path / "fresh-cache"))
+    argv = argvs[command] + (["--format", fmt] if fmt else [])
+    refs = []
+    for _ in range(2 if cached == "hit" else 1):  # the first call stores, the second reads the entry
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == 0
+        assert stream.getvalue()
+        refs.append(weakref.ref(stream))
+        del stream
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_specialize_calls_family_functions_through_their_module(run, model_file, monkeypatch):

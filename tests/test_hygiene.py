@@ -43,7 +43,13 @@ naming `theta_degree` (both truncation regions are cut by
 whose name ends in `InternalError` (one internal-error type, exit code 3),
 and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
-passes is used, or it is not asked for).  Two rules read a test module:
+passes is used, or it is not asked for), on any module calling or importing
+`click.echo` or `click.secho`, and on `cli.py` naming `stdout`, printing
+without a `file=` keyword, or calling `open`, `write`, `write_text` or
+`write_bytes` anywhere but `_emit` (the one writer of artifacts; click's
+per-stream cache would keep every captured stdout of an in-process call
+alive), and on a module that does not parse under the Python 3.10 grammar
+(the oldest Python the package supports).  Two rules read a test module:
 the GKZ recurrence oracle and the Γ-table oracle in `tests/test_series.py`
 name none of the engine's factor routines, so they stay independent of the
 code they check.  The package `__init__` is exempt from the unused-import
@@ -344,3 +350,42 @@ def test_every_parameter_is_read():
                 if p not in read and p not in ("self", "cls") and not p.startswith("_")
             ]
     assert not stray, stray
+
+
+ECHO = {"echo", "secho"}
+
+
+def _writes_stdout_or_a_file(node):
+    """A node that names stdout, writes a file, or prints without a file= keyword."""
+    if getattr(node, "id", getattr(node, "attr", None)) == "stdout":
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if called == "print":
+        return not any(keyword.arg == "file" for keyword in node.keywords)
+    return called in {"open", "write", "write_text", "write_bytes"}
+
+
+def test_artifacts_written_only_by_emit():
+    stray = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ECHO:
+                stray.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "click":
+                stray += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in ECHO]
+    stray += _found_outside("cli.py", {"_emit"}, _writes_stdout_or_a_file)
+    assert not stray, stray
+
+
+def test_sources_parse_under_the_python_3_10_grammar():
+    """Best effort: `feature_version` rejects syntax newer than 3.10, such as
+    `except*` and PEP 695 generics, but not a stdlib name added after 3.10."""
+    newer = []
+    for path in MODULES:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
+        except SyntaxError as e:
+            newer.append(f"{path.name}:{e.lineno} {e.msg}")
+    assert not newer, newer
