@@ -31,7 +31,6 @@ from .sectors import (  # noqa: E402,F401
     DegenerateStabilityError,
     SectorLabel,
     age,
-    cone_contains,
     effective_degrees,
     inertia_sectors,
     sector_of_degree,

@@ -3,9 +3,10 @@
 Keys hash the canonical model serialization, the command, the truncation,
 the insertion data, and a sha256 of the library's own sources, so identical
 inputs share a slot and any change to the inputs or the code invalidates it.
-Each entry `<key>.json` holds the text exactly; the sha256 of that text is
-stored beside it in `<key>.sha256`, and an entry whose text does not match
-its digest (truncated, tampered, half written) is a miss.  The text goes to a
+Each entry `<key>.json` holds the text exactly; the sha256 of the key, a NUL
+byte and that text is stored beside it in `<key>.sha256`, and an entry whose
+text does not match its digest (truncated, tampered, half written, or moved
+from another key) or is not UTF-8 is a miss.  The text goes to a
 temp file first and is renamed into place.  A directory that cannot be read
 makes every lookup a miss; one that cannot be written is an input error
 that names `GLSMKIT_CACHE_DIR`.
@@ -53,17 +54,25 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "glsmkit"
 
 
+def _digest(key: str, data: bytes) -> str:
+    # binds the text to its key: an entry moved to another key fails its check
+    return hashlib.sha256(key.encode("utf-8") + b"\0" + data).hexdigest()
+
+
 def cache_get(key: str) -> str | None:
-    """The stored text of `key`, or None when it is absent or does not match its stored digest."""
+    """The stored text of `key`, or None when it is absent, does not match its stored digest or is not UTF-8."""
     directory = cache_dir()
     try:
         data = (directory / f"{key}.json").read_bytes()
         digest = (directory / f"{key}.sha256").read_bytes()
     except OSError:
         return None
-    if hashlib.sha256(data).hexdigest().encode() != digest:
+    if _digest(key, data).encode() != digest:
         return None
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
 
 
 def cache_put(key: str, text: str) -> None:
@@ -92,4 +101,4 @@ def _store(directory: Path, key: str, data: bytes) -> None:
             pass
         raise
     # written after the text and in place: until it is whole, the entry is a miss
-    (directory / f"{key}.sha256").write_text(hashlib.sha256(data).hexdigest(), encoding="ascii")
+    (directory / f"{key}.sha256").write_text(_digest(key, data), encoding="ascii")

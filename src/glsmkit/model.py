@@ -39,9 +39,6 @@ class PotentialPolynomial:
         items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
         return PotentialPolynomial(items)
 
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
-
 
 @dataclass(frozen=True)
 class GLSMModel:
@@ -59,9 +56,6 @@ class GLSMModel:
 
     def column(self, i: int) -> tuple[int, ...]:
         return tuple(self.weights[a][i] for a in range(self.k))
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(i) for i in range(self.r)]
 
     def var_names(self) -> tuple[str, ...]:
         if self.variables:

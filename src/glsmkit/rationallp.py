@@ -4,8 +4,7 @@ A small phase-1 simplex over ``fractions.Fraction`` (Bland's rule, so it
 terminates) covering two query shapes: feasibility of strict-positivity
 systems <l, c_i> >= 1 whose infeasibility certificates are Gordan-dual
 nonnegative integer vectors (the invariant-monomial test), and cone
-membership (``cone_contains``, an independent oracle: the semistable-support
-search decides membership by one exact linear solve instead).  An answer
+membership (``nonneg_combination``).  An answer
 that fails its own certificate check raises the package's one
 `model.InternalError` (exit code 3 on the command line).
 """

@@ -21,7 +21,6 @@ from .lattice import (
     nonneg_vectors,
 )
 from .model import GLSMModel, InternalError
-from .rationallp import nonneg_combination
 from .scalars import format_rational, frac_mod1
 
 
@@ -62,9 +61,6 @@ class SectorLabel:
     def fixed_support(self) -> frozenset[int]:
         return frozenset(i for i, a in enumerate(self.action) if a == 0)
 
-    def is_identity(self) -> bool:
-        return all(x == 0 for x in self.lam)
-
 
 def sector_from_lambda(m: GLSMModel, lam) -> SectorLabel:
     # lam and the action <lam, rho_i> reduced mod 1 as integer numerators over one denominator
@@ -72,11 +68,6 @@ def sector_from_lambda(m: GLSMModel, lam) -> SectorLabel:
     nums = [x % den for x in nums]
     action = [sum([w * n for w, n in zip(col, nums)]) % den for col in zip(*m.weights)]
     return SectorLabel(tuple(Fraction(n, den) for n in nums), tuple(Fraction(a, den) for a in action))
-
-
-def cone_contains(v, gens) -> bool:
-    """Is v a nonnegative rational combination of gens?  Exact LP feasibility."""
-    return nonneg_combination(list(gens), list(v)) is not None
 
 
 _SUPPORT_TABLES = 8  # a job's chain asks about one model; spares cover callers alternating a few
@@ -233,19 +224,6 @@ def _kernel_ray(mat, k: int) -> list[Fraction]:
     for row, col in zip(rows, pivots):
         v[col] = Fraction(-row[free], d)
     return v
-
-
-def is_effective(m: GLSMModel, d: Degree) -> bool:
-    """The constructive effectivity criterion for a single degree."""
-    if all(x == 0 for x in d):
-        return True
-    if theta_degree(m, d) <= 0:
-        return False
-    for support in semistable_supports(m):
-        vals = [pairing(d, m.column(i)) for i in sorted(support)]
-        if all(v.denominator == 1 and v >= 0 for v in vals):
-            return True
-    return False
 
 
 def sr_generators(m: GLSMModel, g: SectorLabel) -> list[frozenset[int]]:

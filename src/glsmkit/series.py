@@ -92,19 +92,14 @@ class LaurentZ:
         return LaurentZ.from_dict(ring, {0: ring.one()})
 
     @staticmethod
-    def from_class(ring: SectorRing, c: CohClass, zexp: int = 0) -> "LaurentZ":
-        return LaurentZ.from_dict(ring, {zexp: c})
+    def from_class(ring: SectorRing, c: CohClass) -> "LaurentZ":
+        return LaurentZ.from_dict(ring, {0: c})
 
     def as_dict(self) -> dict[int, CohClass]:
         return dict(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def width(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1][0] - self.coeffs[0][0] + 1
 
     def add(self, other: "LaurentZ") -> "LaurentZ":
         if self.ring != other.ring:

@@ -1,11 +1,16 @@
 """Static hygiene of the library sources, using only the stdlib `ast` module.
 
 Fails on a module-level import that the module never uses, on a
-module-level private function that its own module never references, on an
-import inside a function, on `specialize` importing the engine's factor
-routines (its direct series must stay independent of them), and on
-`sectors` or `validate` naming the LP's `nonneg_combination` outside
-`cone_contains` (their support search is an exact linear solve; the LP
+module-level private function that its own module never references, on a
+module-level function that no library module loads (as a name or an
+attribute) outside the function's own body, where a click command and a name
+in `cli.FAMILIES` count as loaded, except the functions that
+`perfbench/tracer.py` binds by name and no library path calls (that list
+must equal the tracer's `TARGETS` without a library caller, so it shrinks as
+they are deleted), on an import inside a function, on `specialize` importing
+the engine's factor routines (its direct series must stay independent of
+them), and on any module but `rationallp` naming the LP's
+`nonneg_combination` (the support search is an exact linear solve; the LP
 stays as the tests' independent oracle), and on any module but `multipoly`
 naming `groebner_basis` or `normal_form` outside `_ring_table` (a ring is
 reduced once per (model, fixed support), into one table of monomial normal
@@ -49,10 +54,12 @@ without a `file=` keyword, or calling `open`, `write`, `write_text` or
 `write_bytes` anywhere but `_emit` (the one writer of artifacts; click's
 per-stream cache would keep every captured stdout of an in-process call
 alive), and on a module that does not parse under the Python 3.10 grammar
-(the oldest Python the package supports).  Two rules read a test module:
+(the oldest Python the package supports).  Three rules read a test module:
 the GKZ recurrence oracle and the Γ-table oracle in `tests/test_series.py`
-name none of the engine's factor routines, so they stay independent of the
-code they check.  The package `__init__` is exempt from the unused-import
+name none of the engine's factor routines, and the fixed-point Hilbert
+function oracle in `tests/test_rings.py` names no `multipoly` function and
+reads no attribute of a ring but `ring.staircase`, so they stay independent
+of the code they check.  The package `__init__` is exempt from the unused-import
 check: it exists to re-export.
 """
 
@@ -97,6 +104,65 @@ def test_no_unreferenced_private_functions():
         and node.name not in used
     ]
     assert not dead, dead
+
+
+# Bound by name in perfbench/tracer.py, whose `install` fails on a missing
+# attribute, and called by no library path: they are deleted once the tracer
+# stops naming them, and this list shrinks with them.
+TRACED_WITHOUT_CALLER = {
+    ("lattice", "rational_rank"),
+    ("lattice", "solve_rational_system"),
+    ("rationallp", "nonneg_combination"),
+    ("rings", "divides_ideal"),
+    ("sectors", "sr_generators"),
+}
+
+
+def _assigned(tree, name):
+    """The value assigned to module-level `name`."""
+    return next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
+    )
+
+
+def _loaded_outside_own_body():
+    """(module, function) for every module-level function, mapped to whether the library loads its name elsewhere."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    loads = {}  # name -> ids of the Name and Attribute nodes that load it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(getattr(node, "id", getattr(node, "attr", None)), set()).add(id(node))
+    named = {node.value for node in ast.walk(_assigned(trees["cli"], "FAMILIES")) if isinstance(node, ast.Constant)}
+    out = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            command = any(
+                isinstance(deco, ast.Call) and getattr(deco.func, "attr", None) == "command"
+                for deco in node.decorator_list
+            )
+            own = {id(inner) for inner in ast.walk(node)}
+            out[(module, node.name)] = command or node.name in named or bool(loads.get(node.name, set()) - own)
+    return out
+
+
+def _tracer_targets():
+    """(module, attribute) of every plain function in perfbench/tracer.py's TARGETS, read without importing it."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    pairs = {(entry.elts[0].value, entry.elts[1].value) for entry in _assigned(tree, "TARGETS").elts}
+    return {(module, attr) for module, attr in pairs if "." not in attr}
+
+
+def test_every_module_function_has_a_library_caller():
+    loaded = _loaded_outside_own_body()
+    uncalled = {key for key, used in loaded.items() if not used}
+    assert uncalled == TRACED_WITHOUT_CALLER
+    traced = {key for key in _tracer_targets() if key in loaded and not loaded[key]}
+    assert traced == TRACED_WITHOUT_CALLER
 
 
 def test_no_function_local_imports():
@@ -173,6 +239,28 @@ def test_gamma_table_oracle_does_not_use_engine_factors():
     assert not named, named
 
 
+def test_fixed_point_oracle_does_not_use_groebner():
+    oracle = {
+        "_fixed_point_hilbert",
+        "_check_fixed_point_hilbert",
+        "test_fixed_point_hilbert_on_the_corpus",
+        "test_fixed_point_hilbert_on_random_models",
+    }
+    path = Path(__file__).resolve().parent / "test_rings.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert oracle <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    multipoly = ast.parse((SRC / "multipoly.py").read_text(encoding="utf-8"))
+    named = _named_in_functions(path, oracle, {node.name for node in multipoly.body if isinstance(node, ast.FunctionDef)})
+    read = {
+        f"{node.name}: ring.{inner.attr}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in oracle
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Attribute) and getattr(inner.value, "id", None) == "ring" and inner.attr != "staircase"
+    }
+    assert not named and not read, named | read
+
+
 def _found_outside(name, functions, hit):
     """Lines of module `name` holding a node that `hit` accepts, outside the given functions."""
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
@@ -197,10 +285,11 @@ def _calls_outside(name, target, functions):
     )
 
 
-def test_lp_cone_membership_only_inside_cone_contains():
+def test_lp_cone_membership_named_only_by_rationallp():
     stray = []
-    for name in ("sectors.py", "validate.py"):
-        stray += _named_outside(name, "nonneg_combination", {"cone_contains"})
+    for path in MODULES:
+        if path.name != "rationallp.py":
+            stray += _named_outside(path.name, "nonneg_combination", set())
     assert not stray, stray
 
 

@@ -249,9 +249,10 @@ def test_fraction_free_solver_matches_sympy(kind, mat, data):
         den, nums = sol
         assert den > 0 and gcd(den, *nums) == 1
         assert matrix * sympy.Matrix(nums) == den * sympy.Matrix(rhs)
-        # as in solve_rational_system, the variables off the pivot columns are zero
+        # the variables off the pivot columns are zero: sympy's general solution with its free parameters at 0
         assert all(nums[j] == 0 for j in range(len(nums)) if j not in sympy_pivots)
-        assert [Fraction(v, den) for v in nums] == solve_rational_system(mat, rhs)
+        general, params = matrix.gauss_jordan_solve(sympy.Matrix(rhs))
+        assert sympy.Matrix(nums) == den * general.subs({t: 0 for t in params})
     inverse = integer_inverse(mat)
     if len(mat) != len(mat[0]) or matrix.det() == 0:
         assert inverse is None and kind != "square invertible"
@@ -267,7 +268,7 @@ def test_fraction_free_solver_matches_sympy(kind, mat, data):
 def test_congruence_kernel_matches_bruteforce(n, data):
     # square full-rank matrices with small entries
     mat = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)]
-    if rational_rank(mat) < n:
+    if sympy.Matrix(mat).rank() < n:
         return
     ker = congruence_kernel(mat)
     # every member solves the congruence; group order equals |det|

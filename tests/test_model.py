@@ -24,7 +24,7 @@ def test_parse_quintic(m_quintic):
     assert m.d_w == 1
     assert m.theta == (Fraction(1),)
     assert m.potential is not None
-    terms = m.potential.as_dict()
+    terms = dict(m.potential.terms)
     assert terms[(5, 0, 0, 0, 0, 1)] == 1
     assert len(terms) == 5
 

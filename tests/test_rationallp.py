@@ -7,7 +7,6 @@ from glsmkit.rationallp import nonneg_combination, positive_functional, scale_to
 
 
 def test_cone_membership_examples():
-    # spec'd cone_contains cases
     assert nonneg_combination([(1,), (1,)], (1,)) is not None
     assert nonneg_combination([(1, 0)], (1, 1)) is None
     assert nonneg_combination([(-5,)], (1,)) is None

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -21,9 +22,17 @@ from glsmkit.rings import (
     class_of,
     class_to_json,
     divides_ideal,
+    ideal_membership,
 )
 from glsmkit.scalars import Cyclo
-from glsmkit.sectors import DegenerateStabilityError, inertia_sectors, sector_of_degree, sr_generators
+from glsmkit.sectors import (
+    DegenerateStabilityError,
+    inertia_sectors,
+    sector_of_degree,
+    semistable_supports,
+    support_sr_generators,
+)
+from glsmkit.validate import no_strict_semistable
 
 from conftest import corpus, small_torus_models
 
@@ -98,12 +107,10 @@ def test_nilpotency(m_p1, m_quintic, m_cubic):
 
 
 def test_sr_products_vanish(m_p1, m_quintic, m_cubic, m_rank2):
-    from glsmkit.sectors import inertia_sectors, sr_generators
-
     for m in (m_p1, m_quintic, m_cubic, m_rank2):
         for g in inertia_sectors(m):
             ring = build_ring(m, g)
-            for t_set in sr_generators(m, g):
+            for t_set in support_sr_generators(m, g.fixed_support):
                 prod = ring.one()
                 for i in sorted(t_set):
                     prod = prod * class_from_character(ring, m.column(i))
@@ -153,12 +160,11 @@ def test_build_ring_order_independence(m_rank2):
     # reduced Groebner bases are unique: permuting sr generators cannot matter
     from glsmkit.multipoly import groebner_basis, poly_mul
     from glsmkit.rings import linear_form
-    from glsmkit.sectors import sr_generators, inertia_sectors
 
     m = m_rank2
     g = inertia_sectors(m)[0]
     gens = []
-    for t_set in sr_generators(m, g):
+    for t_set in support_sr_generators(m, g.fixed_support):
         prod = {(0,) * m.k: F(1)}
         for i in sorted(t_set):
             prod = poly_mul(prod, linear_form(m.column(i), m.k))
@@ -259,7 +265,7 @@ def test_ring_layer_matches_sympy(m, data):
         return
     gens = sympy.symbols(f"H1:{m.k + 1}")
     linear = [sum(c * h for c, h in zip(m.column(i), gens)) for i in range(m.r)]
-    ideal = [sympy.Mul(*(linear[i] for i in sorted(t))) for t in sr_generators(m, ring.sector)]
+    ideal = [sympy.Mul(*(linear[i] for i in sorted(t))) for t in support_sr_generators(m, ring.sector.fixed_support)]
     basis = sympy.groebner(ideal, *gens, order="grevlex", domain="QQ")
 
     # the reduced basis and the staircase
@@ -303,12 +309,64 @@ def test_ring_layer_matches_sympy(m, data):
     multiple = b
     for f in factors:
         multiple = multiple * f
+    in_ideal = ideal_membership(ring, factors)
     for cls in (a, multiple):
-        assert divides_ideal(cls, factors) == with_p.contains(_expr(gens, cls.poly))
+        assert in_ideal(cls) == with_p.contains(_expr(gens, cls.poly))
     # a cyclotomic class: multiple is in (p), and 1 and zeta_3 are independent over Q,
     # so a + zeta_3 * multiple is in (p) iff a is
     mixed = a + multiple.scale(Cyclo.root_of_unity(3, 1))
-    assert divides_ideal(mixed, factors) == with_p.contains(_expr(gens, a.poly))
+    assert in_ideal(mixed) == with_p.contains(_expr(gens, a.poly))
+
+
+# --- a Groebner-free oracle: the Hilbert function from torus-fixed points ----
+
+# xi_i = 1 + eps_i with small generic eps_i in (0, 1e-3], the same for every model
+_XI = [1 + sympy.Rational(n, 10**9) for n in random.Random(7).sample(range(1, 10**6 + 1), 8)]
+
+
+def _fixed_point_hilbert(m, fixed):
+    """Number of staircase monomials of each degree, counted by Bialynicki-Birula from the fixed points.
+
+    The torus-fixed points of the sector's quotient C^fixed // G are its
+    size-k minimal semistable supports S inside the fixed support.  Writing
+    rho_i = sum_{j in S} c_ij rho_j, coordinate i of fixed - S has tangent
+    weight w_i = xi_i - sum_j c_ij xi_j at S; the cell of S has dimension the
+    number of negative w_i, and each cell adds one class to the cohomology in
+    that degree.
+    """
+    counts = Counter()
+    for support in semistable_supports(m):
+        if len(support) != m.k or not support <= fixed:
+            continue
+        basis = sorted(support)
+        inverse = sympy.Matrix([[m.weights[a][j] for j in basis] for a in range(m.k)]).inv()
+        negative = 0
+        for i in sorted(fixed - support):
+            c = inverse * sympy.Matrix([m.weights[a][i] for a in range(m.k)])
+            w = _XI[i] - sum(c_ij * _XI[j] for c_ij, j in zip(c, basis))
+            assert w != 0
+            negative += bool(w < 0)
+        counts[negative] += 1
+    return counts
+
+
+def _check_fixed_point_hilbert(m):
+    for g in inertia_sectors(m):
+        ring = build_ring(m, g)
+        assert _fixed_point_hilbert(m, g.fixed_support) == Counter(sum(mono) for mono in ring.staircase)
+
+
+def test_fixed_point_hilbert_on_the_corpus():
+    for m in corpus() + TORIC:
+        _check_fixed_point_hilbert(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_torus_models())
+def test_fixed_point_hilbert_on_random_models(m):
+    # the fixed points describe the quotient only at a generic theta; validation refuses the others
+    if no_strict_semistable(m):
+        _check_fixed_point_hilbert(m)
 
 
 # --- one table per (model, fixed support) ------------------------------------

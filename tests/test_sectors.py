@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 import glsmkit
 from glsmkit import sectors, validate
+from glsmkit.rationallp import nonneg_combination
 from glsmkit.rings import build_ring
 from glsmkit.sectors import (
     DegenerateStabilityError,
     SectorLabel,
     age,
-    cone_contains,
     effective_degrees,
     inertia_sectors,
-    is_effective,
     pairing,
     sector_from_lambda,
     sector_of_degree,
@@ -32,22 +31,15 @@ from conftest import small_torus_models
 F = Fraction
 
 
-def test_cone_contains_examples():
-    assert cone_contains((1,), [(1,), (1,)])
-    assert not cone_contains((1, 1), [(1, 0)])
-    assert not cone_contains((1,), [(-5,)])
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_torus_models())
 def test_semistable_supports_match_bruteforce_cones(m):
     # every nonempty subset, of any size, tested by the LP oracle
-    cols = m.columns()
     holding = [
         frozenset(s)
         for size in range(1, m.r + 1)
         for s in combinations(range(m.r), size)
-        if cone_contains(m.theta, [cols[i] for i in s])
+        if nonneg_combination([m.column(i) for i in s], m.theta) is not None
     ]
     minimal = [s for s in holding if not any(t < s for t in holding)]
     assert semistable_supports(m) == sorted(minimal, key=sorted)
@@ -132,22 +124,21 @@ def test_sector_rings_built_once_per_model_chain(m_rank2, groebner_reductions):
 
 def test_semistable_supports_minimality(m_rank2):
     supports = semistable_supports(m_rank2)
-    cols = m_rank2.columns()
     theta = list(m_rank2.theta)
     for s in supports:
-        assert cone_contains(theta, [cols[i] for i in s])
+        assert nonneg_combination([m_rank2.column(i) for i in s], theta) is not None
         for i in s:
-            assert not cone_contains(theta, [cols[j] for j in s - {i}])
+            assert nonneg_combination([m_rank2.column(j) for j in s - {i}], theta) is None
 
 
 def test_inertia_sectors_p1(m_p1):
     secs = inertia_sectors(m_p1)
-    assert len(secs) == 1 and secs[0].is_identity()
+    assert len(secs) == 1 and not any(secs[0].lam)
 
 
 def test_inertia_sectors_quintic(m_quintic):
     secs = inertia_sectors(m_quintic)
-    assert len(secs) == 1 and secs[0].is_identity()
+    assert len(secs) == 1 and not any(secs[0].lam)
 
 
 def test_inertia_sectors_cubic(m_cubic):
@@ -160,7 +151,7 @@ def test_inertia_sectors_cubic(m_cubic):
 
 def test_inertia_contains_identity(m_rank2):
     secs = inertia_sectors(m_rank2)
-    assert any(s.is_identity() for s in secs)
+    assert any(not any(s.lam) for s in secs)
     # mu_3 x mu_3 affine phase: all nine group elements fix the p-support
     assert len(secs) == 9
 
@@ -168,7 +159,7 @@ def test_inertia_contains_identity(m_rank2):
 def test_sector_of_degree_zero(m_p1, m_cubic):
     for m in (m_p1, m_cubic):
         g = sector_of_degree(m, (F(0),) * m.k)
-        assert g.is_identity()
+        assert not any(g.lam)
 
 
 def test_sector_of_degree_cubic(m_cubic):
@@ -178,7 +169,7 @@ def test_sector_of_degree_cubic(m_cubic):
 
 
 def test_sector_of_degree_integer(m_p1):
-    assert sector_of_degree(m_p1, (F(3),)).is_identity()
+    assert not any(sector_of_degree(m_p1, (F(3),)).lam)
 
 
 def _fraction_sum(d, xi):
@@ -202,13 +193,14 @@ def test_integer_numerator_arithmetic_matches_fraction_sums(m, data):
     # mixed denominators <= 6, entries in [-3, 3]; theta has Fraction entries
     d = data.draw(st.tuples(*[_ENTRIES] * m.k))
     xi = data.draw(st.tuples(*[st.integers(-3, 3)] * m.k))
-    for col in m.columns():
+    columns = [m.column(i) for i in range(m.r)]
+    for col in columns:
         assert pairing(d, col) == _fraction_sum(d, col)
     assert pairing(d, m.theta) == theta_degree(m, d) == _fraction_sum(d, m.theta)
 
     def label(lam):
         reduced = tuple(_mod1(x) for x in lam)
-        return SectorLabel(reduced, tuple(_mod1(_fraction_sum(reduced, col)) for col in m.columns()))
+        return SectorLabel(reduced, tuple(_mod1(_fraction_sum(reduced, col)) for col in columns))
 
     neg = tuple(-x for x in d)
     g = sector_of_degree(m, d)
@@ -260,13 +252,25 @@ def test_effective_degree_sectors_nonempty(m_p1, m_cubic, m_quintic, m_rank2):
 
 
 def test_effective_closure_under_addition(m_p1, m_cubic, m_rank2):
+    def effective(m, d):
+        # d = 0, or <d, theta> > 0 and <d, rho_i> is a nonnegative integer on
+        # every i of some minimal semistable support
+        if not any(d):
+            return True
+        if _fraction_sum(d, m.theta) <= 0:
+            return False
+        return any(
+            all((x := _fraction_sum(d, m.column(i))).denominator == 1 and x >= 0 for i in support)
+            for support in semistable_supports(m)
+        )
+
     for m in (m_p1, m_cubic, m_rank2):
         degs = effective_degrees(m, F(2))
         dset = set(degs)
         for d1 in degs:
             for d2 in degs:
                 total = tuple(a + b for a, b in zip(d1, d2))
-                if theta_degree(m, total) <= 2 and is_effective(m, total):
+                if theta_degree(m, total) <= 2 and effective(m, total):
                     assert total in dset
 
 

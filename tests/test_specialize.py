@@ -69,7 +69,7 @@ def test_fjrw_build_cubic():
     assert m.r_charges == (1, 0)
     assert m.theta == (F(-1),)
     assert m.d_w == 3
-    assert m.potential.as_dict() == {(3, 1): F(1)}
+    assert dict(m.potential.terms) == {(3, 1): F(1)}
 
 
 def test_fjrw_build_fermat_pair():
@@ -105,7 +105,7 @@ def test_hybrid_build():
     assert m.r_charges == (0, 1)
     assert m.d_w == 1
     assert m.theta == (F(-1),)
-    assert m.potential.as_dict() == {(3, 1): F(1)}
+    assert dict(m.potential.terms) == {(3, 1): F(1)}
 
 
 @pytest.mark.parametrize(
@@ -139,7 +139,7 @@ def test_ci_build_quintic():
     assert m.r_charges == (0, 0, 0, 0, 0, 1)
     assert m.d_w == 1
     assert m.theta == (F(1),)
-    assert m.potential.as_dict()[(5, 0, 0, 0, 0, 1)] == 1
+    assert dict(m.potential.terms)[(5, 0, 0, 0, 0, 1)] == 1
 
 
 # --- affine-phase direct series ---------------------------------------------

@@ -137,9 +137,8 @@ def test_genericity_invariant_under_scaling(m_cubic):
 @settings(max_examples=150, deadline=None)
 @given(small_torus_models())
 def test_genericity_matches_lp_over_small_subsets(m):
-    cols = m.columns()
     in_small_cone = any(
-        nonneg_combination([cols[i] for i in s], m.theta) is not None
+        nonneg_combination([m.column(i) for i in s], m.theta) is not None
         for size in range(m.k)
         for s in combinations(range(m.r), size)
     )
