@@ -221,8 +221,37 @@ FAMILIES = {
 }
 
 
-@click.group()
-@click.version_option(ENGINE_VERSION, prog_name="glsmkit")
+def _show_help(ctx, _param, value):
+    if value and not ctx.resilient_parsing:
+        _emit(ctx.get_help() + "\n", None)
+        ctx.exit()
+
+
+def _show_version(ctx, _param, value):
+    if value and not ctx.resilient_parsing:
+        _emit(f"glsmkit, version {ENGINE_VERSION}\n", None)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose --help page is written by `_emit`, not by click.echo."""
+
+    def get_help_option(self, ctx):
+        option = click.Command.get_help_option(self, ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(click.Group):
+    command_class = _Command
+    get_help_option = _Command.get_help_option
+
+
+@click.group(cls=_Group)
+@click.option(
+    "--version", is_flag=True, expose_value=False, is_eager=True, callback=_show_version, help="Show the version and exit."
+)
 def cli():
     """Exact computations for torus gauged linear sigma models."""
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 
 from .lattice import common_denominator, nonneg_vectors
 from .model import (
@@ -265,9 +265,13 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
     is one integer polynomial in H_1..H_k over one integer denominator, with
     H^mu standing at z^(shift - |mu|), where shift sums the +-n.  The ring's
     ideal is homogeneous, so every monomial above its top degree is zero:
-    the series and their product are truncated there.  The terms are
-    bucketed by z-exponent, and `rings.class_of` reads each bucket's class
-    off the ring's normal forms.
+    the series and their product are truncated there.  A coordinate whose
+    range holds nu = x (an integer x) contributes the factor class(rho_i),
+    of H-degree 1, and every other factor has H-degree >= 0; so when such
+    coordinates outnumber the top degree, the factor is zero, and it is
+    returned before any series is read.  The terms are bucketed by
+    z-exponent, and `rings.class_of` reads each bucket's class off the
+    ring's normal forms.
 
     Everything up to that point runs on integers: all r pairings are
     numerators over the lcm of d's denominators, computed in one pass, and
@@ -291,6 +295,7 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
         raise ValueError(f"unknown mode {mode!r}")
     den, nums = common_denominator(d)
     groups: dict[tuple, int] = {}  # (column, numerator of x over den, nus) -> number of coordinates
+    classes = 0  # coordinates whose range holds nu = x: each contributes the factor class(rho_i)
     for col, charge in zip(zip(*m.weights), m.r_charges):
         xn = sum([w * v for w, v in zip(col, nums)])  # x = <d, rho_i> = xn / den
         up = -(-xn // den)  # ceil(x)
@@ -303,7 +308,10 @@ def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: d
         if nus:
             key = (col, xn, nus)
             groups[key] = groups.get(key, 0) + 1
+            classes += xn <= 0 and xn % den == 0
     top = ring.top
+    if classes > top:
+        return LaurentZ(ring, ())
     poly = {(0,) * m.k: 1}  # integer polynomial in H_1..H_k of degree <= top
     scale_den = 1
     shift = 0
@@ -389,12 +397,16 @@ def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
     return {mono: v for mono, v in acc.items() if v}
 
 
-def exp_factor(d: Degree, etas, insertions, t_order: int, ring: SectorRing) -> dict[tuple[int, ...], LaurentZ]:
-    """Multi-variable exponential factor, truncated at total insertion order.
+def exp_factor(
+    d: Degree, etas, insertions, t_order: int, ring: SectorRing, base: LaurentZ
+) -> dict[tuple[int, ...], LaurentZ]:
+    """alpha -> base * prod_j P_j^alpha_j / alpha_j!, truncated at total insertion order.
 
-    Expands exp(z^{-1} sum_j t^j p_j(eta_s + z <d, eta_s>)), evaluating each
-    shared character eta_s as its divisor class plus the scalar z-shift.
-    Returns a map from t-multi-exponent to coefficient.
+    P_j = z^{-1} p_j(eta_s + z <d, eta_s>) is insertion j's exponent in
+    exp(sum_j t^j P_j), each shared character eta_s evaluated as its divisor
+    class plus the scalar z-shift.  The term of alpha = 0 is `base`; every
+    other alpha takes the term of alpha - e_j, with j its last nonzero entry
+    (listed earlier by `t_exponents`), times P_j, scaled by 1/alpha_j.
     """
     evals = [
         linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in etas
@@ -410,20 +422,14 @@ def exp_factor(d: Degree, etas, insertions, t_order: int, ring: SectorRing) -> d
             acc = acc.add(term.scale(coeff))
         shifted.append(acc.shift(-1))
 
-    powers = []
-    for a in shifted:
-        row = [LaurentZ.one(ring)]
-        for _ in range(t_order):
-            row.append(row[-1].mul(a))
-        powers.append(row)
-
     out: dict[tuple[int, ...], LaurentZ] = {}
     for alpha in t_exponents(len(insertions), t_order):
-        acc = LaurentZ.one(ring)
-        for pos, e in enumerate(alpha):
-            if e:
-                acc = acc.mul(powers[pos][e]).scale(Fraction(1, factorial(e)))
-        out[alpha] = acc
+        if not any(alpha):
+            out[alpha] = base
+            continue
+        j = max(pos for pos, e in enumerate(alpha) if e)
+        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+        out[alpha] = out[prev].mul(shifted[j]).scale(Fraction(1, alpha[j]))
     return out
 
 
@@ -484,9 +490,7 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         if not series.insertions:
             series.terms[(d, ())] = hyper
             continue
-        exps = exp_factor(d, series.etas, series.insertions, t_order, ring)
-        for alpha, coeff in sorted(exps.items()):
-            value = coeff.mul(hyper)
+        for alpha, value in exp_factor(d, series.etas, series.insertions, t_order, ring, hyper).items():
             if value.is_zero():
                 vanished.append((d, alpha))
             else:

@@ -438,13 +438,16 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     prod_j prod_{0 <= nu < <d,tau_j>} (class(tau_j) + (<d,tau_j> - nu) z),
     assembled in the inertia rings shared with the built model, times the
     exponential insertion factor prod_j (z^{-1} p_j(eta + <d, eta> z))^{alpha_j} / alpha_j!
-    for each t-exponent alpha.
+    for each t-exponent alpha.  Coordinates with equal columns share each
+    inverse factor, formed once per degree; the product still takes one
+    factor per coordinate and nu.
     """
     model = ci_build(spec)
     series = empty_series(model, "ambient", etas, insertions, q_bound, t_order)
     degrees = effective_degrees(model, series.q_bound)
     for d, ring in zip(degrees, sector_rings(model, degrees)):
         value = LaurentZ.one(ring)
+        inverses = {}  # (column, a) -> (class(column) + a z)^-1, shared by equal columns
         for i in range(spec.ambient_r):
             col = model.column(i)
             x = pairing(d, col)
@@ -454,7 +457,10 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                     value = value.mul(linear_z_factor(ring, cls, x - nu))
             elif x > 0:
                 for nu in range(ceil(x)):
-                    value = value.mul(invert_linear_z_factor(ring, cls, x - nu))
+                    inverse = inverses.get((col, x - nu))
+                    if inverse is None:
+                        inverse = inverses[(col, x - nu)] = invert_linear_z_factor(ring, cls, x - nu)
+                    value = value.mul(inverse)
         for tau in spec.taus:
             x = pairing(d, tau)
             cls = class_from_character(ring, tau)

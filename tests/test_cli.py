@@ -559,6 +559,23 @@ def test_in_process_call_keeps_no_captured_stdout(run, argvs, tmp_path, monkeypa
     assert all(ref() is None for ref in refs)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["--version"], ["ifun", "--help"], ["specialize", "--help"]],
+    ids=["help", "version", "ifun-help", "specialize-help"],
+)
+def test_in_process_help_and_version_keep_no_captured_stdout(argv):
+    # click would print these through its per-stream cache; they are written by _emit
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        assert main(argv) == 0
+    assert stream.getvalue().endswith("\n")
+    ref = weakref.ref(stream)
+    del stream
+    gc.collect()
+    assert ref() is None
+
+
 def test_specialize_calls_family_functions_through_their_module(run, model_file, monkeypatch):
     # each call reads the specialize module's attribute, so a wrapper set there sees it;
     # the direct series is computed once and the cross-check receives that very object

@@ -41,11 +41,13 @@ from glsmkit.series import (
     LaurentZ,
     big_i_function,
     compact_type_report,
+    empty_series,
     exp_factor,
     glsm_i_function,
     hyper_factor,
     invert_linear_z_factor,
     linear_z_factor,
+    sector_rings,
     series_compare,
     series_from_json,
     series_to_json,
@@ -54,6 +56,7 @@ from glsmkit.series import (
     twist_novikov,
     z_partial,
 )
+from glsmkit.specialize import CiSpec, _insertion_exponential, ci_build
 
 from conftest import QUINTIC, RANK2, corpus, small_torus_models
 
@@ -369,6 +372,30 @@ def test_prefix_tables_extend_once_per_factor_of_the_longest_range(m_quintic, mo
     assert {key[:4]: n for key, n in steps.items()} == {(1, 1, 1, 5): 24, (1, 0, -1, 1): 121}
 
 
+def test_hyper_factor_reads_no_gamma_table_for_a_zero_degree(monkeypatch):
+    # P(1,1,1,2,5)[10] at q <= 11: 12 terms and 55 vanished keys.  Each vanished degree has
+    # more coordinates whose range holds nu = x than its ring's top degree, so its factor
+    # is zero before any prefix table is read
+    m = ci_build(CiSpec(ambient_r=5, k=1, ambient_weights=((1, 1, 1, 2, 5),), theta=(F(1),), taus=((10,),)))
+    current, read = [], []
+    real_hyper, real_gamma = series_module.hyper_factor, series_module._gamma_series
+
+    def recording_hyper(m, d, *args):
+        current.append(d)
+        return real_hyper(m, d, *args)
+
+    def recording_gamma(*args):
+        read.append(current[-1])
+        return real_gamma(*args)
+
+    monkeypatch.setattr(series_module, "hyper_factor", recording_hyper)
+    monkeypatch.setattr(series_module, "_gamma_series", recording_gamma)
+    s = glsm_i_function(m, q_bound=F(11))
+    assert (len(s.terms), len(s.vanished)) == (12, 55)
+    assert len(current) == 67
+    assert set(read) == {d for d, _alpha in s.terms}
+
+
 def _truncated_gamma_product(avalues, power, top):
     """prod_a (a + u)^power mod u^(top+1) as Fraction coefficients: list products, then one inversion."""
     out = [F(1)] + [F(0)] * top
@@ -539,7 +566,7 @@ def test_exp_factor_torder0(m_p1):
     d = (F(1),)
     ring = ring_at(m_p1, d)
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 0, ring)
+    out = exp_factor(d, etas, insertions, 0, ring, LaurentZ.one(ring))
     assert out == {(0,): LaurentZ.one(ring)}
 
 
@@ -548,7 +575,7 @@ def test_exp_factor_p1_example(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 2, ring)
+    out = exp_factor(d, etas, insertions, 2, ring, LaurentZ.one(ring))
     assert out[(1,)] == lz(ring, {0: ring.one(), -1: h})
     assert out[(2,)] == lz(ring, {0: ring.one().scale(F(1, 2)), -1: h})
 
@@ -558,8 +585,41 @@ def test_exp_factor_degree0(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 1, ring)
+    out = exp_factor(d, etas, insertions, 1, ring, LaurentZ.one(ring))
     assert out[(1,)] == lz(ring, {-1: h})
+
+
+@st.composite
+def _insertion_polys(draw, nvars):
+    """One insertion polynomial of degree <= 2 in nvars characters, with small rational coefficients."""
+    monos = [mono for mono in t_exponents(nvars, 2) if any(mono)]
+    coeffs = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    return draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_torus_models(), st.data())
+def test_exp_factor_matches_direct_insertion_exponential(m, data):
+    # the direct series' insertion exponential multiplies |alpha| factors per term; the
+    # engine grows each term from its predecessor: the two share no code
+    columns = sorted(set(m.column(i) for i in range(m.r)))
+    etas = data.draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2, unique=True))
+    polys = data.draw(st.lists(_insertion_polys(len(etas)), min_size=1, max_size=2))
+    insertions = [Insertion.from_terms(f"t{j + 1}", poly) for j, poly in enumerate(polys)]
+    t_order = data.draw(st.integers(0, 3))
+    try:
+        s = empty_series(m, "ambient", etas, insertions, F(1), t_order)
+        degrees = effective_degrees(m, s.q_bound)
+        rings = sector_rings(m, degrees)
+    except (DegenerateStabilityError, BudgetExceededError, InfiniteRingError):
+        return
+    except ValueError as e:
+        if "sector is empty" not in str(e):
+            raise
+        return
+    for d, ring in zip(degrees, rings):
+        base = hyper_factor(m, d, "ambient", ring, {})
+        assert exp_factor(d, s.etas, s.insertions, t_order, ring, base) == _insertion_exponential(s, d, ring, base)
 
 
 # --- big_i_function ---------------------------------------------------------

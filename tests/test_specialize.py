@@ -247,6 +247,24 @@ def test_ci_ambient_series_quintic_matches_classical():
         assert value == classical_quintic_coefficient(ring, d)
 
 
+def test_ci_ambient_series_inverts_each_factor_once_per_degree(monkeypatch):
+    # x1..x5 share one column: (H + a z)^-1 for a = 1..d is formed once per degree d <= 3,
+    # 1 + 2 + 3 = 6 inversions instead of 5 * 6 = 30
+    inverted = []
+    real = specialize.invert_linear_z_factor
+
+    def counting(ring, cls, a):
+        inverted.append(a)
+        return real(ring, cls, a)
+
+    monkeypatch.setattr(specialize, "invert_linear_z_factor", counting)
+    s = ci_ambient_series(QUINTIC_CI, F(3))
+    assert len(inverted) == 6
+    for d in range(4):
+        value = s.terms[((F(d),), ())]
+        assert value == classical_quintic_coefficient(value.ring, d)
+
+
 def test_ci_compare_quintic():
     report = ci_compare(QUINTIC_CI, F(3))
     assert report["equal"], report["diff"]
