@@ -131,8 +131,11 @@ def inertia_sectors(m: GLSMModel) -> list[SectorLabel]:
 
     Enumerated per minimal semistable support as the finite kernel of
     (Q/Z)^k -> (Q/Z)^support; the union is deduplicated by the canonical
-    group parameter and sorted.
+    group parameter and sorted.  Refuses theta = 0, as `effective_degrees`
+    does: every point is then semistable and there is no quotient.
     """
+    if not any(m.theta):
+        raise DegenerateStabilityError("degenerate quotient: theta = 0 makes every point semistable")
     out: set[tuple[Fraction, ...]] = set()
     for support in semistable_supports(m):
         mat = _support_matrix(m, support)

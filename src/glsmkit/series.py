@@ -17,6 +17,10 @@ comparison cuts both sides to their common region with
 JSON or has a field of the wrong type or length, or whose schema, state,
 model hash, theta-degrees or sector lambdas disagree with its model, or
 that lists a (degree, t-exponent) key twice.
+
+The operators on series (`times_characters`, `z_partial`, `twist_novikov`)
+map the stored terms of the series they are given and run no engine pass:
+`z_partial`'s insertion route feeds each stored term to `exp_factor`.
 """
 
 from __future__ import annotations
@@ -397,9 +401,7 @@ def _times_linear_series(poly: dict, coeffs: list[int], col, top: int) -> dict:
     return {mono: v for mono, v in acc.items() if v}
 
 
-def exp_factor(
-    d: Degree, etas, insertions, t_order: int, ring: SectorRing, base: LaurentZ
-) -> dict[tuple[int, ...], LaurentZ]:
+def exp_factor(d: Degree, etas, insertions, t_order: int, base: LaurentZ) -> dict[tuple[int, ...], LaurentZ]:
     """alpha -> base * prod_j P_j^alpha_j / alpha_j!, truncated at total insertion order.
 
     P_j = z^{-1} p_j(eta_s + z <d, eta_s>) is insertion j's exponent in
@@ -407,7 +409,9 @@ def exp_factor(
     class plus the scalar z-shift.  The term of alpha = 0 is `base`; every
     other alpha takes the term of alpha - e_j, with j its last nonzero entry
     (listed earlier by `t_exponents`), times P_j, scaled by 1/alpha_j.
+    Every term lives in `base`'s sector ring.
     """
+    ring = base.ring
     evals = [
         linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in etas
     ]
@@ -490,7 +494,7 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
         if not series.insertions:
             series.terms[(d, ())] = hyper
             continue
-        for alpha, value in exp_factor(d, series.etas, series.insertions, t_order, ring, hyper).items():
+        for alpha, value in exp_factor(d, series.etas, series.insertions, t_order, hyper).items():
             if value.is_zero():
                 vanished.append((d, alpha))
             else:
@@ -548,11 +552,15 @@ def times_characters(s: GradedSeries, characters) -> GradedSeries:
 def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> GradedSeries:
     """z-shifted degree-weighted multiplication operator, two implementations.
 
-    by_multiplication scales each degree-d term by the product of
-    (class(rho) + <d,rho> z); by_insertion appends an auxiliary insertion
-    whose polynomial is the product of the rho characters, recomputes to one
-    higher order, differentiates at zero and multiplies by z.  "verify" runs
-    both and insists they agree.
+    Both act on the terms of the series given, which need not be fresh
+    engine output (a twisted or read-back series is differentiated as it
+    stands).  by_multiplication scales each degree-d term by the product of
+    (class(rho) + <d,rho> z) through `times_characters`; by_insertion runs
+    the engine's insertion exponential on each stored term with one
+    auxiliary insertion, the product of the rho characters over the distinct
+    rhos (the stored terms already carry the series' own insertions), takes
+    the term linear in it (its derivative at zero) and multiplies by z.
+    "verify" runs both and insists they agree.
     """
     if s.state != "ambient":
         raise ValueError("z_partial is defined on ambient-state series")
@@ -567,30 +575,13 @@ def z_partial(s: GradedSeries, rho_list, method: str = "by_multiplication") -> G
     if method == "by_multiplication":
         return times_characters(s, lambda _d: rho_list)
     if method == "by_insertion":
-        etas = list(s.etas)
-        positions = []
-        for rho in rho_list:
-            if rho not in etas:
-                etas.append(rho)
-            positions.append(etas.index(rho))
-        mono = [0] * len(etas)
-        for p in positions:
-            mono[p] += 1
-        aux = Insertion.from_terms("_aux", {tuple(mono): Fraction(1)})
-        bigger = _assemble(
-            s.model, etas, tuple(s.insertions) + (aux,), s.q_bound, s.t_order + 1, "ambient"
-        )
-        terms = {}
-        for (d, alpha), value in bigger.terms.items():
-            if alpha[-1] != 1 or sum(alpha[:-1]) > s.t_order:
-                continue
-            terms[(d, alpha[:-1])] = value.shift(1)
-        vanished = [
-            (d, alpha[:-1])
-            for (d, alpha) in bigger.vanished
-            if alpha[-1] == 1 and sum(alpha[:-1]) <= s.t_order
-        ]
-        return replace(s, terms=terms, vanished=tuple(sorted(vanished)))
+        etas = list(dict.fromkeys(rho_list))
+        aux = Insertion.from_terms("_aux", {tuple(rho_list.count(eta) for eta in etas): Fraction(1)})
+
+        def differentiate(d, _alpha, value):
+            return exp_factor(d, etas, (aux,), 1, value)[(1,)].shift(1)
+
+        return s.map_terms(differentiate)
     raise ValueError(f"unknown z_partial method {method!r}")
 
 

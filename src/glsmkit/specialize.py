@@ -288,14 +288,16 @@ def hybrid_insertions(spec: HybridSpec):
     return _light_insertions((-d,) for d in spec.p_weights)
 
 
-def _insertion_exponential(series: GradedSeries, d: Degree, ring, base: LaurentZ) -> dict[tuple[int, ...], LaurentZ]:
+def _insertion_exponential(series: GradedSeries, d: Degree, base: LaurentZ) -> dict[tuple[int, ...], LaurentZ]:
     """alpha -> base * prod_j (z^-1 p_j(eta + <d, eta> z))^alpha_j / alpha_j! for the series' insertions.
 
     Each character eta_s is evaluated as class(eta_s) + <d, eta_s> z in bare
     Laurent arithmetic; the term of every t-exponent up to the series'
     t_order is one product that starts at `base`, the degree's
-    hypergeometric factor, and takes the powers one factor at a time.
+    hypergeometric factor, and takes the powers one factor at a time, in
+    `base`'s sector ring.
     """
+    ring = base.ring
     evals = [linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in series.etas]
     shifted = []
     for ins in series.insertions:
@@ -343,7 +345,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                 hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
         if hyper.is_zero():
             continue
-        for alpha, value in _insertion_exponential(series, d_eng, ring, hyper).items():
+        for alpha, value in _insertion_exponential(series, d_eng, hyper).items():
             if not value.is_zero():
                 series.terms[(d_eng, alpha)] = value
     return series
@@ -468,7 +470,7 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 value = value.mul(linear_z_factor(ring, cls, x - nu))
         if value.is_zero():
             continue
-        for alpha, term in _insertion_exponential(series, d, ring, value).items():
+        for alpha, term in _insertion_exponential(series, d, value).items():
             if not term.is_zero():
                 series.terms[(d, alpha)] = term
     return series

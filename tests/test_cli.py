@@ -343,8 +343,9 @@ THETA_ZERO = dict(P1, theta=["0"])
         (THETA_ZERO, ["glsm-ifun", "--qbound", "1"], "theta = 0"),
         (THETA_ZERO, ["dz", "--rho", "rho1", "--qbound", "1"], "theta = 0"),
         (WALL_MODEL, ["sectors"], "infinite sector family"),
+        (THETA_ZERO, ["sectors"], "theta = 0"),
     ],
-    ids=["effective", "ifun", "glsm-ifun", "dz", "sectors-wall"],
+    ids=["effective", "ifun", "glsm-ifun", "dz", "sectors-wall", "sectors-theta-zero"],
 )
 def test_degenerate_stability_exits_1(run, model_file, model, argv, message):
     code, _out, err = run(argv[0], model_file(model), *argv[1:])

@@ -44,7 +44,10 @@ on `series` or `specialize` constructing a `GradedSeries` anywhere but
 the engine, the reader and the direct series start from one empty series,
 and the direct series share one insertion exponential), on `series_compare`
 naming `theta_degree` (both truncation regions are cut by
-`GradedSeries.restrict`), and on any module but `model` defining a class
+`GradedSeries.restrict`), on `z_partial` naming `_assemble`,
+`big_i_function`, `glsm_i_function`, `effective_degrees`, `sector_rings` or
+`hyper_factor` (the derivative acts on the terms of the series it is given,
+not on a recomputation), and on any module but `model` defining a class
 whose name ends in `InternalError` (one internal-error type, exit code 3),
 and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
@@ -400,6 +403,12 @@ def test_direct_series_share_one_model_one_skeleton_one_exponential():
     stray += _calls_outside("series.py", "GradedSeries", {"empty_series"})
     stray += _named_outside("specialize.py", "t_exponents", {"_insertion_exponential"})
     assert not stray, stray
+
+
+def test_z_partial_acts_on_the_series_it_is_given():
+    engine = {"_assemble", "big_i_function", "glsm_i_function", "effective_degrees", "sector_rings", "hyper_factor"}
+    named = _named_in_functions(SRC / "series.py", {"z_partial"}, engine)
+    assert not named, named
 
 
 def test_series_compare_cuts_regions_only_through_restrict():

@@ -566,7 +566,7 @@ def test_exp_factor_torder0(m_p1):
     d = (F(1),)
     ring = ring_at(m_p1, d)
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 0, ring, LaurentZ.one(ring))
+    out = exp_factor(d, etas, insertions, 0, LaurentZ.one(ring))
     assert out == {(0,): LaurentZ.one(ring)}
 
 
@@ -575,7 +575,7 @@ def test_exp_factor_p1_example(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 2, ring, LaurentZ.one(ring))
+    out = exp_factor(d, etas, insertions, 2, LaurentZ.one(ring))
     assert out[(1,)] == lz(ring, {0: ring.one(), -1: h})
     assert out[(2,)] == lz(ring, {0: ring.one().scale(F(1, 2)), -1: h})
 
@@ -585,7 +585,7 @@ def test_exp_factor_degree0(m_p1):
     ring = ring_at(m_p1, d)
     h = class_from_character(ring, (1,))
     etas, insertions = t_insertion()
-    out = exp_factor(d, etas, insertions, 1, ring, LaurentZ.one(ring))
+    out = exp_factor(d, etas, insertions, 1, LaurentZ.one(ring))
     assert out[(1,)] == lz(ring, {-1: h})
 
 
@@ -619,7 +619,7 @@ def test_exp_factor_matches_direct_insertion_exponential(m, data):
         return
     for d, ring in zip(degrees, rings):
         base = hyper_factor(m, d, "ambient", ring, {})
-        assert exp_factor(d, s.etas, s.insertions, t_order, ring, base) == _insertion_exponential(s, d, ring, base)
+        assert exp_factor(d, s.etas, s.insertions, t_order, base) == _insertion_exponential(s, d, base)
 
 
 # --- big_i_function ---------------------------------------------------------
@@ -821,14 +821,37 @@ def test_z_partial_degree0(m_quintic):
 
 
 def test_z_partial_methods_agree(m_p1, m_quintic, m_cubic):
-    for m, rho in ((m_p1, [(1,)]), (m_quintic, [(-5,)]), (m_cubic, [(1,)])):
+    # twisted and read-back series are not engine output: both routes act on the terms given
+    cases = []
+    for m, rho, tau in ((m_p1, [(1,)], (1,)), (m_quintic, [(-5,)], (5,)), (m_cubic, [(1,)], (3,))):
         etas, insertions = t_insertion((1,) * m.k)
         s = big_i_function(m, etas, insertions, q_bound=F(2), t_order=1)
+        cases += [(s, rho), (twist_novikov(s, [tau]), rho)]
+    cases.append((series_from_json(series_to_json(cases[-1][0])), cases[-1][1]))
+    for s, rho in cases:
         a = z_partial(s, rho, "by_multiplication")
         b = z_partial(s, rho, "by_insertion")
         assert not series_compare(a, b)
+        assert b.vanished == a.vanished
         verified = z_partial(s, rho, "verify")
         assert not series_compare(verified, a)
+
+
+@pytest.mark.parametrize("function", [big_i_function, glsm_i_function])
+def test_an_extra_insertion_at_exponent_zero_leaves_the_series(function):
+    # the terms of a series with one more eta and insertion whose extra exponent is 0 are
+    # the series itself, so the exponent-1 term that z_partial grows from a stored term is the engine's
+    for m in corpus():
+        xi = m.column(m.r - 1)
+        t1 = Insertion.from_terms("t1", {(1,): F(1)})
+        s = function(m, [(1,) * m.k], [t1], q_bound=F(2), t_order=1)
+        extra = [Insertion.from_terms("t1", {(1, 0): F(1)}), Insertion.from_terms("s", {(0, 1): F(1)})]
+        bigger = function(m, [(1,) * m.k, xi], extra, q_bound=F(2), t_order=1)
+        terms = {(d, alpha[:-1]): v for (d, alpha), v in bigger.terms.items() if alpha[-1] == 0}
+        vanished = tuple((d, alpha[:-1]) for d, alpha in bigger.vanished if alpha[-1] == 0)
+        assert terms == s.terms, m.var_names()
+        assert vanished == s.vanished, m.var_names()
+        assert len(bigger.terms) > len(terms)
 
 
 def test_z_partial_builds_one_multiplier_per_degree(monkeypatch, m_quintic):
