@@ -1,9 +1,13 @@
-"""Command-line surface.
+"""Command-line surface, standard library only.
 
 Subcommands: validate, sectors, effective, ifun, glsm-ifun, dz, check-ct,
 specialize {fjrw|hybrid|ci}, compare, render-latex.  Artifacts go to stdout
 or --out; errors to stderr.  Exit codes: 0 success, 1 validation failure,
 2 input error, 3 internal assertion.
+
+`COMMANDS` declares every command's positionals and options in one table;
+`_parse` reads an argv against it in one loop and `_help_page` renders it.
+An option always takes the next token as its value, so `--rho -3,0` parses.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from . import ENGINE_VERSION
 from . import specialize as families
@@ -64,11 +66,10 @@ def _read_file(path: str) -> str:
 
 
 def _emit(text: str, out: str | None):
-    """Write an artifact to --out, or to the current sys.stdout.
+    """Write an artifact to --out, or to the sys.stdout current at the call.
 
-    Not through click.echo: click caches a wrapper per stream, and for a
-    StringIO that cache keeps the stream and all it holds alive, so every
-    captured stdout of an in-process call would outlive the call.
+    Nothing keeps the stream, so each in-process call may be captured in a
+    fresh one that is freed once the call returns.
     """
     if out:
         try:
@@ -91,26 +92,19 @@ def _report(payload, lines: list[str], fmt: str, out: str | None):
 
 def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
     out = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, (part.strip() for part in text.split(";"))):
         try:
-            if item.startswith("rho"):
-                idx = int(item[3:]) - 1
-            else:
-                out.append(tuple(int(x) for x in item.split(",")))
-                continue
+            idx = int(item[3:]) - 1 if item.startswith("rho") else None
+            vec = tuple(int(x) for x in item.split(",")) if idx is None else None
         except ValueError:
             raise InputError(f"--rho expects rhoI or comma-separated integers, got {item!r}") from None
-        if not 0 <= idx < model.r:
+        if idx is not None and not 0 <= idx < model.r:
             raise InputError(f"rho index out of range in {item!r}")
-        out.append(model.column(idx))
+        out.append(model.column(idx) if vec is None else vec)
     if not out:
         raise InputError(f"--rho names no character, got {text!r}")
-    for vec in out:
-        if len(vec) != model.k:
-            raise InputError("character vectors must have length k")
+    if any(len(vec) != model.k for vec in out):
+        raise InputError("character vectors must have length k")
     return out
 
 
@@ -161,12 +155,8 @@ def _parse_map(text: str) -> dict[str, str]:
 
 def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, insert) -> str:
     """Cache key of a series job from its truncation and --insert specs."""
-    return job_key(
-        model,
-        command,
-        {"q_bound": format_rational(q_bound), "t_order": torder},
-        {"insertions": [list(spec) for spec in insert]},
-    )
+    truncation = {"q_bound": format_rational(q_bound), "t_order": torder}
+    return job_key(model, command, truncation, {"insertions": [list(spec) for spec in insert]})
 
 
 def _series_output(series: GradedSeries, fmt: str) -> str:
@@ -180,36 +170,6 @@ def _series_output(series: GradedSeries, fmt: str) -> str:
     return series_to_json(series)
 
 
-common_out = click.option("--out", type=click.Path(dir_okay=False), default=None, help="write the artifact to a file")
-common_nocache = click.option("--no-cache", is_flag=True, default=False, help="bypass the result cache")
-common_insert = click.option(
-    "--insert", multiple=True, help="NAME=POLY: a variable NAME ([A-Za-z][A-Za-z0-9_]*), POLY over rho1..rhoR"
-)
-
-
-def formats(*names):
-    """--format: json (the default) or one of the other renderings the command has."""
-    return click.option("--format", "fmt", type=click.Choice(["json", *names]), default="json")
-
-
-def _nonneg_rational(_ctx, param, value: str) -> Fraction:
-    """The value of a rational option that must be at least 0, such as --qbound."""
-    q = parse_rational(value)
-    if q < 0:
-        raise InputError(f"{param.opts[0]} must be nonnegative, got {value!r}")
-    return q
-
-
-qbound = click.option(
-    "--qbound", "q_bound", required=True, callback=_nonneg_rational, help="maximal theta-degree (nonnegative rational)"
-)
-
-
-def truncation(command):
-    """--qbound and --torder (nonnegative insertion order) of a series."""
-    return qbound(click.option("--torder", type=click.IntRange(min=0), default=0)(command))
-
-
 # kind -> (direct series, engine cross-check), both called as (spec, q_bound, t_order); the
 # cross-check also receives the direct series as `direct`, so it is computed once per command.
 # Named, not bound: each call reads the specialize module's attribute, so a
@@ -221,45 +181,6 @@ FAMILIES = {
 }
 
 
-def _show_help(ctx, _param, value):
-    if value and not ctx.resilient_parsing:
-        _emit(ctx.get_help() + "\n", None)
-        ctx.exit()
-
-
-def _show_version(ctx, _param, value):
-    if value and not ctx.resilient_parsing:
-        _emit(f"glsmkit, version {ENGINE_VERSION}\n", None)
-        ctx.exit()
-
-
-class _Command(click.Command):
-    """A command whose --help page is written by `_emit`, not by click.echo."""
-
-    def get_help_option(self, ctx):
-        option = click.Command.get_help_option(self, ctx)
-        if option is not None:
-            option.callback = _show_help
-        return option
-
-
-class _Group(click.Group):
-    command_class = _Command
-    get_help_option = _Command.get_help_option
-
-
-@click.group(cls=_Group)
-@click.option(
-    "--version", is_flag=True, expose_value=False, is_eager=True, callback=_show_version, help="Show the version and exit."
-)
-def cli():
-    """Exact computations for torus gauged linear sigma models."""
-
-
-@cli.command()
-@click.argument("file", type=click.Path())
-@common_out
-@formats("text")
 def validate(file, out, fmt):
     """Check every axiom of the model definition; exit 1 on failure."""
     model = parse_model(_read_file(file))
@@ -272,10 +193,6 @@ def validate(file, out, fmt):
         raise ValidationFailure("model failed validation")
 
 
-@cli.command()
-@click.argument("file", type=click.Path())
-@common_out
-@formats("text")
 def sectors(file, out, fmt):
     """List the inertia sectors of the model."""
     model = parse_model(_read_file(file))
@@ -293,11 +210,6 @@ def sectors(file, out, fmt):
     _report(payload, [f"({', '.join(format_rational(x) for x in g.lam)})" for g in secs], fmt, out)
 
 
-@cli.command()
-@click.argument("file", type=click.Path())
-@qbound
-@common_out
-@formats("text")
 def effective(file, q_bound, out, fmt):
     """Enumerate criterion-effective degrees up to the theta-degree bound."""
     model = parse_model(_read_file(file))
@@ -344,39 +256,16 @@ def _series_command(mode: str, file, q_bound, torder, insert, out, fmt, no_cache
     _emit(text if fmt == "json" else _series_output(series, fmt), out)
 
 
-@cli.command()
-@click.argument("file", type=click.Path())
-@truncation
-@common_insert
-@common_out
-@formats("latex", "text")
-@common_nocache
 def ifun(file, q_bound, torder, insert, out, fmt, no_cache):
     """Truncated big I-function (ambient state space)."""
     _series_command("ifun", file, q_bound, torder, insert, out, fmt, no_cache)
 
 
-@cli.command("glsm-ifun")
-@click.argument("file", type=click.Path())
-@truncation
-@common_insert
-@common_out
-@formats("latex", "text")
-@common_nocache
 def glsm_ifun(file, q_bound, torder, insert, out, fmt, no_cache):
     """Truncated I-function of the model with potential (glsm state space)."""
     _series_command("glsm-ifun", file, q_bound, torder, insert, out, fmt, no_cache)
 
 
-@cli.command()
-@click.argument("file", type=click.Path())
-@click.option("--rho", required=True, help="semicolon-separated characters: rhoI or comma-separated integers")
-@truncation
-@common_insert
-@click.option("--method", type=click.Choice(["by_multiplication", "by_insertion", "verify"]), default="verify")
-@common_out
-@formats("latex", "text")
-@common_nocache
 def dz(file, rho, q_bound, torder, insert, method, out, fmt, no_cache):
     """z-shifted derivative of the cached big I-function along characters."""
     model = parse_model(_read_file(file))
@@ -391,9 +280,6 @@ def dz(file, rho, q_bound, torder, insert, method, out, fmt, no_cache):
     _emit(_series_output(result, fmt), out)
 
 
-@cli.command("check-ct")
-@click.argument("series_file", type=click.Path())
-@common_out
 def check_ct(series_file, out):
     """Compact-type report of a stored series; exit 1 on violations."""
     series = series_from_json(_read_file(series_file))
@@ -403,15 +289,10 @@ def check_ct(series_file, out):
         raise ValidationFailure("compact-type check failed")
 
 
-@cli.command()
-@click.argument("kind", type=click.Choice(list(FAMILIES)))
-@click.argument("file", type=click.Path())
-@truncation
-@click.option("--crosscheck/--no-crosscheck", default=True)
-@common_out
-@formats("latex")
 def specialize(kind, file, q_bound, torder, crosscheck, out, fmt):
-    """Build a family model, its direct series, and the engine cross-check."""
+    """Build a family model (KIND fjrw, hybrid or ci), its direct series, and the engine cross-check."""
+    if kind not in FAMILIES:
+        raise InputError(f"KIND must be one of {', '.join(map(repr, FAMILIES))}, got {kind!r}")
     spec = families.specialization_from_model_file(_read_file(file))
     if spec.kind != kind:
         raise InputError(f"specialize {kind} was given a file whose specialization kind is {spec.kind!r}")
@@ -427,12 +308,6 @@ def specialize(kind, file, q_bound, torder, crosscheck, out, fmt):
         raise ValidationFailure("cross-check found differences")
 
 
-@cli.command()
-@click.argument("series_a", type=click.Path())
-@click.argument("series_b", type=click.Path())
-@click.option("--map", "subst", default=None, help="rename insertion variables: old=new,old2=new2")
-@common_out
-@formats("text")
 def compare(series_a, series_b, subst, out, fmt):
     """Exact comparison of two stored series; exit 1 when they differ."""
     a = series_from_json(_read_file(series_a))
@@ -444,34 +319,159 @@ def compare(series_a, series_b, subst, out, fmt):
         raise ValidationFailure("series differ")
 
 
-@cli.command("render-latex")
-@click.argument("series_file", type=click.Path())
-@common_out
 def render_latex_cmd(series_file, out):
     """LaTeX view of a stored series."""
     series = series_from_json(_read_file(series_file))
     _emit(render_latex(series) + "\n", out)
 
 
-def main(argv=None):
+def _nonneg_rational(name: str, text: str) -> Fraction:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        q = parse_rational(text)
+    except ValueError as e:
+        raise InputError(f"{name}: {e}") from None
+    if q < 0:
+        raise InputError(f"{name} must be nonnegative, got {text!r}")
+    return q
+
+
+def _nonneg_int(name: str, text: str) -> int:
+    if not text.isdecimal():
+        raise InputError(f"{name} must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+def _file_path(name: str, text: str) -> str:
+    """A path to write, refused before any work when it names a directory."""
+    if text and Path(text).is_dir():
+        raise InputError(f"{name} {text} is a directory")
+    return text
+
+
+# An option: flag -> (keyword, kind, default, help).  kind is None (the text
+# as given), a converter (flag, text) -> value, a tuple of choices, MANY
+# (repeatable: every text in order) or a bool (a flag that stores it and
+# takes no value).  An option whose default is REQUIRED must be given.
+MANY = "many"
+REQUIRED = object()
+
+
+def formats(*names):
+    """--format: json (the default) or one of the other renderings the command has."""
+    return {"--format": ("fmt", ("json", *names), "json", "rendering of the artifact (default json)")}
+
+
+OUT = {"--out": ("out", _file_path, None, "write the artifact to a file")}
+NO_CACHE = {"--no-cache": ("no_cache", True, False, "bypass the result cache")}
+INSERT = {"--insert": ("insert", MANY, (), "NAME=POLY: a variable NAME ([A-Za-z][A-Za-z0-9_]*), POLY over rho1..rhoR")}
+QBOUND = {"--qbound": ("q_bound", _nonneg_rational, REQUIRED, "maximal theta-degree (nonnegative rational)")}
+TRUNCATION = {**QBOUND, "--torder": ("torder", _nonneg_int, 0, "order in the insertion variables (default 0)")}
+SERIES = {**TRUNCATION, **INSERT, **OUT, **formats("latex", "text"), **NO_CACHE}
+RHO = {"--rho": ("rho", None, REQUIRED, "semicolon-separated characters: rhoI or comma-separated integers")}
+METHOD = {"--method": ("method", ("verify", "by_multiplication", "by_insertion"), "verify", "how to differentiate (default verify)")}
+MAP = {"--map": ("subst", None, None, "rename insertion variables: old=new,old2=new2")}
+CROSSCHECK = {
+    "--crosscheck": ("crosscheck", True, True, "check the direct series on the engine (the default)"),
+    "--no-crosscheck": ("crosscheck", False, True, "skip the cross-check"),
+}
+
+# command -> (function, positionals, options): the whole command line.  A
+# positional is passed as its lowercased name; the function's docstring is
+# the command's help.
+COMMANDS = {
+    "validate": (validate, ("FILE",), {**OUT, **formats("text")}),
+    "sectors": (sectors, ("FILE",), {**OUT, **formats("text")}),
+    "effective": (effective, ("FILE",), {**QBOUND, **OUT, **formats("text")}),
+    "ifun": (ifun, ("FILE",), SERIES),
+    "glsm-ifun": (glsm_ifun, ("FILE",), SERIES),
+    "dz": (dz, ("FILE",), {**RHO, **TRUNCATION, **INSERT, **METHOD, **OUT, **formats("latex", "text"), **NO_CACHE}),
+    "check-ct": (check_ct, ("SERIES_FILE",), OUT),
+    "specialize": (specialize, ("KIND", "FILE"), {**TRUNCATION, **CROSSCHECK, **OUT, **formats("latex")}),
+    "compare": (compare, ("SERIES_A", "SERIES_B"), {**MAP, **OUT, **formats("text")}),
+    "render-latex": (render_latex_cmd, ("SERIES_FILE",), OUT),
+}
+
+
+def _parse(command: str, args: list[str]) -> dict | None:
+    """The keyword arguments of the command's function from its argv, or None once --help wrote its page.
+
+    An option takes the next token as its value even when that starts with a
+    dash, and `--opt=value` is the same; a flag must be spelled in full.
+    """
+    _fn, positionals, options = COMMANDS[command]
+    values = {keyword: default for keyword, _kind, default, _help in options.values()}
+    waiting = list(positionals)
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            if not waiting:
+                raise InputError(f"unexpected extra argument {token!r}")
+            values[waiting.pop(0).lower()] = token
+            continue
+        if token == "--help":
+            return _emit(_help_page(command), None)
+        flag, given, text = token.partition("=")
+        if flag not in options:
+            raise InputError(f"no such option {flag}")
+        keyword, kind, _default, _help = options[flag]
+        if isinstance(kind, bool):
+            if given:
+                raise InputError(f"{flag} takes no value")
+            values[keyword] = kind
+            continue
+        text = text if given else next(tokens, None)
+        if text is None:
+            raise InputError(f"{flag} requires a value")
+        if kind == MANY:
+            values[keyword] += (text,)
+        elif isinstance(kind, tuple) and text not in kind:
+            raise InputError(f"{flag} must be one of {', '.join(map(repr, kind))}, got {text!r}")
+        else:
+            values[keyword] = kind(flag, text) if callable(kind) else text
+    missing = waiting + [flag for flag, (keyword, *_rest) in options.items() if values[keyword] is REQUIRED]
+    if missing:
+        raise InputError(f"missing {missing[0]}")
+    return values
+
+
+def _help_page(command: str | None) -> str:
+    """The --help page of a command, or of the program when command is None, read off COMMANDS."""
+    if command is None:
+        head = "[--version] COMMAND [ARGS]...\n\n  Exact computations for torus gauged linear sigma models.\n\nCommands and options:"
+        rows = [(name, fn.__doc__) for name, (fn, *_rest) in COMMANDS.items()]
+        rows.append(("--version", "Show the version."))
+    else:
+        fn, positionals, options = COMMANDS[command]
+        head = f"{command} [OPTIONS] {' '.join(positionals)}\n\n  {fn.__doc__}\n\nOptions:"
+        rows = [
+            (flag + ("" if isinstance(kind, bool) else f" [{'|'.join(kind)}]" if isinstance(kind, tuple) else " VALUE"),
+             text + (" [required]" if default is REQUIRED else " [repeatable]" if kind == MANY else ""))
+            for flag, (_keyword, kind, default, text) in options.items()
+        ]
+    rows.append(("--help", "Show this message."))
+    width = max(len(left) for left, _right in rows)
+    return "\n".join([f"Usage: glsmkit {head}"] + [f"  {left:<{width}}  {right}".rstrip() for left, right in rows]) + "\n"
+
+
+def main(argv=None):
+    """Run one command line (default sys.argv[1:]) and return its exit code."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = args[0] if args else None
+    try:
+        if command in ("--help", "--version"):
+            _emit(_help_page(None) if command == "--help" else f"glsmkit, version {ENGINE_VERSION}\n", None)
+        elif command not in COMMANDS:
+            raise InputError(f"no such command {command!r}" if args else f"missing COMMAND, one of {', '.join(COMMANDS)}")
+        elif (values := _parse(command, args[1:])) is not None:
+            COMMANDS[command][0](**values)
         return 0
     except (ValidationFailure, HypothesisError, DegenerateStabilityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InputError, BudgetExceededError, click.UsageError, click.BadParameter) as e:
-        message = getattr(e, "format_message", lambda: str(e))()
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_INPUT
-    except click.exceptions.Exit as e:
-        return e.exit_code
-    except click.Abort:
-        return EXIT_INPUT
     except (InternalError, RingMismatchError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError) as e:
+    except (InputError, BudgetExceededError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

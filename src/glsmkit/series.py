@@ -61,7 +61,7 @@ from .rings import (
     term_products,
 )
 from .scalars import Cyclo, Scalar, format_rational
-from .sectors import Degree, effective_degrees, pairing, sector_of_degree, theta_degree
+from .sectors import Degree, DegenerateStabilityError, effective_degrees, pairing, sector_of_degree, theta_degree
 from .validate import glsm_hypothesis
 
 
@@ -766,7 +766,8 @@ def series_from_dict(data: dict) -> GradedSeries:
     model without serializing anything again: the schema, the state, the
     model hash, each term's theta-degree and sector lambda, and that no
     (degree, t-exponent) key is listed twice among the terms and the
-    vanished keys.
+    vanished keys.  A model with theta = 0 has no quotient, and its series
+    is refused with DegenerateStabilityError, as the engine refuses it.
     """
     if json_object(data, "series file").get("schema") != SERIES_SCHEMA:
         raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
@@ -776,6 +777,8 @@ def series_from_dict(data: dict) -> GradedSeries:
     m = model_from_dict(json_field(data, "model", "series file"))
     if data.get("model_hash") != model_hash(m):
         raise InputError("series model_hash is not the hash of its model")
+    if not any(m.theta):
+        raise DegenerateStabilityError("degenerate quotient: the series' model has theta = 0")
     etas = json_int_rows(data.get("etas", []), "series etas")
     if any(len(eta) != m.k for eta in etas):
         raise InputError(f"series etas must each have k = {m.k} entries, got {json.dumps(data['etas'])}")

@@ -4,14 +4,16 @@ import io
 import json
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from glsmkit import cache
 from glsmkit import specialize as families
-from glsmkit.cli import FAMILIES, cli, main
+from glsmkit.cli import COMMANDS, FAMILIES, main
+from glsmkit.model import model_from_dict, model_hash
 
-from conftest import CUBIC, P1, QUINTIC, WALL_MODEL
+from conftest import CUBIC, P1, QUINTIC, RANK2, WALL_MODEL
 
 
 @pytest.fixture
@@ -62,6 +64,15 @@ def test_missing_file_exit2(run):
 def test_bad_flag_exit2(run, model_file):
     code, _out, _err = run("effective", model_file(P1), "--qbound", "x")
     assert code == 2
+
+
+def test_checked_in_model_is_the_quintic(run):
+    # the CI step on a bare install runs `glsmkit ifun` on this file
+    path = Path(__file__).resolve().parent / "data" / "quintic.json"
+    assert json.loads(path.read_text(encoding="utf-8")) == QUINTIC
+    code, out, err = run("ifun", str(path), "--qbound", "2", "--no-cache")
+    assert code == 0, err
+    assert json.loads(out)["model"]["weights"] == QUINTIC["weights"]
 
 
 def test_sectors_cubic(run, model_file):
@@ -344,13 +355,29 @@ THETA_ZERO = dict(P1, theta=["0"])
         (THETA_ZERO, ["dz", "--rho", "rho1", "--qbound", "1"], "theta = 0"),
         (WALL_MODEL, ["sectors"], "infinite sector family"),
         (THETA_ZERO, ["sectors"], "theta = 0"),
+        ("series", ["check-ct"], "theta = 0"),
+        ("series", ["compare", "@series"], "theta = 0"),
+        ("series", ["render-latex"], "theta = 0"),
     ],
-    ids=["effective", "ifun", "glsm-ifun", "dz", "sectors-wall", "sectors-theta-zero"],
+    ids=["effective", "ifun", "glsm-ifun", "dz", "sectors-wall", "sectors-theta-zero", "check-ct", "compare",
+         "render-latex"],
 )
-def test_degenerate_stability_exits_1(run, model_file, model, argv, message):
-    code, _out, err = run(argv[0], model_file(model), *argv[1:])
+def test_degenerate_stability_exits_1(run, model_file, tmp_path, model, argv, message):
+    path = _theta_zero_series(run, model_file, tmp_path) if model == "series" else model_file(model)
+    code, _out, err = run(argv[0], path, *(path if token == "@series" else token for token in argv[1:]))
     assert code == 1, err
     assert err.startswith("error: ") and message in err
+
+
+def _theta_zero_series(run, model_file, tmp_path):
+    """A P1 series file whose model has theta = 0, with the model_hash of that model: it used to read back."""
+    path = tmp_path / "theta-zero.series"
+    assert run("ifun", model_file(P1), "--qbound", "0", "--out", str(path))[0] == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["model"]["theta"] = ["0"]
+    data["model_hash"] = model_hash(model_from_dict(data["model"]))
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
 
 
 @pytest.mark.parametrize(
@@ -416,8 +443,62 @@ def test_insert_name_must_be_a_variable_name(run, model_file, argv, name):
 
 
 def test_insert_declared_once():
-    helps = {p.help for name in ("ifun", "glsm-ifun", "dz") for p in cli.commands[name].params if p.name == "insert"}
-    assert len(helps) == 1 and "NAME=POLY" in helps.pop()
+    declared = {id(COMMANDS[name][2]["--insert"]) for name in ("ifun", "glsm-ifun", "dz")}
+    assert len(declared) == 1 and "NAME=POLY" in COMMANDS["ifun"][2]["--insert"][3]
+
+
+QB = ["--qbound", "1"]
+# name -> (argv, expected); @p1, @rank2, @fjrw and @dir stand for files.  A str is a refusal:
+# exit 2, no stdout, no cache entry, and stderr names the str.  A tuple (same, *held) is a
+# success whose stdout is that of the argv `same` (unless None) and holds each of `held`.
+CLI_SURFACE = {
+    "rho-dash-leading": (["dz", "@rank2", "--rho", "-3,0", *QB], (["dz", "@rank2", "--rho", "rho3", *QB],)),
+    "qbound-dash-leading": (["ifun", "@p1", "--qbound", "-1"], "--qbound"),
+    "torder-negative": (["ifun", "@p1", *QB, "--torder", "-1"], "--torder"),
+    "torder-not-an-integer": (["ifun", "@p1", *QB, "--torder", "abc"], "--torder"),
+    "format-not-a-choice": (["ifun", "@p1", *QB, "--format", "bogus"], "--format"),
+    "unknown-option": (["ifun", "@p1", *QB, "--bogus"], "--bogus"),
+    "unknown-command": (["bogus", "@p1"], "bogus"),
+    "extra-positional": (["ifun", "@p1", "extra.json", *QB], "extra.json"),
+    "missing-qbound": (["ifun", "@p1"], "--qbound"),
+    "missing-qbound-value": (["ifun", "@p1", "--qbound"], "--qbound"),
+    "missing-rho": (["dz", "@p1", *QB], "--rho"),
+    "missing-file": (["ifun", *QB], "FILE"),
+    "insert-repeated": (
+        ["ifun", "@p1", *QB, "--torder", "1", "--insert", "t=rho1", "--insert", "u=2*rho1"],
+        (None, '"name":"t"', '"name":"u"'),
+    ),
+    "opt=value": (
+        ["ifun", "@p1", "--qbound=1", "--torder=1", "--insert=t=rho1", "--format=text"],
+        (["ifun", "@p1", *QB, "--torder", "1", "--insert", "t=rho1", "--format", "text"],),
+    ),
+    "crosscheck": (["specialize", "fjrw", "@fjrw", *QB, "--crosscheck"], (["specialize", "fjrw", "@fjrw", *QB],)),
+    "no-crosscheck": (["specialize", "fjrw", "@fjrw", *QB, "--no-crosscheck"], (None, '"crosscheck": null')),
+    "no-command": ([], ""),
+    "version": (["--version"], (None, "glsmkit, version 0.1.0\n")),
+    "out-is-a-directory": (["ifun", "@p1", *QB, "--out", "@dir"], "--out"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLI_SURFACE))
+def test_cli_surface(run, model_file, tmp_path, case):
+    files = {"@p1": model_file(P1), "@rank2": model_file(RANK2, "rank2.json"),
+             "@fjrw": model_file(FJRW_SPEC, "fjrw.json"), "@dir": str(tmp_path)}
+    argv, expected = CLI_SURFACE[case]
+    code, out, err = run(*(files.get(token, token) for token in argv))
+    if isinstance(expected, str):
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith("error: ") and expected in err, err
+        assert not list(tmp_path.glob("cache/*")), "a refused call wrote a cache entry"
+        return
+    same, *held = expected
+    assert code == 0, err
+    assert out and all(text in out for text in held), out
+    if same is not None:
+        assert out == run(*(files.get(token, token) for token in same))[1]
+    if case == "version":
+        assert out == held[0]
 
 
 @pytest.mark.parametrize(
@@ -484,11 +565,12 @@ def argvs(run, model_file, tmp_path):
 
 def offered_formats(name):
     """The --format choices of a subcommand, or None when it has no --format."""
-    return next((list(p.type.choices) for p in cli.commands[name].params if p.name == "fmt"), None)
+    option = COMMANDS[name][2].get("--format")
+    return list(option[1]) if option else None
 
 
 def test_format_choices_per_command():
-    assert {name: offered_formats(name) for name in cli.commands} == {
+    assert {name: offered_formats(name) for name in COMMANDS} == {
         "validate": ["json", "text"],
         "sectors": ["json", "text"],
         "effective": ["json", "text"],
@@ -533,7 +615,7 @@ def test_format_not_offered_exits_2(run, argvs, command, fmt):
 CACHED_COMMANDS = ("ifun", "glsm-ifun", "dz")
 STDOUT_ARTIFACTS = [
     (command, fmt, cached)
-    for command in cli.commands
+    for command in COMMANDS
     for fmt in offered_formats(command) or [None]
     for cached in (("miss", "hit") if command in CACHED_COMMANDS else (None,))
 ]

@@ -3,9 +3,9 @@
 Fails on a module-level import that the module never uses, on a
 module-level private function that its own module never references, on a
 module-level function that no library module loads (as a name or an
-attribute) outside the function's own body, where a click command and a name
-in `cli.FAMILIES` count as loaded, except the functions that
-`perfbench/tracer.py` binds by name and no library path calls (that list
+attribute) outside the function's own body, where a name in `cli.FAMILIES`
+counts as loaded (`cli.COMMANDS` loads each command), except the functions
+that `perfbench/tracer.py` binds by name and no library path calls (that list
 must equal the tracer's `TARGETS` without a library caller, so it shrinks as
 they are deleted), on an import inside a function, on `specialize` importing
 the engine's factor routines (its direct series must stay independent of
@@ -51,11 +51,12 @@ not on a recomputation), and on any module but `model` defining a class
 whose name ends in `InternalError` (one internal-error type, exit code 3),
 and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
-passes is used, or it is not asked for), on any module calling or importing
-`click.echo` or `click.secho`, and on `cli.py` naming `stdout`, printing
-without a `file=` keyword, or calling `open`, `write`, `write_text` or
-`write_bytes` anywhere but `_emit` (the one writer of artifacts; click's
-per-stream cache would keep every captured stdout of an in-process call
+passes is used, or it is not asked for), on any module importing click
+or a `pyproject.toml` that declares a runtime dependency (the package is
+standard library only; its CLI parses argv against one table), and on
+`cli.py` naming `stdout`, printing without a `file=` keyword, or calling
+`open`, `write`, `write_text` or `write_bytes` anywhere but `_emit` (the one
+writer of artifacts, which keeps no captured stdout of an in-process call
 alive), and on a module that does not parse under the Python 3.10 grammar
 (the oldest Python the package supports).  Three rules read a test module:
 the GKZ recurrence oracle and the Γ-table oracle in `tests/test_series.py`
@@ -67,6 +68,7 @@ check: it exists to re-export.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "glsmkit"
@@ -144,12 +146,8 @@ def _loaded_outside_own_body():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            command = any(
-                isinstance(deco, ast.Call) and getattr(deco.func, "attr", None) == "command"
-                for deco in node.decorator_list
-            )
             own = {id(inner) for inner in ast.walk(node)}
-            out[(module, node.name)] = command or node.name in named or bool(loads.get(node.name, set()) - own)
+            out[(module, node.name)] = node.name in named or bool(loads.get(node.name, set()) - own)
     return out
 
 
@@ -450,9 +448,6 @@ def test_every_parameter_is_read():
     assert not stray, stray
 
 
-ECHO = {"echo", "secho"}
-
-
 def _writes_stdout_or_a_file(node):
     """A node that names stdout, writes a file, or prints without a file= keyword."""
     if getattr(node, "id", getattr(node, "attr", None)) == "stdout":
@@ -466,15 +461,22 @@ def _writes_stdout_or_a_file(node):
 
 
 def test_artifacts_written_only_by_emit():
-    stray = []
-    for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ECHO:
-                stray.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.ImportFrom) and node.module == "click":
-                stray += [f"{path.name}:{node.lineno}" for alias in node.names if alias.name in ECHO]
-    stray += _found_outside("cli.py", {"_emit"}, _writes_stdout_or_a_file)
+    stray = _found_outside("cli.py", {"_emit"}, _writes_stdout_or_a_file)
     assert not stray, stray
+
+
+def test_standard_library_only():
+    imported = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "click" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "click"
+    ]
+    assert not imported, imported
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.findall(r"^dependencies\s*=\s*\[([^\]]*)\]", pyproject, re.MULTILINE)
+    assert declared == [""], declared
 
 
 def test_sources_parse_under_the_python_3_10_grammar():
