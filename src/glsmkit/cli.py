@@ -153,10 +153,18 @@ def _parse_map(text: str) -> dict[str, str]:
     return rename
 
 
-def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, insert) -> str:
-    """Cache key of a series job from its truncation and --insert specs."""
+def _series_key(model: GLSMModel, command: str, q_bound: Fraction, torder: int, etas, insertions) -> str:
+    """Cache key of a series job from its truncation and parsed insertions.
+
+    Each insertion is keyed on its name and canonical polynomial over the
+    etas, so spellings of one polynomial (t=rho1, t=1*rho1) share an entry.
+    """
     truncation = {"q_bound": format_rational(q_bound), "t_order": torder}
-    return job_key(model, command, truncation, {"insertions": [list(spec) for spec in insert]})
+    extras = {
+        "etas": [list(eta) for eta in etas],
+        "insertions": [[ins.name, [[list(mono), format_rational(c)] for mono, c in ins.poly]] for ins in insertions],
+    }
+    return job_key(model, command, truncation, extras)
 
 
 def _series_output(series: GradedSeries, fmt: str) -> str:
@@ -248,7 +256,7 @@ def _series_command(mode: str, file, q_bound, torder, insert, out, fmt, no_cache
     etas, insertions = _parse_insertions(model, insert)
     fn = big_i_function if mode == "ifun" else glsm_i_function
     text, series = _cached_series(
-        _series_key(model, mode, q_bound, torder, insert),
+        _series_key(model, mode, q_bound, torder, etas, insertions),
         lambda: fn(model, etas, insertions, q_bound, torder),
         no_cache,
         parse=fmt != "json",
@@ -272,7 +280,7 @@ def dz(file, rho, q_bound, torder, insert, method, out, fmt, no_cache):
     etas, insertions = _parse_insertions(model, insert)
     rho_list = _parse_rho_list(model, rho)
     _, series = _cached_series(
-        _series_key(model, "ifun", q_bound, torder, insert),
+        _series_key(model, "ifun", q_bound, torder, etas, insertions),
         lambda: big_i_function(model, etas, insertions, q_bound, torder),
         no_cache,
     )

@@ -15,8 +15,9 @@ comparison cuts both sides to their common region with
 `GradedSeries.restrict`.  The reader reads every field through the
 `model.json_*` readers and refuses, naming the field, a payload that is not
 JSON or has a field of the wrong type or length, or whose schema, state,
-model hash, theta-degrees or sector lambdas disagree with its model, or
-that lists a (degree, t-exponent) key twice.
+model hash, theta-degrees or sector lambdas disagree with its model, that
+lists a (degree, t-exponent) key twice, or that lists a key outside its
+truncation.
 
 The operators on series (`times_characters`, `z_partial`, `twist_novikov`)
 map the stored terms of the series they are given and run no engine pass:
@@ -406,10 +407,12 @@ def exp_factor(d: Degree, etas, insertions, t_order: int, base: LaurentZ) -> dic
 
     P_j = z^{-1} p_j(eta_s + z <d, eta_s>) is insertion j's exponent in
     exp(sum_j t^j P_j), each shared character eta_s evaluated as its divisor
-    class plus the scalar z-shift.  The term of alpha = 0 is `base`; every
-    other alpha takes the term of alpha - e_j, with j its last nonzero entry
-    (listed earlier by `t_exponents`), times P_j, scaled by 1/alpha_j.
-    Every term lives in `base`'s sector ring.
+    class plus the scalar z-shift.  Each monomial of p_j starts at its first
+    character's factor and is scaled only by a coefficient other than 1.
+    The term of alpha = 0 is `base`; every other alpha takes the term of
+    alpha - e_j, with j its last nonzero entry (listed earlier by
+    `t_exponents`), times P_j, scaled by 1/alpha_j when alpha_j > 1.  Every
+    term lives in `base`'s sector ring.
     """
     ring = base.ring
     evals = [
@@ -417,13 +420,14 @@ def exp_factor(d: Degree, etas, insertions, t_order: int, base: LaurentZ) -> dic
     ]
     shifted = []
     for ins in insertions:
-        acc = LaurentZ.from_dict(ring, {})
+        acc = LaurentZ(ring, ())
         for mono, coeff in ins.poly:
-            term = LaurentZ.one(ring)
+            term = None
             for s, e in enumerate(mono):
                 for _ in range(e):
-                    term = term.mul(evals[s])
-            acc = acc.add(term.scale(coeff))
+                    term = evals[s] if term is None else term.mul(evals[s])
+            term = LaurentZ.one(ring) if term is None else term
+            acc = acc.add(term if coeff == 1 else term.scale(coeff))
         shifted.append(acc.shift(-1))
 
     out: dict[tuple[int, ...], LaurentZ] = {}
@@ -433,7 +437,8 @@ def exp_factor(d: Degree, etas, insertions, t_order: int, base: LaurentZ) -> dic
             continue
         j = max(pos for pos, e in enumerate(alpha) if e)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
-        out[alpha] = out[prev].mul(shifted[j]).scale(Fraction(1, alpha[j]))
+        term = out[prev].mul(shifted[j])
+        out[alpha] = term if alpha[j] == 1 else term.scale(Fraction(1, alpha[j]))
     return out
 
 
@@ -766,8 +771,12 @@ def series_from_dict(data: dict) -> GradedSeries:
     model without serializing anything again: the schema, the state, the
     model hash, each term's theta-degree and sector lambda, and that no
     (degree, t-exponent) key is listed twice among the terms and the
-    vanished keys.  A model with theta = 0 has no quotient, and its series
-    is refused with DegenerateStabilityError, as the engine refuses it.
+    vanished keys.  A term or vanished key outside the truncation (its
+    theta-degree above q_bound or its t-exponents summing above t_order) is
+    refused, naming it; each run of equal fields computes its theta-degree
+    once, and each vanished key its own.  A model with theta = 0 has no
+    quotient, and its series is refused with DegenerateStabilityError, as
+    the engine refuses it.
     """
     if json_object(data, "series file").get("schema") != SERIES_SCHEMA:
         raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
@@ -814,8 +823,16 @@ def series_from_dict(data: dict) -> GradedSeries:
             )
         return d, alpha
 
+    def check_region(where: str, td: Fraction, alpha) -> None:
+        if td > q_bound:
+            raise InputError(f"{where}: theta-degree {format_rational(td)} exceeds the truncation q_bound")
+        if sum(alpha) > t_order:
+            raise InputError(f"{where}: t_exponent {list(alpha)} exceeds the truncation t_order")
+
     vanished = json_list(data.get("vanished", []), "series vanished")
     series.vanished = tuple(read_key(item, f"series vanished[{n}]") for n, item in enumerate(vanished))
+    for n, (d, alpha) in enumerate(series.vanished):
+        check_region(f"series vanished[{n}] at degree {vanished[n]['degree']}", theta_degree(m, d), alpha)
     items = json_list(json_field(data, "terms", "series file"), "series terms")
     keys = [read_key(item, f"series terms[{n}]") for n, item in enumerate(items)]
     # the writer lists the terms of one degree together: each run of equal fields is checked once
@@ -823,11 +840,13 @@ def series_from_dict(data: dict) -> GradedSeries:
     for n, ((d, alpha), ring, item) in enumerate(zip(keys, sector_rings(m, [d for d, _alpha in keys]), items)):
         fields = (item["degree"], item.get("theta_degree"), item.get("sector_lambda"))
         if fields != checked:
-            if fields[1] != format_rational(theta_degree(m, d)):
+            td = theta_degree(m, d)
+            if fields[1] != format_rational(td):
                 raise InputError(f"series term at degree {item['degree']}: theta_degree does not match the degree")
             if fields[2] != [format_rational(x) for x in ring.sector.lam]:
                 raise InputError(f"series term at degree {item['degree']}: sector_lambda does not match the degree")
             checked = fields
+        check_region(f"series terms[{n}] at degree {item['degree']}", td, alpha)
         coeffs = {}
         for e, cmap in json_object(json_field(item, "z", f"series terms[{n}]"), f"series terms[{n}] z").items():
             try:

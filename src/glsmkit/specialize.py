@@ -7,9 +7,13 @@ The hybrid model is the theta < 0 phase of the rank-one sections model, so
 `hybrid_build` is one `ci_build` call.  The direct series code the displayed
 closed formulas with bare Laurent arithmetic (no reuse of the engine's factor
 routines), so the cross-checks exercise two genuinely independent paths.  The
-hybrid and complete-intersection series share one insertion exponential,
-`_insertion_exponential`, which is separate from the engine's `exp_factor`
-and forms each term as one product that starts at the degree's
+hybrid and complete-intersection series multiply each literal factor once
+per series: a coordinate's factors (class + a z), or their inverses, form a
+run of prefix products in order of increasing |a|, keyed on the sector ring,
+the character and x mod 1 and extended by one product per new a-value, and
+each degree multiplies the run entries it reads.  They share one insertion
+exponential, `_insertion_exponential`, which is separate from the engine's
+`exp_factor` and forms each term as one product that starts at the degree's
 hypergeometric factor.  All three start from the engine's empty container,
 `series.empty_series`, and share nothing else with it but the sector rings.
 The affine and hybrid cross-checks share one report, `_family_report`; the
@@ -21,6 +25,7 @@ the engine series', so both sides always cover one region.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial, floor, lcm
@@ -288,34 +293,56 @@ def hybrid_insertions(spec: HybridSpec):
     return _light_insertions((-d,) for d in spec.p_weights)
 
 
+def _prefix_product(runs: dict, key, n: int, factor) -> LaurentZ:
+    """Entry n of the run under `key`: factor(0) * ... * factor(n - 1), for n >= 1.
+
+    A run is the list of prefix products of one literal factor sequence,
+    kept for the whole series; the first time a degree reads past its end
+    it is extended by one product per new factor.
+    """
+    run = runs.setdefault(key, [])
+    while len(run) < n:
+        run.append(factor(0) if not run else run[-1].mul(factor(len(run))))
+    return run[n - 1]
+
+
+def _product(ring, parts: list[LaurentZ]) -> LaurentZ:
+    """The product of `parts` taken in order, one product per part after the first; 1 when empty."""
+    value = LaurentZ.one(ring) if not parts else parts[0]
+    for part in parts[1:]:
+        value = value.mul(part)
+    return value
+
+
 def _insertion_exponential(series: GradedSeries, d: Degree, base: LaurentZ) -> dict[tuple[int, ...], LaurentZ]:
     """alpha -> base * prod_j (z^-1 p_j(eta + <d, eta> z))^alpha_j / alpha_j! for the series' insertions.
 
     Each character eta_s is evaluated as class(eta_s) + <d, eta_s> z in bare
-    Laurent arithmetic; the term of every t-exponent up to the series'
-    t_order is one product that starts at `base`, the degree's
-    hypergeometric factor, and takes the powers one factor at a time, in
-    `base`'s sector ring.
+    Laurent arithmetic; each monomial of p_j starts at its first character's
+    factor and is scaled only by a coefficient other than 1.  The term of
+    every t-exponent up to the series' t_order is one product that starts at
+    `base`, the degree's hypergeometric factor, and takes the powers one
+    factor at a time, in `base`'s sector ring; 1/alpha_j! is applied only
+    when alpha_j > 1.
     """
     ring = base.ring
     evals = [linear_z_factor(ring, class_from_character(ring, eta), pairing(d, eta)) for eta in series.etas]
     shifted = []
     for ins in series.insertions:
-        acc = LaurentZ.from_dict(ring, {})
+        acc = None
         for mono, coeff in ins.poly:
-            term = LaurentZ.one(ring)
-            for pos, e in enumerate(mono):
-                for _ in range(e):
-                    term = term.mul(evals[pos])
-            acc = acc.add(term.scale(coeff))
-        shifted.append(acc.shift(-1))
+            term = _product(ring, [evals[pos] for pos, e in enumerate(mono) for _ in range(e)])
+            term = term if coeff == 1 else term.scale(coeff)
+            acc = term if acc is None else acc.add(term)
+        shifted.append(LaurentZ(ring, ()) if acc is None else acc.shift(-1))
     out = {}
     for alpha in t_exponents(len(shifted), series.t_order):
         factor = base
         for j, e in enumerate(alpha):
             for _ in range(e):
                 factor = factor.mul(shifted[j])
-            factor = factor.scale(F(1, factorial(e)))
+            if e > 1:
+                factor = factor.scale(F(1, factorial(e)))
         out[alpha] = factor
     return out
 
@@ -325,24 +352,38 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
 
     Sums q^{k/d} (d = lcm of the p-weights) over k >= 0 with exponential
     factors prod_j e^{t_j (d_j H / z + d_j k / d)} and the stated nu-ranges;
-    H is the hyperplane class of the weighted projective base.
+    H is the hyperplane class of the weighted projective base.  Each weight's
+    factors (-w H + (nu - x) z) or (d_j H + (x - nu) z)^-1 form a run keyed
+    on (sector ring, character, x mod 1), in order of increasing |x - nu|;
+    a degree reads one entry per weight, so coordinates of equal weight
+    share it.
     """
     q_bound = F(q_bound)
     model = hybrid_build(spec)
     d_lcm = lcm(*spec.p_weights)
     series = empty_series(model, "glsm", *hybrid_insertions(spec), q_bound, t_order)
     degrees: list[Degree] = [(F(-k, d_lcm),) for k in range(floor(q_bound * d_lcm) + 1)]
+    runs: dict = {}  # (sector ring, character, x mod 1) -> prefix products of the run's factors
     for k, (d_eng, ring) in enumerate(zip(degrees, sector_rings(model, degrees))):
         h = class_from_character(ring, (-1,))
-        hyper = LaurentZ.one(ring)
-        for w in spec.x_weights:
+        parts = []
+        for w, count in Counter(spec.x_weights).items():
             x = F(w * k, d_lcm)
-            for nu in range(1, floor(x) + 1):
-                hyper = hyper.mul(linear_z_factor(ring, h.scale(F(-w)), -x + nu))
-        for dj in spec.p_weights:
+            if floor(x) > 0:  # a = nu - x for nu = floor(x), ..., 1
+                entry = _prefix_product(
+                    runs, (ring, w, x % 1), floor(x),
+                    lambda j: linear_z_factor(ring, h.scale(F(-w)), floor(x) - x - j),
+                )
+                parts += [entry] * count
+        for dj, count in Counter(spec.p_weights).items():
             x = F(dj * k, d_lcm)
-            for nu in range(1, ceil(x)):
-                hyper = hyper.mul(invert_linear_z_factor(ring, h.scale(F(dj)), x - nu))
+            if ceil(x) > 1:  # a = x - nu for nu = ceil(x) - 1, ..., 1
+                entry = _prefix_product(
+                    runs, (ring, -dj, x % 1), ceil(x) - 1,
+                    lambda j: invert_linear_z_factor(ring, h.scale(F(dj)), x - ceil(x) + 1 + j),
+                )
+                parts += [entry] * count
+        hyper = _product(ring, parts)
         if hyper.is_zero():
             continue
         for alpha, value in _insertion_exponential(series, d_eng, hyper).items():
@@ -440,34 +481,49 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     prod_j prod_{0 <= nu < <d,tau_j>} (class(tau_j) + (<d,tau_j> - nu) z),
     assembled in the inertia rings shared with the built model, times the
     exponential insertion factor prod_j (z^{-1} p_j(eta + <d, eta> z))^{alpha_j} / alpha_j!
-    for each t-exponent alpha.  Coordinates with equal columns share each
-    inverse factor, formed once per degree; the product still takes one
-    factor per coordinate and nu.
+    for each t-exponent alpha.
+
+    The literal factors (class(rho) + a z), or their inverses, form runs:
+    one per (sector ring, character, sign of x, x mod 1), the list of prefix
+    products of its factors in order of increasing |a|, kept for the whole
+    series.  A run is extended by one `linear_z_factor` or
+    `invert_linear_z_factor` product the first time a degree needs a new
+    a-value, so each factor is formed and multiplied once per series.  A
+    degree's value is the product of its coordinates' run entries
+    (coordinates with equal columns read one entry) and its section runs'
+    entries.
     """
     model = ci_build(spec)
     series = empty_series(model, "ambient", etas, insertions, q_bound, t_order)
     degrees = effective_degrees(model, series.q_bound)
+    columns = Counter(model.column(i) for i in range(spec.ambient_r))
+    runs: dict = {}  # (sector ring, column, sign of x, x mod 1) -> prefix products of the run's factors
+    section_runs: dict = {}  # (sector ring, tau, x mod 1) -> the same, for the section factors
     for d, ring in zip(degrees, sector_rings(model, degrees)):
-        value = LaurentZ.one(ring)
-        inverses = {}  # (column, a) -> (class(column) + a z)^-1, shared by equal columns
-        for i in range(spec.ambient_r):
-            col = model.column(i)
+        parts = []
+        for col, count in columns.items():
             x = pairing(d, col)
-            cls = class_from_character(ring, col)
-            if x < 0:
-                for nu in range(ceil(x), 0):
-                    value = value.mul(linear_z_factor(ring, cls, x - nu))
-            elif x > 0:
-                for nu in range(ceil(x)):
-                    inverse = inverses.get((col, x - nu))
-                    if inverse is None:
-                        inverse = inverses[(col, x - nu)] = invert_linear_z_factor(ring, cls, x - nu)
-                    value = value.mul(inverse)
+            if ceil(x) < 0:  # a = x - nu for nu = ceil(x), ..., -1
+                entry = _prefix_product(
+                    runs, (ring, col, -1, x % 1), -ceil(x),
+                    lambda j: linear_z_factor(ring, class_from_character(ring, col), x - ceil(x) - j),
+                )
+            elif x > 0:  # a = x - nu for nu = ceil(x) - 1, ..., 0
+                entry = _prefix_product(
+                    runs, (ring, col, 1, x % 1), ceil(x),
+                    lambda j: invert_linear_z_factor(ring, class_from_character(ring, col), x - ceil(x) + 1 + j),
+                )
+            else:
+                continue
+            parts += [entry] * count
         for tau in spec.taus:
             x = pairing(d, tau)
-            cls = class_from_character(ring, tau)
-            for nu in range(ceil(x)):
-                value = value.mul(linear_z_factor(ring, cls, x - nu))
+            if x > 0:  # a = x - nu for nu = ceil(x) - 1, ..., 0
+                parts.append(_prefix_product(
+                    section_runs, (ring, tau, x % 1), ceil(x),
+                    lambda j: linear_z_factor(ring, class_from_character(ring, tau), x - ceil(x) + 1 + j),
+                ))
+        value = _product(ring, parts)
         if value.is_zero():
             continue
         for alpha, term in _insertion_exponential(series, d, value).items():

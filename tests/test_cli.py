@@ -136,6 +136,21 @@ def test_cache_byte_identity(run, model_file, tmp_path):
     assert list((tmp_path / "cache").glob("*.json"))
 
 
+def test_spellings_of_one_insertion_share_a_cache_entry(run, model_file, tmp_path):
+    # the key holds the parsed insertion, not its spelling: t=rho1 and t=1*rho1 wrote two entries
+    path = model_file(QUINTIC)
+    argv = ("ifun", path, "--qbound", "1", "--torder", "1")
+    first = run(*argv, "--insert", "t=rho1")
+    entries = sorted((tmp_path / "cache").iterdir())
+    assert run(*argv, "--insert", "t=1*rho1") == first
+    assert run("dz", path, "--rho", "rho1", "--qbound", "1", "--torder", "1", "--insert", "t=1*rho1")[0] == 0
+    assert sorted((tmp_path / "cache").iterdir()) == entries
+    # a different name or coefficient is a different entry
+    run(*argv, "--insert", "s=rho1")
+    run(*argv, "--insert", "t=2*rho1")
+    assert len(list((tmp_path / "cache").iterdir())) == len(entries) + 4
+
+
 # the three renderings of a cached ifun series, and dz, which parses the same entry
 CACHED_JOBS = {
     "ifun-json": ("ifun", "--format", "json"),
@@ -732,6 +747,12 @@ STORED_SERIES_FAULTS = {
     "term_also_vanished": (
         lambda data: data["vanished"].append({"degree": ["1"], "t_exponent": [1]}),
         "key twice",
+    ),
+    "term_above_q_bound": (lambda data: data["truncation"].update(q_bound="1"), "exceeds the truncation q_bound"),
+    "term_above_t_order": (lambda data: data["truncation"].update(t_order=0), "exceeds the truncation t_order"),
+    "vanished_above_q_bound": (
+        lambda data: data["vanished"].append({"degree": ["3"], "t_exponent": [0]}),
+        "exceeds the truncation q_bound",
     ),
 }
 

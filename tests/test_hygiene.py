@@ -32,7 +32,11 @@ factor's scalar part is never zero), and on a `rings` parameter in
 memo, one table per (model, fixed support); `build_ring` labels a table with
 its sector), on the direct series or their insertion exponential naming
 `times_characters` (the degree-factor product of the comparisons stays on
-the comparison side), and on an `lcm(...)` call reading `.denominator`
+the comparison side), on `ci_ambient_series` or `hybrid_direct_series`
+not naming both `linear_z_factor` and `invert_linear_z_factor`, or naming
+`hyper_factor`, `_gamma_series`, `_times_linear_series` or `exp_factor`
+(their runs of prefix products still take one literal factor per
+product), and on an `lcm(...)` call reading `.denominator`
 anywhere but `lattice.common_denominator` (how a rational vector becomes integer
 numerators over one denominator is decided in one place), on any module
 naming `invariants_trivial` but its definition, `validate.glsm_hypothesis`
@@ -356,6 +360,17 @@ def test_direct_series_do_not_use_the_comparison_product():
     tree = ast.parse((SRC / "specialize.py").read_text(encoding="utf-8"))
     assert direct <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     named = _named_in_functions(SRC / "specialize.py", direct, {"times_characters"})
+    assert not named, named
+
+
+def test_direct_series_keep_their_per_factor_products():
+    # the runs still multiply one literal factor at a time, and read none of the engine's closed forms
+    path = SRC / "specialize.py"
+    for name in ("ci_ambient_series", "hybrid_direct_series"):
+        named = _named_in_functions(path, {name}, {"linear_z_factor", "invert_linear_z_factor"})
+        assert named == {f"{name}: linear_z_factor", f"{name}: invert_linear_z_factor"}, named
+    engine = {"hyper_factor", "_gamma_series", "_times_linear_series", "exp_factor"}
+    named = _named_in_functions(path, {"ci_ambient_series", "hybrid_direct_series"}, engine)
     assert not named, named
 
 

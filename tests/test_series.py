@@ -15,7 +15,7 @@ import glsmkit.series as series_module
 import glsmkit.validate as validate_module
 from glsmkit.cli import _series_output
 from glsmkit.latexout import render_latex
-from glsmkit.model import InternalError, model_from_dict, parse_model
+from glsmkit.model import InputError, InternalError, model_from_dict, parse_model
 from glsmkit.rings import (
     CohClass,
     InfiniteRingError,
@@ -589,6 +589,28 @@ def test_exp_factor_degree0(m_p1):
     assert out[(1,)] == lz(ring, {-1: h})
 
 
+def test_exp_factor_makes_no_identity_products_or_unit_scales(m_quintic, monkeypatch):
+    # P = z^-1 (H + d z) starts at its character's factor, and neither the coefficient 1 nor
+    # 1/alpha at alpha = 1 is applied: one product per degree d = 0..3 and no scale
+    reference = big_i_function(m_quintic, *t_insertion(), F(3), 1)
+    calls = Counter()
+    mul, scale = LaurentZ.mul, LaurentZ.scale
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_scale(self, s):
+        calls["scale"] += 1
+        return scale(self, s)
+
+    monkeypatch.setattr(LaurentZ, "mul", counted_mul)
+    monkeypatch.setattr(LaurentZ, "scale", counted_scale)
+    s = big_i_function(m_quintic, *t_insertion(), F(3), 1)
+    assert calls == {"mul": 4}
+    assert s.terms == reference.terms
+
+
 @st.composite
 def _insertion_polys(draw, nvars):
     """One insertion polynomial of degree <= 2 in nvars characters, with small rational coefficients."""
@@ -990,6 +1012,23 @@ def test_series_json_roundtrip(m_cubic, m_quintic):
         back = series_from_json(text)
         assert series_to_json(back) == text
         assert series_compare(s, back) == []
+
+
+def test_series_reader_refuses_keys_outside_the_truncation(m_p1, m_quintic):
+    # a P1 series written at q <= 3 and relabelled q <= 1 used to read back with its 4 terms at theta-degrees 0..3
+    data = json.loads(series_to_json(big_i_function(m_p1, *t_insertion(), F(3), 1)))
+    assert [term["theta_degree"] for term in data["terms"]] == ["0", "0", "1", "1", "2", "2", "3", "3"]
+    data["truncation"]["q_bound"] = "1"
+    with pytest.raises(InputError, match=r"series terms\[4\] at degree \['2'\]: theta-degree 2 exceeds"):
+        series_from_json(json.dumps(data))
+    data["truncation"].update(q_bound="3", t_order=0)
+    with pytest.raises(InputError, match=r"series terms\[1\] at degree \['0'\]: t_exponent \[1\] exceeds"):
+        series_from_json(json.dumps(data))
+    # a vanished key is checked on its own theta-degree
+    quintic = json.loads(series_to_json(glsm_i_function(m_quintic, q_bound=F(2))))
+    quintic["vanished"].append({"degree": ["3"], "t_exponent": []})
+    with pytest.raises(InputError, match=r"series vanished\[0\] at degree \['3'\]: theta-degree 3 exceeds"):
+        series_from_json(json.dumps(quintic))
 
 
 def test_series_json_roundtrip_with_twist(m_quintic):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from glsmkit.specialize import (
     hybrid_crosscheck,
     hybrid_direct_series,
     specialization_from_dict,
+    specialization_from_model_file,
 )
 
 F = Fraction
@@ -208,17 +210,17 @@ def test_hybrid_direct_examples():
 
 
 def test_hybrid_crosscheck_13():
-    report = hybrid_crosscheck(HybridSpec(x_weights=(1,), p_weights=(3,)), F(3), t_order=1)
+    report = hybrid_crosscheck(HybridSpec(x_weights=(1,), p_weights=(3,)), F(6), t_order=1)
     assert report["equal"], report["diff"]
 
 
 def test_hybrid_crosscheck_112():
-    report = hybrid_crosscheck(HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(3), t_order=1)
+    report = hybrid_crosscheck(HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(6), t_order=1)
     assert report["equal"], report["diff"]
 
 
 def test_hybrid_crosscheck_two_sections():
-    report = hybrid_crosscheck(HybridSpec(x_weights=(1, 1, 1), p_weights=(2, 2)), F(2), t_order=0)
+    report = hybrid_crosscheck(HybridSpec(x_weights=(1, 1, 1), p_weights=(2, 2)), F(6), t_order=1)
     assert report["equal"], report["diff"]
 
 
@@ -239,34 +241,55 @@ def classical_quintic_coefficient(ring, d: int) -> LaurentZ:
 
 
 def test_ci_ambient_series_quintic_matches_classical():
-    s = ci_ambient_series(QUINTIC_CI, F(3))
-    model = ci_build(QUINTIC_CI)
-    for d in range(4):
-        value = s.terms[((F(d),), ())]
-        ring = value.ring
-        assert value == classical_quintic_coefficient(ring, d)
-
-
-def test_ci_ambient_series_inverts_each_factor_once_per_degree(monkeypatch):
-    # x1..x5 share one column: (H + a z)^-1 for a = 1..d is formed once per degree d <= 3,
-    # 1 + 2 + 3 = 6 inversions instead of 5 * 6 = 30
-    inverted = []
-    real = specialize.invert_linear_z_factor
-
-    def counting(ring, cls, a):
-        inverted.append(a)
-        return real(ring, cls, a)
-
-    monkeypatch.setattr(specialize, "invert_linear_z_factor", counting)
-    s = ci_ambient_series(QUINTIC_CI, F(3))
-    assert len(inverted) == 6
-    for d in range(4):
+    s = ci_ambient_series(QUINTIC_CI, F(8))
+    for d in range(9):
         value = s.terms[((F(d),), ())]
         assert value == classical_quintic_coefficient(value.ring, d)
 
 
+def _count_products(monkeypatch) -> dict:
+    """Spy on specialize's inversions and on every LaurentZ product; returns the live counts."""
+    counts = {"inverted": [], "products": 0}
+    real_invert, real_mul = specialize.invert_linear_z_factor, LaurentZ.mul
+
+    def inverting(ring, cls, a):
+        counts["inverted"].append(a)
+        return real_invert(ring, cls, a)
+
+    def multiplying(self, other):
+        counts["products"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(specialize, "invert_linear_z_factor", inverting)
+    monkeypatch.setattr(LaurentZ, "mul", multiplying)
+    return counts
+
+
+@pytest.mark.parametrize("q_bound, products", [(3, 35), (10, 120)])
+def test_ci_ambient_series_inverts_each_factor_once_per_series(monkeypatch, q_bound, products):
+    # x1..x5 share a column, and each a-value's (H + a z)^-1 is formed once for the whole series:
+    # a = 1..q, against 1 + 2 + ... + q inversions and 5 q (q + 1) products when every degree
+    # rebuilt its factors
+    counts = _count_products(monkeypatch)
+    s = ci_ambient_series(QUINTIC_CI, F(q_bound))
+    assert sorted(counts["inverted"]) == [F(a) for a in range(1, q_bound + 1)]
+    assert counts["products"] <= products
+    monkeypatch.undo()
+    for d in range(q_bound + 1):
+        value = s.terms[((F(d),), ())]
+        assert value == classical_quintic_coefficient(value.ring, d)
+
+
+def test_hybrid_direct_series_forms_each_factor_once_per_series(monkeypatch):
+    counts = _count_products(monkeypatch)
+    hybrid_direct_series(HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(10), t_order=1)
+    # k = 0..20 over two sector rings (k even, k odd): p's run reads a = 1..19 on the first, a = 1..18 on the second
+    assert sorted(counts["inverted"]) == sorted([F(a) for a in range(1, 20)] + [F(a) for a in range(1, 19)])
+    assert counts["products"] <= 200
+
+
 def test_ci_compare_quintic():
-    report = ci_compare(QUINTIC_CI, F(3))
+    report = ci_compare(QUINTIC_CI, F(6))
     assert report["equal"], report["diff"]
     assert report["assumptions"]["semipositive_asserted"]
 
@@ -327,6 +350,12 @@ def test_specialization_from_dict_roundtrip():
     assert ci == QUINTIC_CI
     with pytest.raises(InputError):
         specialization_from_dict({"kind": "nope"})
+
+
+def test_checked_in_specialize_file_is_the_quintic():
+    # the CI step on a bare install runs `glsmkit specialize ci ... --crosscheck` on this file
+    path = Path(__file__).resolve().parent / "data" / "quintic-ci.json"
+    assert specialization_from_model_file(path.read_text(encoding="utf-8")) == QUINTIC_CI
 
 
 # --- cross-check failures -----------------------------------------------------
@@ -446,7 +475,7 @@ def test_ci_compare_with_fractional_ages(monkeypatch, weights, tau):
 
     monkeypatch.setattr(specialize, "age", counting_age)
     monkeypatch.setattr(specialize, "half_turn", recording_half_turn)
-    report = ci_compare(spec, F(3))
+    report = ci_compare(spec, F(5))
     assert report["equal"], report["diff"]
     assert any(isinstance(p, Cyclo) for p in phases), phases
     assert ages and len(ages) == len(set(ages)), ages
