@@ -11,8 +11,8 @@ at most `top`; `build_ring` labels it with its sector.  `class_of` is the
 only reader of that table: class products, divisor classes, the engine's
 per-degree factors and z-Laurent products (`series.LaurentZ.mul`) all hand
 it (monomial, coefficient) pairs, and the two products form their pairs in
-one routine, `term_products`.  Ideal membership is linear algebra on the
-staircase basis.
+one routine, `term_products`, on flat (z, monomial, coefficient, degree)
+terms.  Ideal membership is linear algebra on the staircase basis.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .multipoly import (
     poly_scale,
     staircase_monomials,
 )
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Cyclo, Scalar, scalar_from_json, scalar_to_json
 from .sectors import SectorLabel, support_sr_generators
 
 
@@ -58,6 +58,8 @@ class SectorRing:
     forms: dict = field(repr=False)  # monomial of degree <= top -> its normal form; read by class_of
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SectorRing):
             return NotImplemented
         return self.model_key == other.model_key and self.sector.lam == other.sector.lam
@@ -162,8 +164,9 @@ class CohClass:
     def __mul__(self, other):
         if isinstance(other, CohClass):
             self._check(other)
-            right = [(m2, c2, sum(m2)) for m2, c2 in other.poly.items()]
-            return class_of(self.ring, term_products(self.ring.top, self.poly, right))
+            left = [(0, m1, c1, sum(m1)) for m1, c1 in self.poly.items()]
+            right = [(0, m2, c2, sum(m2)) for m2, c2 in other.poly.items()]
+            return class_of(self.ring, term_products(self.ring.top, left, right).get(0, ()))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -181,17 +184,24 @@ class CohClass:
         return out
 
 
-def term_products(top: int, left: Poly, right: list) -> list:
-    """The products (mu1 + mu2, c1 * c2) of the terms of left and the (mu2, c2, |mu2|) of right.
+def term_products(top: int, left: list, right: list) -> dict[int, list]:
+    """z1 + z2 -> the products (mu1 + mu2, c1 * c2) of the flat terms (z, mu, c, |mu|) of left and right.
 
-    A product of degree above top is zero in the ring: it is skipped before
-    c1 * c2 is formed.
+    The one product routine: a class product passes z = 0 on both sides, a
+    z-Laurent product every coefficient's terms at once.  A product of
+    degree above top is zero in the ring: it is skipped before c1 * c2 is
+    formed, and a z-exponent gets a bucket only when one of its products
+    is kept.  A degree-0 factor is the unit monomial, so the other
+    monomial is the product's as it stands.
     """
-    out = []
-    for m1, c1 in left.items():
-        room = top - sum(m1)
-        out += [(tuple(map(add, m1, m2)), c1 * c2) for m2, c2, deg in right if deg <= room]
-    return out
+    by_z: dict[int, list] = {}
+    for z1, m1, c1, d1 in left:
+        room = top - d1
+        for z2, m2, c2, d2 in right:
+            if d2 <= room:
+                mono = m2 if not d1 else m1 if not d2 else tuple(map(add, m1, m2))
+                by_z.setdefault(z1 + z2, []).append((mono, c1 * c2))
+    return by_z
 
 
 def class_of(ring: SectorRing, terms) -> CohClass:
@@ -227,20 +237,28 @@ def ideal_membership(ring: SectorRing, factors: list[CohClass]):
     The span of p*s over the staircase monomials s, each row scaled to
     integers, is row-reduced once by fraction-free elimination, to rows / d
     in reduced echelon form.  A class lies in the span iff d times its vector
-    equals the rows combined with its entries at the pivots, so the returned
-    predicate works for a cyclotomic class too.
+    equals the rows combined with its entries at the pivots.  That holds at
+    every pivot column by construction, so the predicate checks the other
+    columns only.  The test is homogeneous in the vector, so a rational
+    class is tested on its integer numerators over one denominator; a class
+    with a cyclotomic coordinate runs through the same lines in its own
+    arithmetic.
     """
     p = ring.one()
     for f in factors:
         p = p * f
     span = [(p * CohClass(ring, {s: Fraction(1)})).poly for s in ring.staircase]
     rows, pivots, d = fraction_free_rref([common_denominator([v.get(t, 0) for t in ring.staircase])[1] for v in span])
+    pivot_rows = list(zip(pivots, rows))
+    free = [j for j in range(len(ring.staircase)) if j not in pivots]
 
     def contains(a: CohClass) -> bool:
         a._check(p)
         vec = [a.poly.get(t, 0) for t in ring.staircase]
-        used = [(vec[col], row) for row, col in zip(rows, pivots) if vec[col]]
-        return not any(d * x - sum([c * row[j] for c, row in used]) for j, x in enumerate(vec))
+        if not any(isinstance(x, Cyclo) for x in vec):
+            vec = common_denominator(vec)[1]
+        used = [(vec[col], row) for col, row in pivot_rows if vec[col]]
+        return not any(d * vec[j] - sum([c * row[j] for c, row in used]) for j in free)
 
     return contains
 

@@ -12,7 +12,8 @@ Every series starts as `empty_series`: the engine, the JSON reader and the
 special families' direct series all fill that one container.  A series
 carries its model, and the compact-type report reads it there.  The
 comparison cuts both sides to their common region with
-`GradedSeries.restrict`.  The reader reads every field through the
+`GradedSeries.restrict`, which returns a series itself for its own region,
+and reads each term once.  The reader reads every field through the
 `model.json_*` readers and refuses, naming the field, a payload that is not
 JSON or has a field of the wrong type or length, or whose schema, state,
 model hash, theta-degrees or sector lambdas disagree with its model, that
@@ -115,23 +116,30 @@ class LaurentZ:
             out[e] = c if cur is None else cur + c
         return LaurentZ.from_dict(self.ring, out)
 
+    def flat_terms(self) -> list[tuple]:
+        """(z-exponent, monomial, coefficient, degree) for every term of every coefficient."""
+        return [(e, mono, c, sum(mono)) for e, cls in self.coeffs for mono, c in cls.poly.items()]
+
     def mul(self, other: "LaurentZ") -> "LaurentZ":
         """The product, with one `class_of` reduction per z-exponent of the result.
 
-        The coefficient products of each pair of z-exponents come from
-        `rings.term_products`, as in a class product; they are bucketed by
-        z-exponent and each bucket is reduced once.
+        Both operands are flattened once (a square once), and
+        `rings.term_products`, the routine of a class product too, forms
+        every product in one loop, bucketed by z-exponent; each bucket is
+        reduced once.
         """
         ring = self.ring
         if ring != other.ring:
             raise RingMismatchError("classes live in different sector rings")
-        top = ring.top
-        right = [(e2, [(m2, c2, sum(m2)) for m2, c2 in cls.poly.items()]) for e2, cls in other.coeffs]
-        by_z: dict[int, list] = {}  # z-exponent -> (monomial, coefficient) products
-        for e1, cls in self.coeffs:
-            for e2, terms in right:
-                by_z.setdefault(e1 + e2, []).extend(term_products(top, cls.poly, terms))
-        return LaurentZ.from_dict(ring, {e: class_of(ring, terms) for e, terms in by_z.items() if terms})
+        left = self.flat_terms()
+        right = left if other is self else other.flat_terms()
+        by_z = term_products(ring.top, left, right)
+        coeffs = []
+        for e in sorted(by_z):
+            cls = class_of(ring, by_z[e])
+            if cls.poly:
+                coeffs.append((e, cls))
+        return LaurentZ(ring, tuple(coeffs))
 
     def scale(self, s: Scalar) -> "LaurentZ":
         return LaurentZ.from_dict(self.ring, {e: c.scale(s) for e, c in self.coeffs})
@@ -144,8 +152,11 @@ class LaurentZ:
 
 
 def linear_z_factor(ring: SectorRing, cls: CohClass, a: Fraction) -> LaurentZ:
-    """The factor (cls + a*z)."""
-    return LaurentZ.from_dict(ring, {0: cls, 1: ring.one().scale(a)})
+    """The factor (cls + a*z); its z^1 coefficient is the unit class times a, omitted when a = 0."""
+    coeffs = () if cls.is_zero() else ((0, cls),)
+    if a:
+        coeffs += ((1, CohClass(ring, {(0,) * ring.ngens: a})),)
+    return LaurentZ(ring, coeffs)
 
 
 def invert_linear_z_factor(ring: SectorRing, cls: CohClass, a: Fraction) -> LaurentZ:
@@ -199,6 +210,20 @@ def single_character_insertion(name: str, position: int, count: int) -> Insertio
 TermKey = tuple[Degree, tuple[int, ...]]
 
 
+def _sorted_keys(keys) -> list[TermKey]:
+    """(degree, t-exponent) keys in ascending order, without a Fraction comparison.
+
+    Every degree entry is read as an integer numerator over one common
+    denominator, an increasing map, so the order is that of the degree
+    tuples themselves.
+    """
+    keys = list(keys)
+    nums = common_denominator([x for d, _alpha in keys for x in d])[1]
+    k = len(keys[0][0]) if keys else 0
+    order = sorted(range(len(keys)), key=lambda i: (nums[i * k : i * k + k], keys[i][1]))
+    return [keys[i] for i in order]
+
+
 @dataclass
 class GradedSeries:
     model: GLSMModel
@@ -219,9 +244,18 @@ class GradedSeries:
         return sorted((theta_degree(self.model, d), d, alpha) for d, alpha in self.terms)
 
     def restrict(self, q_bound, t_order: int) -> "GradedSeries":
+        """The terms and vanished keys of theta-degree <= q_bound and t-order <= t_order.
+
+        The region must lie inside the series' truncation.  Every key of a
+        series already lies inside its own truncation (the engine and the
+        direct series build no other key, and the reader refuses one), so
+        the series' own region returns the series itself.
+        """
         q_bound = Fraction(q_bound)
         if q_bound > self.q_bound or t_order > self.t_order:
             raise ValueError("restriction region must lie inside the computed truncation")
+        if q_bound == self.q_bound and t_order == self.t_order:
+            return self
 
         def keep(key: TermKey) -> bool:
             return theta_degree(self.model, key[0]) <= q_bound and sum(key[1]) <= t_order
@@ -235,16 +269,20 @@ class GradedSeries:
         )
 
     def map_terms(self, fn) -> "GradedSeries":
-        """Replace each term by fn(d, alpha, value); zero results join the sorted vanished keys."""
+        """Replace each term by fn(d, alpha, value); zero results join the sorted vanished keys.
+
+        When no term vanishes, the vanished keys are kept as they are.
+        """
         terms: dict[TermKey, LaurentZ] = {}
-        vanished = list(self.vanished)
+        vanished = []
         for (d, alpha), value in self.terms.items():
             out = fn(d, alpha, value)
             if out.is_zero():
                 vanished.append((d, alpha))
             else:
                 terms[(d, alpha)] = out
-        return replace(self, terms=terms, vanished=tuple(sorted(vanished)))
+        kept = tuple(_sorted_keys([*self.vanished, *vanished])) if vanished else self.vanished
+        return replace(self, terms=terms, vanished=kept)
 
 
 def hyper_factor(m: GLSMModel, d: Degree, mode: str, ring: SectorRing, tables: dict) -> LaurentZ:
@@ -420,15 +458,16 @@ def exp_factor(d: Degree, etas, insertions, t_order: int, base: LaurentZ) -> dic
     ]
     shifted = []
     for ins in insertions:
-        acc = LaurentZ(ring, ())
+        acc = None
         for mono, coeff in ins.poly:
             term = None
             for s, e in enumerate(mono):
                 for _ in range(e):
                     term = evals[s] if term is None else term.mul(evals[s])
             term = LaurentZ.one(ring) if term is None else term
-            acc = acc.add(term if coeff == 1 else term.scale(coeff))
-        shifted.append(acc.shift(-1))
+            term = term if coeff == 1 else term.scale(coeff)
+            acc = term if acc is None else acc.add(term)
+        shifted.append(LaurentZ(ring, ()) if acc is None else acc.shift(-1))
 
     out: dict[tuple[int, ...], LaurentZ] = {}
     for alpha in t_exponents(len(insertions), t_order):
@@ -504,7 +543,7 @@ def _assemble(m, etas, insertions, q_bound, t_order, mode) -> GradedSeries:
                 vanished.append((d, alpha))
             else:
                 series.terms[(d, alpha)] = value
-    series.vanished = tuple(sorted(vanished))
+    series.vanished = tuple(_sorted_keys(vanished))
     return series
 
 
@@ -541,14 +580,15 @@ def times_characters(s: GradedSeries, characters) -> GradedSeries:
     products: dict[Degree, LaurentZ | None] = {}
 
     def multiply(d, _alpha, value):
-        if d not in products:
+        try:
+            product = products[d]
+        except KeyError:
             ring = value.ring
             product = None
             for xi in characters(d):
                 factor = linear_z_factor(ring, class_from_character(ring, xi), pairing(d, xi))
                 product = factor if product is None else product.mul(factor)
             products[d] = product
-        product = products[d]
         return value if product is None else value.mul(product)
 
     return s.map_terms(multiply)
@@ -625,7 +665,8 @@ def compact_type_report(s: GradedSeries) -> dict:
     violations = []
     checked = 0
     ideals: dict = {}  # degree -> membership test of its endpoint ideal, eliminated once
-    for (d, alpha), value in sorted(s.terms.items()):
+    for d, alpha in _sorted_keys(s.terms):
+        value = s.terms[(d, alpha)]
         if d not in ideals:
             g = value.ring.sector
             factors = [
@@ -670,10 +711,15 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     names matched against a's insertion names).  Refuses with ValueError when
     the map renames a variable that `b` does not name, or when either side,
     after the renaming, names one variable more than once.  Both
-    sides are cut to the common region by `GradedSeries.restrict`.  Returns a
-    list of difference records; empty means equal on the common region.
+    sides are cut to the common region by `GradedSeries.restrict`, which
+    returns a series itself for its own region.  Returns a list of
+    difference records, in key order; empty means equal on the common
+    region.  One pass over the keys collects the differing ones, and only
+    those are sorted.  `b`'s term dict is re-keyed only when the variable
+    permutation is not the identity, and the model hashes are compared
+    only when the two models are different objects.
     """
-    if a.model_key != b.model_key:
+    if a.model is not b.model and a.model_key != b.model_key:
         raise ValueError("series belong to different models")
     rename = variable_map or {}
     unknown = sorted(set(rename) - {ins.name for ins in b.insertions})
@@ -689,13 +735,15 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     qb = min(a.q_bound, b.q_bound)
     to = min(a.t_order, b.t_order)
     left = a.restrict(qb, to).terms
-    right = {(d, tuple([alpha[p] for p in perm])): v for (d, alpha), v in b.restrict(qb, to).terms.items()}
+    right = b.restrict(qb, to).terms
+    if perm != list(range(len(perm))):
+        right = {(d, tuple([alpha[p] for p in perm])): v for (d, alpha), v in right.items()}
+    differing = [key for key, lv in left.items() if right.get(key) != lv]
+    differing += [key for key in right if key not in left]
     diffs = []
-    for key in sorted(set(left) | set(right)):
+    for key in _sorted_keys(differing):
         lv = left.get(key)
         rv = right.get(key)
-        if lv is not None and rv is not None and lv == rv:
-            continue
         lmap = lv.as_dict() if lv is not None else {}
         rmap = rv.as_dict() if rv is not None else {}
         for zexp in sorted(set(lmap) | set(rmap)):

@@ -11,7 +11,8 @@ hybrid and complete-intersection series multiply each literal factor once
 per series: a coordinate's factors (class + a z), or their inverses, form a
 run of prefix products in order of increasing |a|, keyed on the sector ring,
 the character and x mod 1 and extended by one product per new a-value, and
-each degree multiplies the run entries it reads.  They share one insertion
+each degree multiplies the run entries it reads, an entry shared by equal
+coordinates raised to their count by repeated squaring.  They share one insertion
 exponential, `_insertion_exponential`, which is separate from the engine's
 `exp_factor` and forms each term as one product that starts at the degree's
 hypergeometric factor.  All three start from the engine's empty container,
@@ -165,38 +166,43 @@ def fjrw_direct_series(spec: FjrwSpec, q_bound, t_order: int = 0) -> GradedSerie
     e^{t d_1} prod_i prod_{0 < nu <= a_i} z(-a_i + nu)
     / (z^{d_1-1} (d_1-1)! prod_{j>=2} z^{d_j} d_j!)
     on the unit class of the matching sector.
+
+    The rotation numbers are integer numerators over L = lcm of the orders,
+    so "no integral rotation" is decided without a Fraction; the
+    coefficient of a kept tuple is one Fraction, numerator over denominator.
     """
     q_bound = F(q_bound)
     model = fjrw_build(spec)
     orders = [order for order, _ in spec.group_data]
     series = empty_series(model, "glsm", *fjrw_insertions(spec), q_bound, t_order)
     scale = lcm(*orders)  # sum_j d_j / r_j <= q_bound, times L = lcm of the orders
-    found = []  # (generator exponents, engine degree, rotation numbers)
-    for tup in nonneg_vectors([scale // r for r in orders], floor(q_bound * scale)):
+    steps = [scale // r for r in orders]
+    found = []  # (generator exponents, engine degree, rotation numerators over L)
+    for tup in nonneg_vectors(steps, floor(q_bound * scale)):
         if tup[0] == 0:
             continue
         rotations = [
-            sum(F(action[i] * tup[j], orders[j]) for j, (_o, action) in enumerate(spec.group_data))
+            sum([action[i] * dj * step for (_o, action), dj, step in zip(spec.group_data, tup, steps)])
             for i in range(spec.n)
         ]
-        if not any(a.denominator == 1 for a in rotations):
-            found.append((tup, tuple(F(-tup[j], orders[j]) for j in range(len(orders))), rotations))
+        if all(a % scale for a in rotations):
+            found.append((tup, tuple(F(-dj, r) for dj, r in zip(tup, orders)), rotations))
     for (tup, d_eng, rotations), ring in zip(found, sector_rings(model, [d for _, d, _ in found])):
-        coeff = F(1)
+        num = den = 1
         zshift = 0
-        for a in rotations:
-            for nu in range(1, floor(a) + 1):
-                coeff *= -a + nu
+        for a in rotations:  # prod_{0 < nu <= a/L} (nu - a/L) = prod (nu L - a) / L
+            for nu in range(1, a // scale + 1):
+                num *= nu * scale - a
+                den *= scale
                 zshift += 1
         d1 = tup[0]
-        coeff /= F(factorial(d1 - 1))
+        den *= factorial(d1 - 1)
         zshift -= d1 - 1
         for dj in tup[1:]:
-            coeff /= F(factorial(dj))
+            den *= factorial(dj)
             zshift -= dj
-        base = LaurentZ.from_dict(ring, {zshift: ring.one().scale(coeff)})
         for m_exp in range(t_order + 1):
-            value = base.scale(F(d1**m_exp, factorial(m_exp)))
+            value = LaurentZ.from_dict(ring, {zshift: ring.one().scale(F(num * d1**m_exp, den * factorial(m_exp)))})
             if not value.is_zero():
                 series.terms[(d_eng, (m_exp,))] = value
     return series
@@ -223,7 +229,7 @@ def _family_report(family: str, engine: GradedSeries, direct: GradedSeries, diff
             positions.append(position)
     return {
         "family": family,
-        "degrees_compared": len({k[0] for k in set(engine.terms) | set(direct.terms)}),
+        "degrees_compared": len({d for d, _alpha in engine.terms} | {d for d, _alpha in direct.terms}),
         "diff": positions,
         "equal": not positions,
     }
@@ -306,6 +312,18 @@ def _prefix_product(runs: dict, key, n: int, factor) -> LaurentZ:
     return run[n - 1]
 
 
+def _power(value: LaurentZ, n: int) -> LaurentZ:
+    """value^n for n >= 1 by repeated squaring: value^5 is value^2, value^4 and value^4 * value."""
+    out = None
+    while True:
+        if n & 1:
+            out = value if out is None else out.mul(value)
+        n >>= 1
+        if not n:
+            return out
+        value = value.mul(value)
+
+
 def _product(ring, parts: list[LaurentZ]) -> LaurentZ:
     """The product of `parts` taken in order, one product per part after the first; 1 when empty."""
     value = LaurentZ.one(ring) if not parts else parts[0]
@@ -356,7 +374,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
     factors (-w H + (nu - x) z) or (d_j H + (x - nu) z)^-1 form a run keyed
     on (sector ring, character, x mod 1), in order of increasing |x - nu|;
     a degree reads one entry per weight, so coordinates of equal weight
-    share it.
+    share it, raised to their count by `_power`.
     """
     q_bound = F(q_bound)
     model = hybrid_build(spec)
@@ -374,7 +392,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                     runs, (ring, w, x % 1), floor(x),
                     lambda j: linear_z_factor(ring, h.scale(F(-w)), floor(x) - x - j),
                 )
-                parts += [entry] * count
+                parts.append(_power(entry, count))
         for dj, count in Counter(spec.p_weights).items():
             x = F(dj * k, d_lcm)
             if ceil(x) > 1:  # a = x - nu for nu = ceil(x) - 1, ..., 1
@@ -382,7 +400,7 @@ def hybrid_direct_series(spec: HybridSpec, q_bound, t_order: int = 0) -> GradedS
                     runs, (ring, -dj, x % 1), ceil(x) - 1,
                     lambda j: invert_linear_z_factor(ring, h.scale(F(dj)), x - ceil(x) + 1 + j),
                 )
-                parts += [entry] * count
+                parts.append(_power(entry, count))
         hyper = _product(ring, parts)
         if hyper.is_zero():
             continue
@@ -489,9 +507,10 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
     series.  A run is extended by one `linear_z_factor` or
     `invert_linear_z_factor` product the first time a degree needs a new
     a-value, so each factor is formed and multiplied once per series.  A
-    degree's value is the product of its coordinates' run entries
-    (coordinates with equal columns read one entry) and its section runs'
-    entries.
+    degree's value is the product of its coordinates' run entries and its
+    section runs' entries.  Coordinates with equal columns read one entry,
+    raised to their count by repeated squaring (`_power`): on P^4[5] that
+    is 3 products per degree instead of 4.
     """
     model = ci_build(spec)
     series = empty_series(model, "ambient", etas, insertions, q_bound, t_order)
@@ -515,7 +534,7 @@ def ci_ambient_series(spec: CiSpec, q_bound, t_order: int = 0, etas=(), insertio
                 )
             else:
                 continue
-            parts += [entry] * count
+            parts.append(_power(entry, count))
         for tau in spec.taus:
             x = pairing(d, tau)
             if x > 0:  # a = x - nu for nu = ceil(x) - 1, ..., 0

@@ -318,6 +318,44 @@ def test_ring_layer_matches_sympy(m, data):
     assert in_ideal(mixed) == with_p.contains(_expr(gens, a.poly))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(corpus() + TORIC), st.data())
+def test_ideal_membership_matches_a_sympy_rank_test(m, data):
+    # a class lies in (p) iff appending its staircase vector to the vectors of p*s, for every
+    # staircase monomial s, keeps the rank; p*s is sympy's remainder modulo sympy's own basis
+    # of the Stanley-Reisner ideal
+    ring = build_ring(m, data.draw(st.sampled_from(inertia_sectors(m))))
+    gens = sympy.symbols(f"H1:{m.k + 1}")
+    linear = [sum(c * h for c, h in zip(m.column(i), gens)) for i in range(m.r)]
+    ideal = [sympy.Mul(*(linear[i] for i in sorted(t))) for t in support_sr_generators(m, ring.sector.fixed_support)]
+    basis = sympy.groebner(ideal, *gens, order="grevlex", domain="QQ")
+    chars = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=m.k, max_size=m.k), min_size=1, max_size=2))
+    p = sympy.Mul(*(sum(c * h for c, h in zip(xi, gens)) for xi in chars))
+    span = []
+    for s in ring.staircase:
+        form = _poly(gens, basis.reduce(sympy.expand(p * _expr(gens, {s: F(1)})))[1])
+        span.append([form.get(t, F(0)) for t in ring.staircase])
+
+    def member(cls):
+        vec = [cls.poly.get(t, F(0)) for t in ring.staircase]
+        return sympy.Matrix(span).rank() == sympy.Matrix([*span, vec]).rank()
+
+    in_ideal = ideal_membership(ring, [class_from_character(ring, xi) for xi in chars])
+    a, = _classes(data, ring, 1)
+    weights = [data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=3)) for _ in span]
+    multiple = CohClass(ring, {t: c for j, t in enumerate(ring.staircase) if (c := sum(w * row[j] for w, row in zip(weights, span)))})
+    for cls in (a, multiple, ring.one(), CohClass(ring, {})):
+        assert in_ideal(cls) == member(cls)
+        # a nonzero scalar keeps membership, a root of unity included
+        root = Cyclo.root_of_unity(data.draw(st.sampled_from([3, 4, 5, 6])), data.draw(st.integers(0, 5)))
+        assert in_ideal(cls.scale(root)) == member(cls)
+    # 1 and a primitive root zeta are independent over Q, so a + zeta * b is in (p) iff a and b are
+    zeta = Cyclo.root_of_unity(data.draw(st.sampled_from([3, 4, 5, 6])), 1)
+    for x, y in ((a, multiple), (multiple, a), (multiple, multiple)):
+        mixed = x + y.scale(zeta)
+        assert in_ideal(mixed) == (member(x) and member(y))
+
+
 # --- a Groebner-free oracle: the Hilbert function from torus-fixed points ----
 
 # xi_i = 1 + eps_i with small generic eps_i in (0, 1e-3], the same for every model

@@ -33,6 +33,7 @@ from glsmkit.sectors import (
     inertia_sectors,
     pairing,
     sector_of_degree,
+    support_sr_generators,
     theta_degree,
 )
 from glsmkit.series import (
@@ -56,7 +57,7 @@ from glsmkit.series import (
     twist_novikov,
     z_partial,
 )
-from glsmkit.specialize import CiSpec, _insertion_exponential, ci_build
+from glsmkit.specialize import CiSpec, FjrwSpec, _insertion_exponential, ci_build, fjrw_build
 
 from conftest import QUINTIC, RANK2, corpus, small_torus_models
 
@@ -151,6 +152,36 @@ def test_laurent_mul_matches_sympy_remainder(data):
     for e in set(expected) | set(got):
         remainder = sympy.reduced(sympy.expand(expected.get(e, 0)), basis, *gens, order="grevlex")[1]
         assert sympy.expand(_sympy_expr(gens, got[e].poly) if e in got else 0) == sympy.expand(remainder), e
+
+
+def _sr_rings():
+    """(model, sector) of every sector ring of the quintic, RANK2, the benchmark's fjrw model and P1 x P1."""
+    fjrw = fjrw_build(FjrwSpec(n=2, d_w=3, r_charges=(1, 1), group_data=((3, (1, 1)), (3, (1, 2))), potential="x1^3+x2^3"))
+    return [(m, g) for m in (corpus()[1], corpus()[3], fjrw, P1xP1) for g in inertia_sectors(m)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_laurent_mul_matches_sympy_on_the_sr_ideal(data):
+    # an oracle that shares nothing with the ring layer: sympy's own Groebner basis of the
+    # Stanley-Reisner ideal, z-Laurent products as a convolution of sympy products, and
+    # sympy's remainder of each z-coefficient; squares take mul's one-flattening route
+    m, g = data.draw(st.sampled_from(_sr_rings()))
+    ring = build_ring(m, g)
+    a, b = _laurent_pair(data, ring)
+    gens = sympy.symbols(f"H1:{m.k + 1}")
+    linear = [sum(c * h for c, h in zip(m.column(i), gens)) for i in range(m.r)]
+    ideal = [sympy.Mul(*(linear[i] for i in sorted(t))) for t in support_sr_generators(m, g.fixed_support)]
+    basis = sympy.groebner(ideal, *gens, order="grevlex", domain="QQ")
+    for left, right in ((a, b), (b, a), (a, a)):
+        expected = {}
+        for e1, c1 in left.coeffs:
+            for e2, c2 in right.coeffs:
+                expected[e1 + e2] = expected.get(e1 + e2, 0) + _sympy_expr(gens, c1.poly) * _sympy_expr(gens, c2.poly)
+        got = left.mul(right).as_dict()
+        for e in set(expected) | set(got):
+            remainder = basis.reduce(sympy.expand(expected.get(e, 0)))[1]
+            assert sympy.expand(_sympy_expr(gens, got[e].poly) if e in got else 0) == sympy.expand(remainder), e
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,18 @@ from glsmkit import specialize
 from glsmkit.model import InputError
 from glsmkit.rings import class_from_character
 from glsmkit.scalars import Cyclo, format_rational
-from glsmkit.sectors import inertia_sectors
-from glsmkit.series import Insertion, LaurentZ, invert_linear_z_factor, linear_z_factor
+from glsmkit.sectors import inertia_sectors, theta_degree
+from glsmkit.series import (
+    HypothesisError,
+    Insertion,
+    LaurentZ,
+    big_i_function,
+    glsm_i_function,
+    invert_linear_z_factor,
+    linear_z_factor,
+    series_from_json,
+    series_to_json,
+)
 from glsmkit.specialize import (
     CiSpec,
     FjrwSpec,
@@ -26,6 +36,8 @@ from glsmkit.specialize import (
     specialization_from_dict,
     specialization_from_model_file,
 )
+
+from conftest import corpus
 
 F = Fraction
 
@@ -280,6 +292,20 @@ def test_ci_ambient_series_inverts_each_factor_once_per_series(monkeypatch, q_bo
         assert value == classical_quintic_coefficient(value.ring, d)
 
 
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (8, 3)])
+def test_power_squares_repeatedly(monkeypatch, n, products):
+    # a run entry shared by n equal coordinates: entry^5 is entry^2, entry^4 and entry^4 * entry
+    ring = specialize.sector_rings(ci_build(QUINTIC_CI), [(F(0),)])[0]
+    h = class_from_character(ring, (1,))
+    entry = linear_z_factor(ring, h, F(2)).mul(invert_linear_z_factor(ring, h.scale(F(-3)), F(1, 2)))
+    expected = LaurentZ.one(ring)
+    for _ in range(n):
+        expected = expected.mul(entry)
+    counts = _count_products(monkeypatch)
+    assert specialize._power(entry, n) == expected
+    assert counts["products"] == products
+
+
 def test_hybrid_direct_series_forms_each_factor_once_per_series(monkeypatch):
     counts = _count_products(monkeypatch)
     hybrid_direct_series(HybridSpec(x_weights=(1, 1), p_weights=(2,)), F(10), t_order=1)
@@ -356,6 +382,56 @@ def test_checked_in_specialize_file_is_the_quintic():
     # the CI step on a bare install runs `glsmkit specialize ci ... --crosscheck` on this file
     path = Path(__file__).resolve().parent / "data" / "quintic-ci.json"
     assert specialization_from_model_file(path.read_text(encoding="utf-8")) == QUINTIC_CI
+
+
+def test_checked_in_fjrw_file_is_the_benchmark_section():
+    # the benchmark's fjrw `specialize` section; the CI step on a bare install runs
+    # `glsmkit specialize fjrw ... --qbound 2 --torder 1 --crosscheck` on this file
+    path = Path(__file__).resolve().parent / "data" / "fjrw.json"
+    spec = specialization_from_model_file(path.read_text(encoding="utf-8"))
+    assert spec == RANK2_SPEC
+    assert fjrw_crosscheck(spec, F(2), 1)["equal"]
+
+
+# --- every key lies inside its own truncation ------------------------------------
+
+REGION_Q_BOUNDS = [F(0), F(1, 2), F(1), F(4, 3), F(2), F(3)]
+LIGHT = Insertion.from_terms("t", {(1,): F(1)})
+
+
+def _engine_series(m, state, q, t):
+    """The engine series of the model with one insertion along its last column, and its JSON read-back."""
+    build = big_i_function if state == "ambient" else glsm_i_function
+    try:
+        s = build(m, [m.column(m.r - 1)], [LIGHT], q, t)
+    except HypothesisError:
+        return []
+    return [s, series_from_json(series_to_json(s))]
+
+
+REGION_SOURCES = {
+    **{
+        f"{state}-{name}": (lambda q, t, m=m, state=state: _engine_series(m, state, q, t))
+        for name, m in zip(("p1", "quintic", "cubic", "rank2"), corpus())
+        for state in ("ambient", "glsm")
+    },
+    "fjrw-direct": lambda q, t: [fjrw_direct_series(RANK2_SPEC, q, t)],
+    "hybrid-direct": lambda q, t: [hybrid_direct_series(HybridSpec(x_weights=(1, 1), p_weights=(2,)), q, t)],
+    "ci-direct": lambda q, t: [ci_ambient_series(QUINTIC_CI, q, t, [ci_build(QUINTIC_CI).column(0)], [LIGHT])],
+}
+
+
+@pytest.mark.parametrize("source", sorted(REGION_SOURCES))
+def test_every_key_lies_inside_its_own_truncation(source):
+    # the precondition of GradedSeries.restrict's shortcut: a series asked for its own
+    # region is returned as it is, so no key may lie outside that region
+    for q in REGION_Q_BOUNDS:
+        for t in range(3):
+            for s in REGION_SOURCES[source](q, t):
+                assert (s.q_bound, s.t_order) == (q, t)
+                for d, alpha in [*s.terms, *s.vanished]:
+                    assert theta_degree(s.model, d) <= q and sum(alpha) <= t, (d, alpha)
+                assert s.restrict(s.q_bound, s.t_order) is s
 
 
 # --- cross-check failures -----------------------------------------------------
