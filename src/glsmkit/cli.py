@@ -109,31 +109,34 @@ def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_insertions(model: GLSMModel, specs: tuple[str, ...]):
-    """--insert NAME=POLY with POLY over rho1..rhoR; returns (etas, insertions)."""
+    """--insert NAME=POLY with POLY over rho1..rhoR; returns (etas, insertions).
+
+    The etas are the distinct columns the polynomials use, in order of first use.
+    """
     names = [f"rho{i + 1}" for i in range(model.r)]
-    parsed = []
-    etas: list[tuple[int, ...]] = []
+    columns = [model.column(i) for i in range(model.r)]
+    parsed: dict[str, dict] = {}
+    etas: dict[tuple[int, ...], int] = {}  # column -> its index among the etas
     for spec in specs:
         if "=" not in spec:
             raise InputError(f"--insert expects NAME=POLY, got {spec!r}")
         name, poly_text = spec.split("=", 1)
         name = variable_name(name.strip(), "--insert NAME")
-        if any(name == seen for seen, _terms in parsed):
+        if name in parsed:
             raise InputError(f"--insert names the variable {name!r} more than once")
-        terms = parse_monomial_expression(poly_text, names)
-        parsed.append((name, terms))
-        for exps in terms:
+        parsed[name] = parse_monomial_expression(poly_text, names, f"--insert {name}")
+        for exps in parsed[name]:
             for i, e in enumerate(exps):
-                if e and model.column(i) not in etas:
-                    etas.append(model.column(i))
+                if e:
+                    etas.setdefault(columns[i], len(etas))
     insertions = []
-    for name, terms in parsed:
+    for name, terms in parsed.items():
         mapped: dict[Monomial, Fraction] = {}
         for exps, coeff in terms.items():
             key = [0] * len(etas)
             for i, e in enumerate(exps):
                 if e:
-                    key[etas.index(model.column(i))] += e
+                    key[etas[columns[i]]] += e
             mk = tuple(key)
             mapped[mk] = mapped.get(mk, Fraction(0)) + coeff
         insertions.append(Insertion.from_terms(name, mapped))

@@ -67,84 +67,52 @@ class GLSMModel:
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
+# after optional whitespace: a number, a name with an optional ^exponent, an operator, any other character, or the end
+_TOKEN_RE = re.compile(rf"\s*((\d+(?:/\d+)?)|({_NAME_RE.pattern})(?:\^(\d*))?|[-+*]|\S|\Z)")
 
 
-def parse_monomial_expression(text: str, names: list[str]) -> dict[tuple[int, ...], Fraction]:
-    """Parse `c*v1^e*v2*...` terms joined by +/- into an exponent->coeff map.
+def parse_monomial_expression(text: str, names: list[str], what: str = "potential") -> dict[tuple[int, ...], Fraction]:
+    """Terms joined by + or -, each of factors joined by *: an integer, p/q, name or name^n.
 
-    Raises InputError with a character position on bad syntax or unknown
-    variable names.
+    Returns exponents over `names` -> coefficient, like terms merged; InputError names `what` and a position.
     """
+    def fail(pos: int, reason: str):
+        raise InputError(f"{what} syntax error at position {pos}: {reason}") from None
     index = {n: i for i, n in enumerate(names)}
     terms: dict[tuple[int, ...], Fraction] = {}
-    pos = 0
-    n = len(text)
-
-    def skip_ws(p):
-        while p < n and text[p].isspace():
-            p += 1
-        return p
-
-    def fail(p, msg):
-        raise InputError(f"potential syntax error at position {p}: {msg}")
-
-    pos = skip_ws(pos)
-    if pos == n:
-        fail(pos, "empty expression")
-    first = True
-    while pos < n:
-        sign = Fraction(1)
-        pos = skip_ws(pos)
-        if text[pos] in "+-":
-            sign = Fraction(-1) if text[pos] == "-" else Fraction(1)
-            pos = skip_ws(pos + 1)
-        elif not first:
-            fail(pos, "expected '+' or '-' between terms")
-        first = False
-        coeff = sign
-        exps = [0] * len(names)
-        saw_factor = False
-        while True:
-            pos = skip_ws(pos)
-            m = _NUM_RE.match(text, pos)
-            if m:
-                coeff *= parse_rational(m.group(0))
-                pos = m.end()
-                saw_factor = True
-            else:
-                m = _NAME_RE.match(text, pos)
-                if not m:
-                    if saw_factor:
-                        break
-                    fail(pos, "expected a coefficient or variable")
-                name = m.group(0)
-                if name not in index:
-                    fail(pos, f"unknown variable {name!r}")
-                pos = m.end()
-                e = 1
-                if pos < n and text[pos] == "^":
-                    pos += 1
-                    m2 = re.compile(r"\d+").match(text, pos)
-                    if not m2:
-                        fail(pos, "expected an integer exponent after '^'")
-                    e = int(m2.group(0))
-                    pos = m2.end()
-                exps[index[name]] += e
-                saw_factor = True
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "*":
-                pos += 1
+    coeff, exps, state = Fraction(1), [0] * len(names), "sign"  # or "factor" (one is due), "after" (one was read)
+    for m in _TOKEN_RE.finditer(text):
+        token, number, name, power = m.groups()
+        if state == "after":
+            if token == "*":
+                state = "factor"
                 continue
-            break
-        key = tuple(exps)
-        new = terms.get(key, Fraction(0)) + coeff
-        if new == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = new
-        pos = skip_ws(pos)
-    return terms
+            if token not in ("+", "-", ""):
+                fail(m.start(1), "expected '+' or '-' between terms")
+            key = tuple(exps)
+            # not terms.get(key, 0) + coeff: int + Fraction makes the quintic's parse about 40 % slower
+            terms[key] = terms[key] + coeff if key in terms else coeff
+            if not terms[key]:
+                del terms[key]
+            if not token:
+                return terms
+            coeff, exps = Fraction(1), [0] * len(names)
+        if state != "factor" and token in ("+", "-"):
+            coeff = -coeff if token == "-" else coeff
+        elif number:
+            try:
+                coeff *= parse_rational(number)
+            except ValueError as e:
+                fail(m.start(1), str(e))
+        elif name in index:
+            if power == "":
+                fail(m.end(), "expected an integer exponent after '^'")
+            exps[index[name]] += int(power or 1)
+        elif name:
+            fail(m.start(1), f"unknown variable {name!r}")
+        else:  # the end at the very start means nothing but whitespace
+            fail(m.start(1), "empty expression" if not (token or m.start()) else "expected a coefficient or variable")
+        state = "factor" if token in ("+", "-") else "after"
 
 
 def format_potential(p: PotentialPolynomial, names: tuple[str, ...]) -> str:

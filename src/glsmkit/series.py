@@ -657,27 +657,29 @@ def twist_novikov(s: GradedSeries, tau_list) -> GradedSeries:
 def compact_type_report(s: GradedSeries) -> dict:
     """Hypothesis test plus literal endpoint-factor divisibility per term, on the series' own model.
 
-    Everything beyond these two checks is reported as unverified.
+    A term of degree d must lie in the ideal generated by the product of the
+    classes of the R-charged columns that its sector fixes and that pair
+    nonpositively with d.  That ideal depends only on the sector ring and
+    those columns, so each (ring, columns) pair is eliminated once, however
+    many degrees share it.  Everything beyond these two checks is reported
+    as unverified.
     """
     m = s.model
-    charged = m.r_charged_indices()
+    charged = [(i, m.column(i)) for i in m.r_charged_indices()]
     hyp = glsm_hypothesis(m)
     violations = []
     checked = 0
-    ideals: dict = {}  # degree -> membership test of its endpoint ideal, eliminated once
+    ideals: dict = {}  # (sector ring, endpoint columns) -> membership test of their ideal
     for d, alpha in _sorted_keys(s.terms):
         value = s.terms[(d, alpha)]
-        if d not in ideals:
-            g = value.ring.sector
-            factors = [
-                class_from_character(value.ring, m.column(i))
-                for i in charged
-                if g.action[i] == 0 and pairing(d, m.column(i)) <= 0
-            ]
-            ideals[d] = ideal_membership(value.ring, factors) if factors else None
-        contains = ideals[d]
-        if contains is None:
+        action = value.ring.sector.action
+        columns = tuple(col for i, col in charged if action[i] == 0 and pairing(d, col) <= 0)
+        if not columns:
             continue
+        key = (value.ring, columns)
+        if key not in ideals:
+            ideals[key] = ideal_membership(value.ring, [class_from_character(value.ring, col) for col in columns])
+        contains = ideals[key]
         for zexp, cls in value.coeffs:
             checked += 1
             if not contains(cls):

@@ -475,7 +475,7 @@ def ci_build(spec: CiSpec) -> GLSMModel:
     if spec.sections is not None:
         full: dict[tuple[int, ...], Fraction] = {}
         for j, section in enumerate(spec.sections):
-            for exps, coeff in parse_monomial_expression(section, names[: spec.ambient_r]).items():
+            for exps, coeff in parse_monomial_expression(section, names[: spec.ambient_r], f"section {j + 1}").items():
                 key = tuple(exps) + tuple(1 if jj == j else 0 for jj in range(n))
                 full[key] = full.get(key, F(0)) + coeff
         potential = PotentialPolynomial.from_dict(full)

@@ -446,6 +446,26 @@ def test_repeated_insert_name_exits_2(run, model_file, tmp_path):
     assert "more than once" in err
 
 
+@pytest.mark.parametrize(
+    "insert, potential, err",
+    [
+        # each refused before any series is computed or cached
+        ("t=rho1*", None, "--insert t syntax error at position 5: expected a coefficient or variable"),
+        ("t=rho1+", None, "--insert t syntax error at position 5: expected a coefficient or variable"),
+        ("t=1/0*rho1", None, "--insert t syntax error at position 0: invalid rational literal '1/0'"),
+        (None, "p*x1^5*", "potential syntax error at position 7: expected a coefficient or variable"),
+        (None, "p*x1^5* + p*x2^5", "potential syntax error at position 8: expected a coefficient or variable"),
+    ],
+    ids=["insert-star", "insert-plus", "insert-zero-denominator", "potential-star", "potential-inner-star"],
+)
+def test_malformed_polynomial_exits_2_before_any_work(run, model_file, tmp_path, insert, potential, err):
+    model = dict(QUINTIC, potential=potential) if potential else QUINTIC
+    argv = ["ifun", model_file(model), "--qbound", "1", "--torder", "1"]
+    code, out, stderr = run(*argv, *(["--insert", insert] if insert else []))
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+    assert not (tmp_path / "cache").exists() or not any((tmp_path / "cache").iterdir())
+
+
 @pytest.mark.parametrize("name", ["", "1t", "t-1", "_aux"], ids=["empty", "digit", "dash", "underscore"])
 @pytest.mark.parametrize(
     "argv", [["ifun"], ["glsm-ifun"], ["dz", "--rho", "rho1"]], ids=["ifun", "glsm-ifun", "dz"]

@@ -2,6 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Poly, Symbol
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from glsmkit.model import (
     InputError,
@@ -89,6 +93,100 @@ def test_monomial_expression_grammar():
 def test_monomial_expression_merges_and_cancels():
     assert parse_monomial_expression("x1 - x1", ["x1"]) == {}
     assert parse_monomial_expression("x1*x1", ["x1"]) == {(2,): Fraction(1)}
+
+
+# (text, position, reason) over the names x1, x2
+MALFORMED = [
+    ("x1^", 3, "expected an integer exponent after '^'"),
+    ("x1 ^2", 3, "expected '+' or '-' between terms"),
+    ("x1^ 2", 3, "expected an integer exponent after '^'"),
+    ("--x1", 1, "expected a coefficient or variable"),
+    ("x1 x2", 3, "expected '+' or '-' between terms"),
+    ("2x1", 1, "expected '+' or '-' between terms"),
+    ("1/2/3", 3, "expected '+' or '-' between terms"),
+    ("x1^2^3", 4, "expected '+' or '-' between terms"),
+    ("x1_", 0, "unknown variable 'x1_'"),
+    ("x1+-x2", 3, "expected a coefficient or variable"),
+    ("x1 + ", 5, "expected a coefficient or variable"),
+    ("", 0, "empty expression"),
+    (" ", 1, "empty expression"),
+    # a '*' must be followed by a factor
+    ("x1*", 3, "expected a coefficient or variable"),
+    ("x1* + x2", 4, "expected a coefficient or variable"),
+    # a zero denominator is refused at its literal
+    ("1/0*x1", 0, "invalid rational literal '1/0'"),
+    ("x2 - 3/00", 5, "invalid rational literal '3/00'"),
+]
+
+
+@pytest.mark.parametrize("text, pos, reason", MALFORMED, ids=[repr(t) for t, _p, _r in MALFORMED])
+def test_malformed_expression_position_and_reason(text, pos, reason):
+    with pytest.raises(InputError) as e:
+        parse_monomial_expression(text, ["x1", "x2"])
+    assert str(e.value) == f"potential syntax error at position {pos}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("x1^02", {(2, 0): Fraction(1)}),
+        ("x1^0", {(0, 0): Fraction(1)}),
+        ("0*x1", {}),
+        ("\u0663*x1", {(1, 0): Fraction(3)}),  # ARABIC-INDIC DIGIT THREE
+        (" - x2 *\tx1 + 4/6 ", {(1, 1): Fraction(-1), (0, 0): Fraction(2, 3)}),
+    ],
+)
+def test_edge_expressions_accepted(text, terms):
+    assert parse_monomial_expression(text, ["x1", "x2"]) == terms
+
+
+@pytest.mark.parametrize(
+    "potential, error",
+    [
+        ("x1^2*", "position 5: expected a coefficient or variable"),
+        ("x1* + x2", "position 4: expected a coefficient or variable"),
+        ("x1*x2*\t", "position 7: expected a coefficient or variable"),
+        ("x1 + 1/0*x2", "position 5: invalid rational literal '1/0'"),
+    ],
+)
+def test_model_file_potential_refusals(potential, error):
+    bad = dict(P1)
+    bad["potential"] = potential
+    with pytest.raises(InputError) as e:
+        parse_model(json.dumps(bad))
+    assert str(e.value) == f"potential syntax error at {error}"
+
+
+# names sympy reads as constants, functions or singletons unless local_dict overrides them
+ORACLE_NAMES = ["x1", "y_2", "p", "E", "I", "N", "S", "Q"]
+_blank = st.sampled_from(["", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def _expressions(draw):
+    """A valid expression over ORACLE_NAMES, whitespace drawn between every pair of tokens."""
+    factor = st.one_of(
+        st.integers(0, 40).map(str),
+        st.tuples(st.integers(0, 40), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+        st.sampled_from(ORACLE_NAMES),
+        st.tuples(st.sampled_from(ORACLE_NAMES), st.integers(0, 9)).map(lambda ne: f"{ne[0]}^{ne[1]}"),
+    )
+    tokens = []
+    for j in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(["+", "-"] if j else ["", "+", "-"]))
+        tokens += [sign] if sign else []
+        for f in range(draw(st.integers(1, 3))):
+            tokens += ["*", draw(factor)] if f else [draw(factor)]
+    return "".join(draw(_blank) + t for t in tokens) + draw(_blank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions())
+def test_grammar_agrees_with_sympy(text):
+    symbols = {n: Symbol(n) for n in ORACLE_NAMES}
+    expr = parse_expr(text, local_dict=symbols, transformations=standard_transformations + (convert_xor,))
+    expected = {e: Fraction(int(c.p), int(c.q)) for e, c in Poly(expr, *symbols.values()).as_dict().items()}
+    assert parse_monomial_expression(text, ORACLE_NAMES) == expected
 
 
 def test_roundtrip_models(m_quintic, m_p1, m_cubic, m_rank2):

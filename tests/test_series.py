@@ -982,6 +982,19 @@ def test_compact_type_ambient_negative_control(m_quintic):
     assert zero_degree
 
 
+def test_compact_type_report_eliminates_each_endpoint_ideal_once(m_quintic, monkeypatch):
+    # every degree of the glsm quintic tests the same ideal (p) of the untwisted sector ring
+    s = glsm_i_function(m_quintic, q_bound=F(3))
+    calls = []
+    real = series_module.ideal_membership
+    monkeypatch.setattr(series_module, "ideal_membership", lambda ring, factors: calls.append(ring) or real(ring, factors))
+    report = compact_type_report(s)
+    assert len(calls) == 1
+    assert report["divisibility_checked"] == 13 and report["violations"] == []
+    assert compact_type_report(series_from_json(series_to_json(s))) == report
+    assert len(calls) == 2
+
+
 def test_compact_type_counts_vanishing(m_cubic):
     s = glsm_i_function(m_cubic, q_bound=F(3))
     rep = compact_type_report(s)

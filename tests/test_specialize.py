@@ -113,6 +113,18 @@ def test_fjrw_build_noninvariant_potential():
         fjrw_build(FjrwSpec(n=1, d_w=3, r_charges=(1,), group_data=((3, (1,)),), potential="x1^2"))
 
 
+def test_builders_name_the_expression_in_a_syntax_error():
+    with pytest.raises(InputError) as e:
+        ci_build(replace(CI_22, sections=("x1^2+x2^2", "x3^2+x4^2*")))
+    assert str(e.value) == "section 2 syntax error at position 10: expected a coefficient or variable"
+    with pytest.raises(InputError) as e:
+        hybrid_build(HybridSpec(x_weights=(1,), p_weights=(3,), sections=("x1^3 x1",)))
+    assert str(e.value) == "section 1 syntax error at position 5: expected '+' or '-' between terms"
+    with pytest.raises(InputError) as e:
+        fjrw_build(replace(CUBIC_SPEC, potential="x1^3*"))
+    assert str(e.value) == "potential syntax error at position 5: expected a coefficient or variable"
+
+
 def test_hybrid_build():
     m = hybrid_build(HybridSpec(x_weights=(1,), p_weights=(3,), sections=("x1^3",)))
     assert m.weights == ((1, -3),)
