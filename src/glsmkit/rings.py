@@ -307,17 +307,18 @@ def class_to_json(c: CohClass) -> dict:
 def class_from_json(ring: SectorRing, data: dict) -> CohClass:
     """The class of a stored payload {monomial key: scalar}; ValueError names the malformed key or coefficient.
 
-    Stored classes are normal forms: a monomial outside the staircase is refused.
+    Stored classes are normal forms: a monomial outside the staircase, or one
+    already listed under another spelling (a zero coefficient counts), is refused.
     """
     poly: Poly = {}
     for key, val in data.items():
         mono = parse_monomial_key(key, ring.ngens)
+        if mono in poly:
+            raise ValueError(f"monomial {monomial_key(mono)} is listed twice (key {key!r})")
         try:
-            s = scalar_from_json(val)
+            poly[mono] = s = scalar_from_json(val)
         except ValueError as e:
             raise ValueError(f"coefficient of {key}: {e}") from None
-        if s:
-            if mono not in ring.staircase:
-                raise ValueError(f"monomial {key} lies outside the staircase")
-            poly[mono] = s
-    return CohClass(ring, poly)
+        if s and mono not in ring.staircase:
+            raise ValueError(f"monomial {key} lies outside the staircase")
+    return CohClass(ring, {mono: s for mono, s in poly.items() if s})

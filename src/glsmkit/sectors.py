@@ -1,6 +1,7 @@
 """GIT and lattice combinatorics: semistable supports, inertia sectors,
 degree/sector correspondence, effective degrees, ages, and the monomial
-support data presenting each sector's cohomology.
+support data presenting each sector's cohomology: its Stanley-Reisner sets,
+the minimal transversals of the supports, are formed one support at a time.
 """
 
 from __future__ import annotations
@@ -240,30 +241,18 @@ def sr_generators(m: GLSMModel, g: SectorLabel) -> list[frozenset[int]]:
 
 
 def support_sr_generators(m: GLSMModel, fixed: frozenset[int]) -> list[frozenset[int]]:
-    """sr_generators of every sector whose fixed support is `fixed`: they read nothing else of it."""
+    """sr_generators of every sector whose fixed support is `fixed`: they read nothing else of it.
+
+    Berge's update, one support at a time, keeps each set that meets it and grows every other by each of
+    its elements, dropping a grown set that holds a kept one: the sets stay pairwise incomparable, and each
+    is minimal for the supports read so far.
+    """
     family = [s for s in semistable_supports(m) if s <= fixed]
     if not family:
         raise ValueError("sector is empty: no semistable support inside its fixed locus")
-    return _minimal_hitting_sets(family)
-
-
-def _minimal_hitting_sets(family: list[frozenset[int]]) -> list[frozenset[int]]:
-    universe = sorted(set().union(*family))
-    results: list[frozenset[int]] = []
-
-    def rec(chosen: frozenset[int], remaining: list[frozenset[int]]):
-        if any(prev <= chosen for prev in results):
-            return
-        unhit = [s for s in remaining if not (s & chosen)]
-        if not unhit:
-            if not any(prev <= chosen for prev in results):
-                results.append(chosen)
-            return
-        pivot = min(unhit, key=sorted)
-        for el in sorted(pivot):
-            rec(chosen | {el}, unhit)
-
-    rec(frozenset(), family)
-    # prune non-minimal results picked up along different branches
-    minimal = [s for s in results if not any(t < s for t in results)]
-    return sorted(set(minimal), key=lambda s: (len(s), sorted(s)))
+    found = [frozenset()]
+    for s in family:
+        kept = [t for t in found if t & s]
+        grown = (t | {i} for t in found if not t & s for i in s)
+        found = kept + [t for t in grown if not any(k <= t for k in kept)]
+    return sorted(found, key=lambda t: (len(t), sorted(t)))

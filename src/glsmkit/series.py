@@ -821,12 +821,12 @@ def series_from_dict(data: dict) -> GradedSeries:
     model without serializing anything again: the schema, the state, the
     model hash, each term's theta-degree and sector lambda, and that no
     (degree, t-exponent) key is listed twice among the terms and the
-    vanished keys.  A term or vanished key outside the truncation (its
-    theta-degree above q_bound or its t-exponents summing above t_order) is
-    refused, naming it; each run of equal fields computes its theta-degree
-    once, and each vanished key its own.  A model with theta = 0 has no
-    quotient, and its series is refused with DegenerateStabilityError, as
-    the engine refuses it.
+    vanished keys, nor a z exponent twice in one term.  A term or vanished
+    key outside the truncation (its theta-degree above q_bound or its
+    t-exponents summing above t_order) is refused, naming it; each run of
+    equal fields computes its theta-degree once, and each vanished key its
+    own.  A model with theta = 0 has no quotient, and its series is refused
+    with DegenerateStabilityError, as the engine refuses it.
     """
     if json_object(data, "series file").get("schema") != SERIES_SCHEMA:
         raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
@@ -904,6 +904,8 @@ def series_from_dict(data: dict) -> GradedSeries:
             except ValueError:
                 raise InputError(f"series terms[{n}] z exponent must be an integer, got {json.dumps(e)}") from None
             where = f"series terms[{n}] z[{e}]"
+            if zexp in coeffs:
+                raise InputError(f"{where}: z exponent {zexp} is listed twice")
             cmap = json_object(cmap, where)
             try:
                 coeffs[zexp] = class_from_json(ring, cmap)

@@ -882,6 +882,14 @@ MALFORMED_SERIES = {
         _class_at_degree_1_z_minus_3({"H1^2": "-2"}),
         "series terms[1] z[-3]: monomial H1^2 lies outside the staircase",
     ),
+    "z_exponent_spelled_twice": (
+        lambda data: data["terms"][1]["z"].update({"-0_3": {"H1": "7"}}),
+        "series terms[1] z[-0_3]: z exponent -3 is listed twice",
+    ),
+    "monomial_spelled_twice": (
+        _class_at_degree_1_z_minus_3({"H1": "-2", "H1^1": "12345"}),
+        "series terms[1] z[-3]: monomial H1 is listed twice (key 'H1^1')",
+    ),
 }
 
 

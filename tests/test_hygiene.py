@@ -51,9 +51,11 @@ naming `theta_degree` (both truncation regions are cut by
 `GradedSeries.restrict`), on `z_partial` naming `_assemble`,
 `big_i_function`, `glsm_i_function`, `effective_degrees`, `sector_rings` or
 `hyper_factor` (the derivative acts on the terms of the series it is given,
-not on a recomputation), and on any module but `model` defining a class
-whose name ends in `InternalError` (one internal-error type, exit code 3),
-and on a parameter of any function or lambda that its body never reads,
+not on a recomputation), on a function in `sectors` that defines a nested
+function or calls itself (the Stanley-Reisner sets are formed by one loop,
+Berge's update, not by a recursive search), and on any module but `model`
+defining a class whose name ends in `InternalError` (one internal-error
+type, exit code 3), and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
 passes is used, or it is not asked for), on any module importing click
 or a `pyproject.toml` that declares a runtime dependency (the package is
@@ -427,6 +429,19 @@ def test_z_partial_acts_on_the_series_it_is_given():
 def test_series_compare_cuts_regions_only_through_restrict():
     named = _named_in_functions(SRC / "series.py", {"series_compare"}, {"theta_degree"})
     assert not named, named
+
+
+def test_stanley_reisner_search_is_one_loop():
+    tree = ast.parse((SRC / "sectors.py").read_text(encoding="utf-8"))
+    stray = [
+        f"sectors.py:{inner.lineno} {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if inner is not node and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+        or isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == node.name
+    ]
+    assert not stray, stray
 
 
 def test_one_internal_error_type():

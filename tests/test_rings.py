@@ -218,6 +218,13 @@ def test_class_json_roundtrip(m_quintic):
     assert class_from_json(ring, data) == v
 
 
+@pytest.mark.parametrize("data", [{"H1": "0", "H1^1": "2"}, {"H1*H1": "1", "H1^2": "0"}, {"1": "1", "H1^0": "1"}])
+def test_class_json_refuses_a_monomial_spelled_twice(m_quintic, data):
+    # two spellings of one monomial would let the later coefficient replace the earlier; a zero counts as listed
+    with pytest.raises(ValueError, match="is listed twice"):
+        class_from_json(ring_of(m_quintic), data)
+
+
 # --- sympy oracle for the ring layer -----------------------------------------
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 import sympy
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glsmkit
-from glsmkit import sectors, validate
+from glsmkit import rings, sectors, validate
+from glsmkit.model import model_from_dict
 from glsmkit.rationallp import nonneg_combination
 from glsmkit.rings import build_ring
 from glsmkit.sectors import (
@@ -346,3 +348,50 @@ def test_sr_generators_rank2(m_rank2):
     # identity sector of [C^2/mu_3^2]: single support {p1,p2}; hitting sets {p1},{p2}
     ident = sector_of_degree(m_rank2, (F(0), F(0)))
     assert sr_generators(m_rank2, ident) == [frozenset({2}), frozenset({3})]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 7), min_size=1), min_size=1, max_size=10))
+def test_sr_generators_are_the_minimal_transversals(sets):
+    # brute force over every subset T of the universe, enumerated by size and then lexicographically,
+    # which is the (len, sorted) order: T is returned iff it meets every support and no proper subset
+    # does (meeting every support is closed upward, so dropping one element at a time suffices)
+    family = [s for s in set(sets) if not any(t < s for t in sets)]
+    universe = sorted(set().union(*family))
+
+    def meets_all(t):
+        return all(t & s for s in family)
+
+    expected = [
+        frozenset(t)
+        for size in range(len(universe) + 1)
+        for t in combinations(universe, size)
+        if meets_all(frozenset(t)) and not any(meets_all(frozenset(t) - {i}) for i in t)
+    ]
+    with mock.patch.object(sectors, "semistable_supports", lambda _m: family):
+        assert sectors.support_sr_generators(None, frozenset(universe)) == expected
+
+
+def _projective_product(n, k):
+    """(P^{n-1})^k, the abelianization of Gr(k, n): row a weighs the a-th block of n coordinates."""
+    weights = [[int(a * n <= i < (a + 1) * n) for i in range(n * k)] for a in range(k)]
+    return model_from_dict(
+        {"r": n * k, "k": k, "weights": weights, "r_charges": [0] * (n * k), "d_w": 1, "theta": ["1"] * k}
+    )
+
+
+@pytest.mark.parametrize("n, k", [(7, 2), (4, 3), (6, 3), (3, 4)])
+def test_sr_generators_of_a_projective_product_are_its_blocks(n, k):
+    m = _projective_product(n, k)
+    ident = sector_of_degree(m, (F(0),) * k)
+    assert sr_generators(m, ident) == [frozenset(range(a * n, (a + 1) * n)) for a in range(k)]
+
+
+def test_abelianized_gr36_builds_cold():
+    # (P^5)^3 with the support and ring memos emptied: the Stanley-Reisner sets are formed afresh
+    sectors._support_table.cache_clear()
+    rings._ring_table.cache_clear()
+    m = _projective_product(6, 3)
+    series = big_i_function(m, q_bound=F(2))
+    assert len(series.terms) == 10  # the degrees d >= 0 with d1 + d2 + d3 <= 2
+    assert build_ring(m, sector_of_degree(m, (F(0),) * 3)).dimension == 216
