@@ -6,18 +6,20 @@ support, so the reduction runs once per (model, fixed support), in
 `_ring_table`: the reduced grevlex Groebner basis (H_1 > ... > H_k) gives the
 staircase basis.  The generators are homogeneous, so the quotient is graded
 and every monomial above `top`, the largest staircase degree, is zero.  The
-ring's one table, `forms`, holds the normal form of every monomial of degree
-at most `top`; `build_ring` labels it with its sector.  `class_of` is the
-only reader of that table: class products, divisor classes, the engine's
+ring's table `forms` holds the normal form of every monomial of degree at
+most `top`; `build_ring` labels the tables with their sector.  `class_of` is
+the only reader of that table: class products, divisor classes, the engine's
 per-degree factors and z-Laurent products (`series.LaurentZ.mul`) all hand
 it (monomial, coefficient) pairs, and the two products form their pairs in
 one routine, `term_products`, on flat (z, monomial, coefficient, degree)
-terms.  Ideal membership is linear algebra on the staircase basis.
+terms.  Ideal membership is linear algebra on the staircase basis.  A stored
+class is read through the ring's second table, `by_key`, from each staircase
+monomial's `monomial_key` to the monomial: `class_from_json`, its one
+reader, looks each key up in the writer's own spelling and parses none.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -56,6 +58,7 @@ class SectorRing:
     groebner: tuple
     staircase: tuple
     forms: dict = field(repr=False)  # monomial of degree <= top -> its normal form; read by class_of
+    by_key: dict = field(repr=False)  # monomial_key(s) -> s for each staircase monomial s; read by class_from_json
 
     def __eq__(self, other):
         if self is other:
@@ -123,6 +126,7 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
         "groebner": tuple(basis),
         "staircase": tuple(stairs),
         "forms": forms,
+        "by_key": {monomial_key(s): s for s in stairs},
     }
 
 
@@ -281,22 +285,6 @@ def monomial_key(mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_monomial_key(key: str, ngens: int):
-    """The exponent vector of a key written by `monomial_key`; ValueError names a malformed key."""
-    mono = [0] * ngens
-    if key.strip() == "1":
-        return tuple(mono)
-    for part in key.split("*"):
-        found = re.fullmatch(r"H([0-9]+)(?:\^([0-9]+))?", part.strip())
-        if found is None:
-            raise ValueError(f"invalid staircase monomial key {key!r}")
-        a = int(found[1]) - 1
-        if not 0 <= a < ngens:
-            raise ValueError(f"generator index out of range in {key!r}")
-        mono[a] += int(found[2] or 1)
-    return tuple(mono)
-
-
 def class_to_json(c: CohClass) -> dict:
     out = {}
     for mono, coeff in sorted(c.poly.items()):
@@ -305,20 +293,21 @@ def class_to_json(c: CohClass) -> dict:
 
 
 def class_from_json(ring: SectorRing, data: dict) -> CohClass:
-    """The class of a stored payload {monomial key: scalar}; ValueError names the malformed key or coefficient.
+    """The class of a stored payload {monomial key: scalar}; ValueError names the refused key or coefficient.
 
-    Stored classes are normal forms: a monomial outside the staircase, or one
-    already listed under another spelling (a zero coefficient counts), is refused.
+    Stored classes are normal forms, keyed as `monomial_key` writes them: a
+    key that is not the key of a staircase monomial (malformed, outside the
+    staircase, or another spelling of a staircase monomial) is refused.
     """
     poly: Poly = {}
     for key, val in data.items():
-        mono = parse_monomial_key(key, ring.ngens)
-        if mono in poly:
-            raise ValueError(f"monomial {monomial_key(mono)} is listed twice (key {key!r})")
+        mono = ring.by_key.get(key)
+        if mono is None:
+            raise ValueError(f"invalid staircase monomial key {key!r}")
         try:
-            poly[mono] = s = scalar_from_json(val)
+            s = scalar_from_json(val)
         except ValueError as e:
             raise ValueError(f"coefficient of {key}: {e}") from None
-        if s and mono not in ring.staircase:
-            raise ValueError(f"monomial {key} lies outside the staircase")
-    return CohClass(ring, {mono: s for mono, s in poly.items() if s})
+        if s:
+            poly[mono] = s
+    return CohClass(ring, poly)

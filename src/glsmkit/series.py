@@ -49,6 +49,7 @@ from .model import (
     model_from_dict,
     model_hash,
     model_to_dict,
+    variable_name,
 )
 from .rings import (
     CohClass,
@@ -813,20 +814,22 @@ def series_to_json(s: GradedSeries) -> str:
 def series_from_dict(data: dict) -> GradedSeries:
     """The series of a stored payload; InputError names a field that is malformed or disagrees with what it records.
 
-    Every field is read through the `model.json_*` readers, rationals as a
-    JSON integer or a "p/q" string, and each class through
-    `rings.class_from_json`, whose refusal is prefixed with the term.  Each
-    degree has k entries, each t-exponent one entry per insertion and each
-    insertion's powers one entry per eta.  The fields the writer derives are checked against the
-    model without serializing anything again: the schema, the state, the
-    model hash, each term's theta-degree and sector lambda, and that no
-    (degree, t-exponent) key is listed twice among the terms and the
-    vanished keys, nor a z exponent twice in one term.  A term or vanished
-    key outside the truncation (its theta-degree above q_bound or its
-    t-exponents summing above t_order) is refused, naming it; each run of
-    equal fields computes its theta-degree once, and each vanished key its
-    own.  A model with theta = 0 has no quotient, and its series is refused
-    with DegenerateStabilityError, as the engine refuses it.
+    Every field is read through the `model.json_*` readers, rationals as a JSON
+    integer or a "p/q" string, and each class through `rings.class_from_json`,
+    whose refusal is prefixed with the term.  Keys are read only in the
+    writer's spelling: an insertion name as `--insert` reads it
+    (`model.variable_name`), once, and a z key only when it is str(int) of its
+    exponent.  Each degree has k entries, each t-exponent one entry per
+    insertion and each insertion's powers one entry per eta.  The fields the
+    writer derives are checked against the model without serializing anything
+    again: the schema, the state, the model hash, each term's theta-degree and
+    sector lambda, and that no (degree, t-exponent) key is listed twice among
+    the terms and the vanished keys.  A term or vanished key outside the
+    truncation (its theta-degree above q_bound or its t-exponents summing above
+    t_order) is refused, naming it; each run of equal fields computes its
+    theta-degree once, and each vanished key its own.  A model with theta = 0
+    has no quotient, and its series is refused with DegenerateStabilityError,
+    as the engine refuses it.
     """
     if json_object(data, "series file").get("schema") != SERIES_SCHEMA:
         raise InputError(f"series schema must be {SERIES_SCHEMA!r}, got {json.dumps(data.get('schema'))}")
@@ -846,6 +849,8 @@ def series_from_dict(data: dict) -> GradedSeries:
         name = json_field(ins, "name", "series insertion")
         if not isinstance(name, str):
             raise InputError(f"series insertion name must be a string, got {json.dumps(name)}")
+        if variable_name(name, "series insertion name") in [prev.name for prev in insertions]:
+            raise InputError(f"series insertion name {name!r} is listed twice")
         poly = {}
         for term in json_list(json_field(ins, "poly", "series insertion"), f"series insertion {name!r} poly"):
             powers = json_ints(json_field(term, "powers", "series insertion term"), f"series insertion {name!r} powers")
@@ -902,10 +907,10 @@ def series_from_dict(data: dict) -> GradedSeries:
             try:
                 zexp = int(e)
             except ValueError:
-                raise InputError(f"series terms[{n}] z exponent must be an integer, got {json.dumps(e)}") from None
+                zexp = None
+            if zexp is None or str(zexp) != e:
+                raise InputError(f"series terms[{n}] z exponent must be an integer in canonical form, got {json.dumps(e)}")
             where = f"series terms[{n}] z[{e}]"
-            if zexp in coeffs:
-                raise InputError(f"{where}: z exponent {zexp} is listed twice")
             cmap = json_object(cmap, where)
             try:
                 coeffs[zexp] = class_from_json(ring, cmap)

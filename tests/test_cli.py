@@ -800,6 +800,11 @@ def _class_at_degree_1_z_minus_3(payload):
     return lambda data: data["terms"][1]["z"].update({"-3": payload})
 
 
+def _z_minus_3_spelled(key):
+    """An edit moving the same file's degree-1 class at z^-3 to the z key `key`, a spelling the writer never writes."""
+    return lambda data: data["terms"][1]["z"].update({key: data["terms"][1]["z"].pop("-3")})
+
+
 # each edit of a P1 `ifun --qbound 2` file, and the message naming its field; an edit changes the
 # payload in place, or returns the new top-level list or the new text
 MALFORMED_SERIES = {
@@ -880,15 +885,43 @@ MALFORMED_SERIES = {
     ),
     "monomial_outside_staircase": (
         _class_at_degree_1_z_minus_3({"H1^2": "-2"}),
-        "series terms[1] z[-3]: monomial H1^2 lies outside the staircase",
+        "series terms[1] z[-3]: invalid staircase monomial key 'H1^2'",
     ),
     "z_exponent_spelled_twice": (
         lambda data: data["terms"][1]["z"].update({"-0_3": {"H1": "7"}}),
-        "series terms[1] z[-0_3]: z exponent -3 is listed twice",
+        'series terms[1] z exponent must be an integer in canonical form, got "-0_3"',
     ),
     "monomial_spelled_twice": (
         _class_at_degree_1_z_minus_3({"H1": "-2", "H1^1": "12345"}),
-        "series terms[1] z[-3]: monomial H1 is listed twice (key 'H1^1')",
+        "series terms[1] z[-3]: invalid staircase monomial key 'H1^1'",
+    ),
+    "z_exponent_with_underscore": (
+        _z_minus_3_spelled("-0_3"),
+        'series terms[1] z exponent must be an integer in canonical form, got "-0_3"',
+    ),
+    "z_exponent_with_plus": (
+        _z_minus_3_spelled("+3"),
+        'series terms[1] z exponent must be an integer in canonical form, got "+3"',
+    ),
+    "z_exponent_with_space": (
+        _z_minus_3_spelled(" -3"),
+        'series terms[1] z exponent must be an integer in canonical form, got " -3"',
+    ),
+    "monomial_with_exponent_one": (
+        _class_at_degree_1_z_minus_3({"H1^1": "-2"}),
+        "series terms[1] z[-3]: invalid staircase monomial key 'H1^1'",
+    ),
+    "insertion_name_not_a_variable": (
+        lambda data: data["insertions"].append({"name": "t}^{", "poly": []}),
+        "invalid series insertion name 't}^{': expected a letter, then letters, digits or '_'",
+    ),
+    "insertion_name_empty": (
+        lambda data: data["insertions"].append({"name": "", "poly": []}),
+        "invalid series insertion name '': expected a letter, then letters, digits or '_'",
+    ),
+    "insertion_name_listed_twice": (
+        lambda data: data["insertions"].extend([{"name": "t", "poly": []}, {"name": "t", "poly": []}]),
+        "series insertion name 't' is listed twice",
     ),
 }
 

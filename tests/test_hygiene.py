@@ -17,7 +17,10 @@ reduced once per (model, fixed support), into one table of monomial normal
 forms; ideal membership is linear algebra on the staircase basis), on any
 module reading a `.forms` attribute outside `rings.class_of` (the one reader
 of that table: class products, divisor classes and the engine's per-degree
-factors all go through it), and on the engine's `hyper_factor` (or its
+factors all go through it), on any module reading a `.by_key` attribute
+outside `rings.class_from_json`, on `rings` importing `re` or defining
+`parse_monomial_key` (a stored monomial key is looked up in the writer's own
+spelling, never parsed), and on the engine's `hyper_factor` (or its
 helpers `_gamma_series`, `_extend_prefix` and `_times_linear_series`) naming `linear_z_factor`
 or `invert_linear_z_factor` (the engine multiplies each coordinate group out
 in closed form, while the direct series keep the per-factor products, so the
@@ -309,21 +312,41 @@ def test_groebner_reduction_only_while_building_rings():
     assert not stray, stray
 
 
-def test_ring_table_read_only_by_class_of():
+def _attribute_read_outside(attr, reader):
+    """Lines of any module reading the attribute `attr` outside the `rings` function `reader`."""
     stray = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        reader = {
+        inside = {
             id(inner)
             for node in tree.body
-            if path.name == "rings.py" and isinstance(node, ast.FunctionDef) and node.name == "class_of"
+            if path.name == "rings.py" and isinstance(node, ast.FunctionDef) and node.name == reader
             for inner in ast.walk(node)
         }
         stray += [
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "forms" and id(node) not in reader
+            if isinstance(node, ast.Attribute) and node.attr == attr and id(node) not in inside
         ]
+    return stray
+
+
+def test_ring_table_read_only_by_class_of():
+    stray = _attribute_read_outside("forms", "class_of")
+    assert not stray, stray
+
+
+def test_stored_monomial_keys_only_looked_up():
+    # a stored key is looked up in the writer's spelling, never parsed: no pattern or parser in `rings`
+    tree = ast.parse((SRC / "rings.py").read_text(encoding="utf-8"))
+    parser = [
+        f"rings.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and "re" in {alias.name for alias in node.names}
+        or isinstance(node, ast.ImportFrom) and node.module == "re"
+        or isinstance(node, ast.FunctionDef) and node.name == "parse_monomial_key"
+    ]
+    stray = parser + _attribute_read_outside("by_key", "class_from_json")
     assert not stray, stray
 
 

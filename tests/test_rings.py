@@ -1,16 +1,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import grevlex
 
 from glsmkit.lattice import nonneg_vectors
-from glsmkit.model import model_from_dict
+from glsmkit.model import model_from_dict, parse_model
 from glsmkit.rings import (
     _ring_table,
     CohClass,
@@ -23,6 +25,7 @@ from glsmkit.rings import (
     class_to_json,
     divides_ideal,
     ideal_membership,
+    monomial_key,
 )
 from glsmkit.scalars import Cyclo
 from glsmkit.sectors import (
@@ -221,8 +224,41 @@ def test_class_json_roundtrip(m_quintic):
 @pytest.mark.parametrize("data", [{"H1": "0", "H1^1": "2"}, {"H1*H1": "1", "H1^2": "0"}, {"1": "1", "H1^0": "1"}])
 def test_class_json_refuses_a_monomial_spelled_twice(m_quintic, data):
     # two spellings of one monomial would let the later coefficient replace the earlier; a zero counts as listed
-    with pytest.raises(ValueError, match="is listed twice"):
+    with pytest.raises(ValueError, match="invalid staircase monomial key"):
         class_from_json(ring_of(m_quintic), data)
+
+
+P5_CUBED = Path(__file__).resolve().parent / "data" / "p5-cubed.json"
+
+
+@cache
+def _rings_with_their_keys():
+    """Each sector ring of the corpus and the identity ring of (P^5)^3, with {monomial_key(s): s} over its staircase."""
+    rings = [build_ring(m, g) for m in corpus() for g in inertia_sectors(m)]
+    rings.append(ring_of(parse_model(P5_CUBED.read_text(encoding="utf-8"))))
+    return [(ring, {monomial_key(s): s for s in ring.staircase}) for ring in rings]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="H123^*0 ", max_size=12), st.lists(st.integers(0, 6), min_size=3, max_size=3)))
+@example("H1^1")
+@example("H1*H1")
+@example("H1^0")
+@example(" H1")
+@example("H01")
+@example("H2*H1")
+@example("1 ")
+def test_class_json_reads_a_key_iff_the_writer_writes_it(drawn):
+    # a key is read iff it is `monomial_key` of a staircase monomial; each example above used to read as a monomial.
+    # A drawn exponent vector is keyed by the writer, so staircase monomials are read and the others refused
+    for ring, written in _rings_with_their_keys():
+        key = drawn if isinstance(drawn, str) else monomial_key(drawn[: ring.ngens])
+        if key in written:
+            assert class_from_json(ring, {key: "1"}) == CohClass(ring, {written[key]: F(1)})
+        else:
+            with pytest.raises(ValueError) as caught:
+                class_from_json(ring, {key: "1"})
+            assert str(caught.value) == f"invalid staircase monomial key {key!r}"
 
 
 # --- sympy oracle for the ring layer -----------------------------------------

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from math import ceil, gcd
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glsmkit.series as series_module
@@ -1073,6 +1075,37 @@ def test_series_reader_refuses_keys_outside_the_truncation(m_p1, m_quintic):
     quintic["vanished"].append({"degree": ["3"], "t_exponent": []})
     with pytest.raises(InputError, match=r"series vanished\[0\] at degree \['3'\]: theta-degree 3 exceeds"):
         series_from_json(json.dumps(quintic))
+
+
+@cache
+def _p1_series_text():
+    return series_to_json(big_i_function(corpus()[0], q_bound=F(2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="-+_ 0123\u0663\t", max_size=6), st.integers(-(10**6), 10**6).map(str)))
+@example("None")
+@example("-0")
+@example("1_0")
+@example("\u0663")
+@example(" -3")
+@example("-3 ")
+@example("+3")
+@example("-03")
+@example("-3")
+def test_series_reads_a_z_key_iff_the_writer_writes_it(key):
+    # int() also reads "-0_3", "+3", " -3" and "\u0663" (Arabic-Indic three); a z key is read iff it is str(int) of
+    # its integer, and "None" must not pass as the str() of a failed parse
+    data = json.loads(_p1_series_text())
+    z = data["terms"][1]["z"]
+    z[key] = z.pop("-3")
+    text = json.dumps(data)
+    if re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        series_from_json(text)
+    else:
+        with pytest.raises(InputError) as caught:
+            series_from_json(text)
+        assert str(caught.value) == f"series terms[1] z exponent must be an integer in canonical form, got {json.dumps(key)}"
 
 
 def test_series_json_roundtrip_with_twist(m_quintic):
