@@ -3,13 +3,14 @@
 Keys hash the canonical model serialization, the command, the truncation,
 the insertion data, and a sha256 of the library's own sources, so identical
 inputs share a slot and any change to the inputs or the code invalidates it.
-Each entry `<key>.json` holds the text exactly; the sha256 of the key, a NUL
-byte and that text is stored beside it in `<key>.sha256`, and an entry whose
-text does not match its digest (truncated, tampered, half written, or moved
-from another key) or is not UTF-8 is a miss.  The text goes to a
-temp file first and is renamed into place.  A directory that cannot be read
-makes every lookup a miss; one that cannot be written is an input error
-that names `GLSMKIT_CACHE_DIR`.
+Each entry is one file, `<key>.entry`: a first line holding the sha256 of the
+key, a NUL byte and the text, then the text exactly.  It is written to a temp
+file and renamed into place.  An entry whose text does not match its digest
+line (truncated, tampered, or moved from another key), that has no digest
+line, or whose text is not UTF-8 is a miss.  Entries of older versions are
+never read and may be deleted.  A directory that cannot be read makes every
+lookup a miss; one that cannot be written is an input error that names
+`GLSMKIT_CACHE_DIR`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import os
 import tempfile
 from functools import cache
-from pathlib import Path
 
 from .model import GLSMModel, InputError, serialize_model
 
@@ -30,8 +30,10 @@ CACHE_ENV = "GLSMKIT_CACHE_DIR"
 def sources_sha256() -> str:
     """sha256 over the name and bytes of every glsmkit/*.py source, computed once per process."""
     digest = hashlib.sha256()
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    here = os.path.dirname(os.path.realpath(__file__))
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as handle:
+            digest.update(name.encode() + b"\0" + handle.read())
     return digest.hexdigest()
 
 
@@ -47,27 +49,23 @@ def job_key(model: GLSMModel, command: str, truncation: dict, extras: dict | Non
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cache_dir() -> Path:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "glsmkit"
+def cache_dir() -> str:
+    return os.environ.get(CACHE_ENV) or os.path.join(os.path.expanduser("~"), ".cache", "glsmkit")
 
 
-def _digest(key: str, data: bytes) -> str:
+def _digest(key: str, data: bytes) -> bytes:
     # binds the text to its key: an entry moved to another key fails its check
-    return hashlib.sha256(key.encode("utf-8") + b"\0" + data).hexdigest()
+    return hashlib.sha256(key.encode("utf-8") + b"\0" + data).hexdigest().encode()
 
 
 def cache_get(key: str) -> str | None:
-    """The stored text of `key`, or None when it is absent, does not match its stored digest or is not UTF-8."""
-    directory = cache_dir()
+    """The stored text of `key`, or None when its entry is absent, does not match its digest line or is not UTF-8."""
     try:
-        data = (directory / f"{key}.json").read_bytes()
-        digest = (directory / f"{key}.sha256").read_bytes()
+        with open(os.path.join(cache_dir(), f"{key}.entry"), "rb") as handle:
+            digest, newline, data = handle.read().partition(b"\n")
     except OSError:
         return None
-    if _digest(key, data).encode() != digest:
+    if not newline or digest != _digest(key, data):
         return None
     try:
         return data.decode("utf-8")
@@ -87,18 +85,16 @@ def cache_put(key: str, text: str) -> None:
         ) from None
 
 
-def _store(directory: Path, key: str, data: bytes) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
+def _store(directory: str, key: str, data: bytes) -> None:
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, directory / f"{key}.json")
+            handle.write(_digest(key, data) + b"\n" + data)
+        os.replace(tmp, os.path.join(directory, f"{key}.entry"))
     except OSError:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-    # written after the text and in place: until it is whole, the entry is a miss
-    (directory / f"{key}.sha256").write_text(_digest(key, data), encoding="ascii")

@@ -91,16 +91,16 @@ def _report(payload, lines: list[str], fmt: str, out: str | None):
 
 
 def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
+    names = [f"rho{i + 1}" for i in range(model.r)]  # as _parse_insertions reads them
     out = []
     for item in filter(None, (part.strip() for part in text.split(";"))):
         try:
-            idx = int(item[3:]) - 1 if item.startswith("rho") else None
-            vec = tuple(int(x) for x in item.split(",")) if idx is None else None
+            if item.startswith("rho"):
+                out.append(model.column(names.index(item)))
+            else:
+                out.append(tuple(int(x) for x in item.split(",")))
         except ValueError:
             raise InputError(f"--rho expects rhoI or comma-separated integers, got {item!r}") from None
-        if idx is not None and not 0 <= idx < model.r:
-            raise InputError(f"rho index out of range in {item!r}")
-        out.append(model.column(idx) if vec is None else vec)
     if not out:
         raise InputError(f"--rho names no character, got {text!r}")
     if any(len(vec) != model.k for vec in out):

@@ -824,10 +824,12 @@ def series_from_dict(data: dict) -> GradedSeries:
     writer derives are checked against the model without serializing anything
     again: the schema, the state, the model hash, each term's theta-degree and
     sector lambda, and that no (degree, t-exponent) key is listed twice among
-    the terms and the vanished keys.  A term or vanished key outside the
-    truncation (its theta-degree above q_bound or its t-exponents summing above
-    t_order) is refused, naming it; each run of equal fields computes its
-    theta-degree once, and each vanished key its own.  A model with theta = 0
+    the terms and the vanished keys.  The terms must come in the writer's
+    (theta-degree, degree, t-exponent) order and the vanished keys in its
+    (degree, t-exponent) order, so one series has one file.  A term or
+    vanished key outside the truncation (its theta-degree above q_bound or its
+    t-exponents summing above t_order) is refused, naming it; each run of
+    equal fields computes its theta-degree once, and each vanished key its own.  A model with theta = 0
     has no quotient, and its series is refused with DegenerateStabilityError,
     as the engine refuses it.
     """
@@ -886,12 +888,17 @@ def series_from_dict(data: dict) -> GradedSeries:
 
     vanished = json_list(data.get("vanished", []), "series vanished")
     series.vanished = tuple(read_key(item, f"series vanished[{n}]") for n, item in enumerate(vanished))
+    if list(series.vanished) != _sorted_keys(series.vanished):
+        raise InputError("series vanished must list its keys in ascending (degree, t_exponent) order")
     for n, (d, alpha) in enumerate(series.vanished):
         check_region(f"series vanished[{n}] at degree {vanished[n]['degree']}", theta_degree(m, d), alpha)
     items = json_list(json_field(data, "terms", "series file"), "series terms")
     keys = [read_key(item, f"series terms[{n}]") for n, item in enumerate(items)]
+    if len(set(keys) | set(series.vanished)) < len(keys) + len(series.vanished):
+        raise InputError("series terms and vanished list a (degree, t_exponent) key twice")
     # the writer lists the terms of one degree together: each run of equal fields is checked once
     checked = None  # the last (degree, theta_degree, sector_lambda) found to agree
+    previous = None  # the last (theta_degree, degree, t_exponent) read
     for n, ((d, alpha), ring, item) in enumerate(zip(keys, sector_rings(m, [d for d, _alpha in keys]), items)):
         fields = (item["degree"], item.get("theta_degree"), item.get("sector_lambda"))
         if fields != checked:
@@ -902,6 +909,9 @@ def series_from_dict(data: dict) -> GradedSeries:
                 raise InputError(f"series term at degree {item['degree']}: sector_lambda does not match the degree")
             checked = fields
         check_region(f"series terms[{n}] at degree {item['degree']}", td, alpha)
+        if previous is not None and (td, d, alpha) < previous:
+            raise InputError(f"series terms[{n}] is out of ascending (theta_degree, degree, t_exponent) order")
+        previous = (td, d, alpha)
         coeffs = {}
         for e, cmap in json_object(json_field(item, "z", f"series terms[{n}]"), f"series terms[{n}] z").items():
             try:
@@ -917,8 +927,6 @@ def series_from_dict(data: dict) -> GradedSeries:
             except ValueError as err:
                 raise InputError(f"{where}: {err}") from None
         series.terms[(d, alpha)] = LaurentZ.from_dict(ring, coeffs)
-    if len(set(series.terms) | set(series.vanished)) < len(items) + len(series.vanished):
-        raise InputError("series terms and vanished list a (degree, t_exponent) key twice")
     return series
 
 

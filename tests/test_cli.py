@@ -118,12 +118,12 @@ def test_dz_verify(run, model_file):
 def test_dz_caches_only_the_base_series(run, model_file, tmp_path):
     code, _out, _err = run("dz", model_file(P1), "--rho", "rho1", "--qbound", "2")
     assert code == 0
-    entries = list((tmp_path / "cache").glob("*.json"))
-    assert len(entries) == 1
+    entries = list((tmp_path / "cache").iterdir())
+    assert [entry.suffix for entry in entries] == [".entry"]
     code, ifun_out, _err = run("ifun", model_file(P1), "--qbound", "2")
     assert code == 0
-    assert entries[0].read_text(encoding="utf-8") == ifun_out
-    assert list((tmp_path / "cache").glob("*.json")) == entries
+    assert cache.cache_get(entries[0].stem) == ifun_out
+    assert list((tmp_path / "cache").iterdir()) == entries
 
 
 def test_cache_byte_identity(run, model_file, tmp_path):
@@ -133,7 +133,7 @@ def test_cache_byte_identity(run, model_file, tmp_path):
     code3, out3, _ = run("glsm-ifun", path, "--qbound", "2", "--no-cache")
     assert code1 == code2 == code3 == 0
     assert out1 == out2 == out3
-    assert list((tmp_path / "cache").glob("*.json"))
+    assert list((tmp_path / "cache").glob("*.entry"))
 
 
 def test_spellings_of_one_insertion_share_a_cache_entry(run, model_file, tmp_path):
@@ -148,7 +148,7 @@ def test_spellings_of_one_insertion_share_a_cache_entry(run, model_file, tmp_pat
     # a different name or coefficient is a different entry
     run(*argv, "--insert", "s=rho1")
     run(*argv, "--insert", "t=2*rho1")
-    assert len(list((tmp_path / "cache").iterdir())) == len(entries) + 4
+    assert len(list((tmp_path / "cache").iterdir())) == len(entries) + 2
 
 
 # the three renderings of a cached ifun series, and dz, which parses the same entry
@@ -172,9 +172,10 @@ def test_corrupt_cache_entry_is_recomputed(run, model_file, tmp_path, job, fault
     expected = run(*argv, "--no-cache")
     assert expected[0] == 0
     assert run(*argv) == expected
-    (entry,) = (tmp_path / "cache").glob("*.json")
-    stored = entry.read_text(encoding="utf-8")
-    entry.write_text(FAULTS[fault](stored), encoding="utf-8")
+    (entry,) = (tmp_path / "cache").iterdir()
+    stored = cache.cache_get(entry.stem)
+    assert stored is not None
+    entry.write_text(FAULTS[fault](entry.read_text(encoding="utf-8")), encoding="utf-8")
     assert run(*argv) == expected
     # the miss overwrote the entry with a verified one
     assert cache.cache_get(entry.stem) == stored
@@ -191,7 +192,7 @@ def test_stale_key_entry_is_not_served(run, model_file, tmp_path, monkeypatch, j
         # older library sources stored a well-formed, different series under this job's key
         patch.setattr(cache, "sources_sha256", lambda: "0" * 64)
         run(*argv)
-        (entry,) = (tmp_path / "cache").glob("*.json")
+        (entry,) = (tmp_path / "cache").glob("*.entry")
         cache.cache_put(entry.stem, other)
         assert run(*argv) != expected
     assert run(*argv) == expected
@@ -217,6 +218,14 @@ def test_malformed_map_and_rho_name_the_flag(run, model_file, tmp_path):
     code, _out, err = run("dz", model_file(P1), "--rho", "rhoX", "--qbound", "1")
     assert code == 2
     assert err == "error: --rho expects rhoI or comma-separated integers, got 'rhoX'\n"
+
+
+@pytest.mark.parametrize("item", ["rho01", "rho+1", "rho 1", "rho\u0661", "rho0", "rho7"])
+def test_rho_reads_only_the_names_insert_reads(run, model_file, item):
+    # --rho names a column as --insert does, rho1..rhoR in that spelling only: rho01 is not rho1
+    code, out, err = run("dz", model_file(QUINTIC), "--rho", item, "--qbound", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: --rho expects rhoI or comma-separated integers, got {item!r}\n"
 
 
 def test_compare_detects_difference(run, model_file, tmp_path):
@@ -922,6 +931,14 @@ MALFORMED_SERIES = {
     "insertion_name_listed_twice": (
         lambda data: data["insertions"].extend([{"name": "t", "poly": []}, {"name": "t", "poly": []}]),
         "series insertion name 't' is listed twice",
+    ),
+    "vanished_out_of_order": (
+        lambda data: data["vanished"].extend({"degree": [d], "t_exponent": []} for d in ("-1", "-2")),
+        "series vanished must list its keys in ascending (degree, t_exponent) order",
+    ),
+    "terms_out_of_order": (
+        lambda data: data["terms"].reverse(),
+        "series terms[1] is out of ascending (theta_degree, degree, t_exponent) order",
     ),
 }
 
