@@ -32,7 +32,7 @@ from .model import (
 )
 from .multipoly import Monomial
 from .rings import RingMismatchError
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_integer, parse_rational
 from .sectors import DegenerateStabilityError, effective_degrees, inertia_sectors, theta_degree
 from .series import (
     GradedSeries,
@@ -98,7 +98,7 @@ def _parse_rho_list(model: GLSMModel, text: str) -> list[tuple[int, ...]]:
             if item.startswith("rho"):
                 out.append(model.column(names.index(item)))
             else:
-                out.append(tuple(int(x) for x in item.split(",")))
+                out.append(tuple(parse_integer(x) for x in item.split(",")))
         except ValueError:
             raise InputError(f"--rho expects rhoI or comma-separated integers, got {item!r}") from None
     if not out:
@@ -347,9 +347,13 @@ def _nonneg_rational(name: str, text: str) -> Fraction:
 
 
 def _nonneg_int(name: str, text: str) -> int:
-    if not text.isdecimal():
+    try:
+        n = parse_integer(text)
+    except ValueError as e:
+        raise InputError(f"{name}: {e}") from None
+    if n < 0:
         raise InputError(f"{name} must be a nonnegative integer, got {text!r}")
-    return int(text)
+    return n
 
 
 def _file_path(name: str, text: str) -> str:

@@ -1,9 +1,11 @@
 """Torus GLSM model data: types, JSON parsing, and canonical serialization.
 
 The model file is JSON with integer weights, "p/q" rationals, and the
-potential written in a small monomial grammar (see README).  Parsing enforces
-structural validity (JSON types, dimensions, reduced rationals, grammar);
-the axioms of the definition are checked separately by :mod:`glsmkit.validate`.
+potential written in a small monomial grammar (see README); every number
+typed in it is spelled in ASCII digits (`scalars.DIGITS`).  Parsing enforces
+structural validity (JSON types, dimensions, number spelling, grammar) and
+reduces every rational on reading; the axioms of the definition are checked
+separately by :mod:`glsmkit.validate`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import format_rational, is_json_int, parse_rational, rational_from_json
+from .scalars import DIGITS, format_rational, is_json_int, parse_rational, rational_from_json
 
 
 class InputError(ValueError):
@@ -68,7 +70,7 @@ class GLSMModel:
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 # after optional whitespace: a number, a name with an optional ^exponent, an operator, any other character, or the end
-_TOKEN_RE = re.compile(rf"\s*((\d+(?:/\d+)?)|({_NAME_RE.pattern})(?:\^(\d*))?|[-+*]|\S|\Z)")
+_TOKEN_RE = re.compile(rf"\s*(({DIGITS}(?:/{DIGITS})?)|({_NAME_RE.pattern})(?:\^({DIGITS}|))?|[-+*]|\S|\Z)")
 
 
 def parse_monomial_expression(text: str, names: list[str], what: str = "potential") -> dict[tuple[int, ...], Fraction]:

@@ -7,7 +7,7 @@ support, so the reduction runs once per (model, fixed support), in
 staircase basis.  The generators are homogeneous, so the quotient is graded
 and every monomial above `top`, the largest staircase degree, is zero.  The
 ring's table `forms` holds the normal form of every monomial of degree at
-most `top`; `build_ring` labels the tables with their sector.  `class_of` is
+most `top`; `build_ring` labels a table with its model and sector.  `class_of` is
 the only reader of that table: class products, divisor classes, the engine's
 per-degree factors and z-Laurent products (`series.LaurentZ.mul`) all hand
 it (monomial, coefficient) pairs, and the two products form their pairs in
@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import add
 
 from .lattice import common_denominator, fraction_free_rref, nonneg_vectors
-from .model import GLSMModel, model_hash
+from .model import GLSMModel
 from .multipoly import (
     InfiniteStaircaseError,
     Poly,
@@ -52,7 +52,9 @@ class InfiniteRingError(ValueError):
 
 @dataclass(frozen=True)
 class SectorRing:
-    model_key: str
+    """One sector's ring: rings with equal models and sector lambdas are equal and hash by the lambda."""
+
+    model: GLSMModel = field(repr=False)
     sector: SectorLabel
     ngens: int
     groebner: tuple
@@ -65,10 +67,10 @@ class SectorRing:
             return True
         if not isinstance(other, SectorRing):
             return NotImplemented
-        return self.model_key == other.model_key and self.sector.lam == other.sector.lam
+        return self.sector.lam == other.sector.lam and self.model == other.model
 
     def __hash__(self):
-        return hash((self.model_key, self.sector.lam))
+        return hash(self.sector.lam)
 
     @property
     def dimension(self) -> int:
@@ -121,7 +123,6 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
         for mono in nonneg_vectors((1,) * m.k, top)
     }
     return {
-        "model_key": model_hash(m),
         "ngens": m.k,
         "groebner": tuple(basis),
         "staircase": tuple(stairs),
@@ -133,11 +134,11 @@ def _ring_table(m: GLSMModel, fixed: frozenset[int]) -> dict:
 def build_ring(m: GLSMModel, g: SectorLabel) -> SectorRing:
     """Presentation of the sector's cohomology with exact rational Groebner data.
 
-    The sector's label on the table of its fixed support, from the ring
+    The model and sector on the table of its fixed support, from the ring
     layer's one memo, `_ring_table`: two calls give distinct rings that are
     equal, hash equal and share one `forms`.
     """
-    return SectorRing(sector=g, **_ring_table(m, g.fixed_support))
+    return SectorRing(model=m, sector=g, **_ring_table(m, g.fixed_support))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ which is the toolkit's one zero test.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -20,19 +21,29 @@ from typing import Union
 Scalar = Union[Fraction, "Cyclo"]
 
 
+DIGITS = "[0-9]+"  # the digits of every number a user types: ASCII only, no '_', '+' or space inside
+_NUMBER_RE = re.compile(rf"(-?{DIGITS})(?:/({DIGITS}))?")  # an optional '-', digits, an optional '/q'
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a reduced Fraction; reject junk and q == 0."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            num_s, den_s = s.split("/")
-            num, den = int(num_s), int(den_s)
-            if den == 0:
-                raise ValueError
-            return Fraction(num, den)
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"invalid rational literal {text!r}") from None
+    """Parse "p/q" or "p" (an optional '-', then `DIGITS`) into a reduced Fraction; reject anything else and q == 0."""
+    m = _NUMBER_RE.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"invalid rational literal {text!r}")
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    if not int(den):
+        raise ValueError(f"invalid rational literal {text!r}")
+    return Fraction(int(num), int(den))
+
+
+def parse_integer(text: str) -> int:
+    """Parse "p" (an optional '-', then `DIGITS`), by `parse_rational`'s rule without "/q"; reject anything else."""
+    m = _NUMBER_RE.fullmatch(text.strip())
+    if m is None or m[2] is not None:
+        raise ValueError(f"invalid integer literal {text!r}")
+    return int(m[1])
 
 
 def format_rational(q: Fraction) -> str:

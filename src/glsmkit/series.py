@@ -236,10 +236,6 @@ class GradedSeries:
     terms: dict[TermKey, LaurentZ]
     vanished: tuple[TermKey, ...] = ()
 
-    @property
-    def model_key(self) -> str:
-        return model_hash(self.model)
-
     def graded_keys(self) -> list[tuple[Fraction, Degree, tuple[int, ...]]]:
         """(theta-degree, d, alpha) per term, sorted: each theta-degree is computed once."""
         return sorted((theta_degree(self.model, d), d, alpha) for d, alpha in self.terms)
@@ -719,10 +715,10 @@ def series_compare(a: GradedSeries, b: GradedSeries, variable_map: dict | None =
     difference records, in key order; empty means equal on the common
     region.  One pass over the keys collects the differing ones, and only
     those are sorted.  `b`'s term dict is re-keyed only when the variable
-    permutation is not the identity, and the model hashes are compared
-    only when the two models are different objects.
+    permutation is not the identity.  Refuses with ValueError when the two
+    models are not equal.
     """
-    if a.model is not b.model and a.model_key != b.model_key:
+    if a.model != b.model:
         raise ValueError("series belong to different models")
     rename = variable_map or {}
     unknown = sorted(set(rename) - {ins.name for ins in b.insertions})
@@ -786,7 +782,7 @@ def series_to_dict(s: GradedSeries) -> dict:
         "schema": SERIES_SCHEMA,
         "state": s.state,
         "model": model_to_dict(s.model),
-        "model_hash": s.model_key,
+        "model_hash": model_hash(s.model),
         "effectivity": "criterion",
         "truncation": {"q_bound": format_rational(s.q_bound), "t_order": s.t_order},
         "etas": [list(e) for e in s.etas],
@@ -818,8 +814,9 @@ def series_from_dict(data: dict) -> GradedSeries:
     integer or a "p/q" string, and each class through `rings.class_from_json`,
     whose refusal is prefixed with the term.  Keys are read only in the
     writer's spelling: an insertion name as `--insert` reads it
-    (`model.variable_name`), once, and a z key only when it is str(int) of its
-    exponent.  Each degree has k entries, each t-exponent one entry per
+    (`model.variable_name`), once, a degree entry only as the string
+    `format_rational` writes for its value, and a z key only when it is
+    str(int) of its exponent.  Each degree has k entries, each t-exponent one entry per
     insertion and each insertion's powers one entry per eta.  The fields the
     writer derives are checked against the model without serializing anything
     again: the schema, the state, the model hash, each term's theta-degree and
@@ -873,6 +870,9 @@ def series_from_dict(data: dict) -> GradedSeries:
         d = json_rationals(json_field(item, "degree", where), f"{where} degree")
         if len(d) != m.k:
             raise InputError(f"{where} degree must have k = {m.k} entries, got {json.dumps(item['degree'])}")
+        for x, entry in zip(d, item["degree"]):
+            if entry != format_rational(x):
+                raise InputError(f"{where} degree entry {json.dumps(entry)} is not spelled {format_rational(x)!r}")
         alpha = json_ints(json_field(item, "t_exponent", where), f"{where} t_exponent")
         if len(alpha) != len(insertions):
             raise InputError(

@@ -545,6 +545,34 @@ def test_cli_surface(run, model_file, tmp_path, case):
         assert out == held[0]
 
 
+# argv, each with a number typed in a spelling other than an optional '-' and ASCII digits, and the option,
+# field or position its refusal names; each exited 0 before `scalars` read every typed number by one rule
+MISSPELLED_NUMBERS = {
+    "qbound-arabic-indic": (["ifun", "@p1", "--qbound", "\u0661"], "--qbound"),
+    "qbound-underscore": (["ifun", "@p1", "--qbound", "1_0"], "--qbound"),
+    "qbound-plus": (["ifun", "@p1", "--qbound", "+2"], "--qbound"),
+    "torder-arabic-indic": (["ifun", "@p1", *QB, "--torder", "\u0661", "--insert", "t=rho1"], "--torder"),
+    "insert-arabic-indic": (
+        ["ifun", "@p1", *QB, "--torder", "1", "--insert", "t=\u0661*rho1"],
+        "--insert t syntax error at position 0",
+    ),
+    "theta-arabic-indic": (["validate", "@theta"], "theta: invalid rational literal"),
+    "rho-underscore": (["dz", "@p1", "--rho", "1_0", *QB], "--rho"),
+    "rho-plus": (["dz", "@p1", "--rho", "+1", *QB], "--rho"),
+    "rho-arabic-indic": (["dz", "@p1", "--rho", "\u0661", *QB], "--rho"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISSPELLED_NUMBERS))
+def test_a_typed_number_has_ascii_digits(run, model_file, case):
+    files = {"@p1": model_file(P1), "@theta": model_file(dict(P1, theta=["\u0661"]), "theta.json")}
+    argv, named = MISSPELLED_NUMBERS[case]
+    code, out, err = run(*(files.get(token, token) for token in argv))
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("error: ") and named in err, err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -814,6 +842,14 @@ def _z_minus_3_spelled(key):
     return lambda data: data["terms"][1]["z"].update({key: data["terms"][1]["z"].pop("-3")})
 
 
+def _degree_1_spelled(entry):
+    """An edit respelling the same file's degree of terms[1], ["1"], as [entry]."""
+    def edit(data):
+        assert data["terms"][1]["degree"] == ["1"]
+        data["terms"][1]["degree"] = [entry]
+    return edit
+
+
 # each edit of a P1 `ifun --qbound 2` file, and the message naming its field; an edit changes the
 # payload in place, or returns the new top-level list or the new text
 MALFORMED_SERIES = {
@@ -939,6 +975,22 @@ MALFORMED_SERIES = {
     "terms_out_of_order": (
         lambda data: data["terms"].reverse(),
         "series terms[1] is out of ascending (theta_degree, degree, t_exponent) order",
+    ),
+    # a degree entry is read only as the writer spells it: each of these read as the degree 1 of terms[1]
+    **{
+        f"degree_{name}": (_degree_1_spelled(entry), message)
+        for name, entry, message in [
+            ("with_underscore", "0_1", "series terms[1] degree: invalid rational literal '0_1'"),
+            ("arabic_indic", "\u0661", "series terms[1] degree: invalid rational literal '\u0661'"),
+            ("with_plus", "+1", "series terms[1] degree: invalid rational literal '+1'"),
+            ("unreduced", "2/2", 'series terms[1] degree entry "2/2" is not spelled \'1\''),
+            ("leading_zero", "01", 'series terms[1] degree entry "01" is not spelled \'1\''),
+            ("json_integer", 1, "series terms[1] degree entry 1 is not spelled '1'"),
+        ]
+    },
+    "vanished_degree_unreduced": (
+        lambda data: data["vanished"].append({"degree": ["-4/2"], "t_exponent": []}),
+        'series vanished[0] degree entry "-4/2" is not spelled \'-2\'',
     ),
 }
 

@@ -56,7 +56,12 @@ naming `theta_degree` (both truncation regions are cut by
 `hyper_factor` (the derivative acts on the terms of the series it is given,
 not on a recomputation), on a function in `sectors` that defines a nested
 function or calls itself (the Stanley-Reisner sets are formed by one loop,
-Berge's update, not by a recursive search), and on any module but `model`
+Berge's update, not by a recursive search), on any module naming
+`model_hash` or `serialize_model` but `model`, the package `__init__`,
+`series.series_to_dict`, `series.series_from_dict` and `cache.job_key`, or
+on a `model_key` in `SectorRing` or `GradedSeries` (inside the process a
+ring and a series name their model by the frozen `GLSMModel`; the hash is
+formed only where bytes leave or enter it), and on any module but `model`
 defining a class whose name ends in `InternalError` (one internal-error
 type, exit code 3), and on a parameter of any function or lambda that its body never reads,
 except `self`, `cls` and names that start with `_` (a value the caller
@@ -464,6 +469,28 @@ def test_stanley_reisner_search_is_one_loop():
         if inner is not node and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
         or isinstance(inner, ast.Call) and getattr(inner.func, "id", None) == node.name
     ]
+    assert not stray, stray
+
+
+def test_model_hashed_only_where_bytes_cross_the_process():
+    # inside the process a ring and a series name their model by the frozen GLSMModel itself
+    where = {"series.py": {"series_to_dict", "series_from_dict"}, "cache.py": {"job_key"}}
+    stray = [
+        line
+        for path in MODULES
+        if path.name not in ("model.py", "__init__.py")
+        for target in ("model_hash", "serialize_model")
+        for line in _named_outside(path.name, target, where.get(path.name, set()))
+    ]
+    for name, cls in (("rings.py", "SectorRing"), ("series.py", "GradedSeries")):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        stray += [
+            f"{name}:{item.lineno} {cls}.model_key"
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body
+            if getattr(item, "name", getattr(getattr(item, "target", None), "id", None)) == "model_key"
+        ]
     assert not stray, stray
 
 

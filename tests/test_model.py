@@ -116,6 +116,9 @@ MALFORMED = [
     # a zero denominator is refused at its literal
     ("1/0*x1", 0, "invalid rational literal '1/0'"),
     ("x2 - 3/00", 5, "invalid rational literal '3/00'"),
+    # numbers are ASCII digits: an Arabic-Indic three was read as 3
+    ("\u0663*x1", 0, "expected a coefficient or variable"),
+    ("x1^\u0663", 3, "expected an integer exponent after '^'"),
 ]
 
 
@@ -132,7 +135,7 @@ def test_malformed_expression_position_and_reason(text, pos, reason):
         ("x1^02", {(2, 0): Fraction(1)}),
         ("x1^0", {(0, 0): Fraction(1)}),
         ("0*x1", {}),
-        ("\u0663*x1", {(1, 0): Fraction(3)}),  # ARABIC-INDIC DIGIT THREE
+        ("-3/6*x1", {(1, 0): Fraction(-1, 2)}),  # reduced on reading
         (" - x2 *\tx1 + 4/6 ", {(1, 1): Fraction(-1), (0, 0): Fraction(2, 3)}),
     ],
 )

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -99,6 +100,20 @@ def test_ring_mismatch_raises(m_p1, m_quintic):
     b = class_from_character(ring_of(m_quintic), (1,))
     with pytest.raises(RingMismatchError):
         _ = a + b
+
+
+def test_a_ring_is_its_model_and_its_sector():
+    # two parses of one file give equal models, so their rings are equal without the model being hashed
+    text = (Path(__file__).resolve().parent / "data" / "quintic.json").read_text(encoding="utf-8")
+    m1, m2 = parse_model(text), parse_model(text)
+    a, b = ring_of(m1), ring_of(m2)
+    assert a is not b and a == b and hash(a) == hash(b) and a.forms is b.forms
+    assert class_from_character(a, (1,)) + class_from_character(b, (1,)) == class_from_character(a, (2,))
+    # a model that differs only in assert_critical_proper gives a ring with the same lambda and another identity
+    c = ring_of(replace(m1, assert_critical_proper=not m1.assert_critical_proper))
+    assert c.sector.lam == a.sector.lam and c != a and a != c
+    with pytest.raises(RingMismatchError):
+        _ = class_from_character(a, (1,)) + class_from_character(c, (1,))
 
 
 def test_nilpotency(m_p1, m_quintic, m_cubic):

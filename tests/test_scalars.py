@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glsmkit.scalars import (
@@ -10,6 +11,7 @@ from glsmkit.scalars import (
     format_rational,
     frac_mod1,
     half_turn,
+    parse_integer,
     parse_rational,
     scalar_from_json,
     scalar_to_json,
@@ -28,10 +30,35 @@ def test_parse_rational_basic():
     assert parse_rational(" 7/3 ") == Fraction(7, 3)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "x", "1.5", "", "1/2/3"])
+@pytest.mark.parametrize("bad", ["1/0", "x", "1.5", "", "1/2/3", "1_0", "+1", "\u0661", "1/-2"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789/-+_ \u0663\uff11", max_size=8))
+@example("1_0")
+@example("+2")
+@example("\u0663")
+@example("1/-2")
+@example("-0/5")
+@example(" 7/3 ")
+@example("3/00")
+def test_parse_rational_reads_only_ascii_digits(text):
+    # int() reads "1_0", "+2", " 2" and non-ASCII decimal digits; a typed number is an optional '-', ASCII
+    # digits and an optional "/q" with q > 0, around which only whitespace is dropped
+    match = re.fullmatch(r"(-?[0-9]+)(/([0-9]+))?", text.strip())
+    if match and int(match[3] or 1):
+        assert parse_rational(text) == Fraction(int(match[1]), int(match[3] or 1))
+    else:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    if match and not match[2]:
+        assert parse_integer(text) == int(match[1])
+    else:
+        with pytest.raises(ValueError):
+            parse_integer(text)
 
 
 def test_format_rational():

@@ -17,7 +17,7 @@ import glsmkit.series as series_module
 import glsmkit.validate as validate_module
 from glsmkit.cli import _series_output
 from glsmkit.latexout import render_latex
-from glsmkit.model import InputError, InternalError, model_from_dict, parse_model
+from glsmkit.model import InputError, InternalError, model_from_dict, model_to_dict, parse_model
 from glsmkit.rings import (
     CohClass,
     InfiniteRingError,
@@ -1011,6 +1011,18 @@ def test_series_compare_self(m_p1):
     assert series_compare(s, s) == []
 
 
+def test_series_compare_refuses_series_of_different_models(m_quintic):
+    # models that differ only in assert_critical_proper are different models
+    other = replace(m_quintic, assert_critical_proper=not m_quintic.assert_critical_proper)
+    a, b = big_i_function(m_quintic, q_bound=F(1)), big_i_function(other, q_bound=F(1))
+    with pytest.raises(ValueError) as caught:
+        series_compare(a, b)
+    assert str(caught.value) == "series belong to different models"
+    # a second parse of the model is the same model
+    again = parse_model(json.dumps(model_to_dict(m_quintic)))
+    assert again is not m_quintic and series_compare(a, big_i_function(again, q_bound=F(1))) == []
+
+
 def test_series_compare_flat_rename(m_p1):
     etas, _ = t_insertion()
     a = big_i_function(m_p1, etas, (Insertion.from_terms("t1", {(1,): F(1)}),), F(2), 2)
@@ -1106,6 +1118,52 @@ def test_series_reads_a_z_key_iff_the_writer_writes_it(key):
         with pytest.raises(InputError) as caught:
             series_from_json(text)
         assert str(caught.value) == f"series terms[1] z exponent must be an integer in canonical form, got {json.dumps(key)}"
+
+
+@cache
+def _rank2_series_text():
+    return series_to_json(big_i_function(parse_model(json.dumps(RANK2)), q_bound=F(2)))
+
+
+@st.composite
+def _degree_respellings(draw):
+    """(written text, field, index, entry, respelling): a degree entry of the P1 or RANK2 file, spelled anew.
+
+    Every respelling has the entry's value: the writer's string, a multiple of its numerator and denominator,
+    leading zeros or "0_", a '+', an explicit "/1", surrounding space, Arabic-Indic digits or a JSON integer.
+    """
+    written = draw(st.sampled_from([_p1_series_text(), _rank2_series_text()]))
+    data = json.loads(written)
+    entries = [(field, n, i) for field in ("terms", "vanished") for n, item in enumerate(data[field]) for i in range(len(item["degree"]))]
+    field, n, i = draw(st.sampled_from(entries))
+    value = Fraction(data[field][n]["degree"][i])
+    c = draw(st.integers(1, 3))
+    num, den = value.numerator * c, value.denominator * c
+    body = draw(st.sampled_from(["", "0", "00", "0_"])) + str(abs(num))
+    if den != 1 or draw(st.booleans()):
+        body += f"/{den}"
+    text = ("-" if num < 0 else draw(st.sampled_from(["", "+"]))) + body
+    arabic_indic = text.translate({ord("0") + digit: 0x660 + digit for digit in range(10)})
+    text = draw(st.sampled_from([text, f" {text}", arabic_indic]))
+    spelling = draw(st.sampled_from([text, num] if den == 1 else [text]))
+    return written, field, n, i, spelling
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degree_respellings())
+def test_series_reads_a_degree_entry_iff_the_writer_writes_it(drawn):
+    # "01", "2/2", "+1", "0_1", "\u0661" and 1 all read as the degree 1 before; one series has one file
+    written, field, n, i, spelling = drawn
+    data = json.loads(written)
+    writer = data[field][n]["degree"][i]
+    data[field][n]["degree"][i] = spelling
+    text = json.dumps(data)
+    if spelling == writer:
+        assert series_to_json(series_from_json(text)) == written
+    else:
+        with pytest.raises(InputError) as caught:
+            series_from_json(text)
+        assert str(caught.value).startswith(f"series {field}[{n}] degree"), caught.value
 
 
 def test_series_json_roundtrip_with_twist(m_quintic):
